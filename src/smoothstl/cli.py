@@ -8,8 +8,8 @@ positive, so shell pipelines can branch on satisfaction directly.
 
 Outputs are plain files: full-precision CSVs, a structural SVG plot, and
 a report.json echoing the resolved configuration. --json switches the
-human summary to the report payload. STL_SMOOTH_THREADS caps restart and
-bench parallelism (default 1, fully serial and deterministic).
+human summary to the report payload. Every run is serial and
+deterministic.
 """
 
 from __future__ import annotations

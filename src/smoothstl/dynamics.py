@@ -13,13 +13,12 @@ standard costate recursion, giving d rho / d u at the cost of a rollout.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .robustness import Signal
+from .robustness import Signal, _read_series_csv, _write_series_csv
 
 __all__ = [
     "RolloutDivergence",
@@ -258,30 +257,8 @@ def builtin_model(name, dt=1.0):
 
 
 def save_controls_csv(u, path):
-    u = np.asarray(u, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"u{j}" for j in range(u.shape[1])])
-        for t in range(u.shape[0]):
-            writer.writerow([t] + [repr(float(v)) for v in u[t]])
+    _write_series_csv(path, np.asarray(u, dtype=float), "u")
 
 
 def load_controls_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "t" or len(header) < 2:
-            raise ValueError(f"{path}: expected header t,u0,... got {header!r}")
-        for j, name in enumerate(header[1:]):
-            if name != f"u{j}":
-                raise ValueError(f"{path}: column {j + 1} should be u{j}, got {name!r}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if int(row[0]) != len(rows):
-                raise ValueError(f"{path}: timesteps must run 0,1,2,... without gaps")
-            rows.append([float(v) for v in row[1:]])
-    if not rows:
-        raise ValueError(f"{path}: no rows")
-    return np.array(rows)
+    return _read_series_csv(path, "u", ValueError)

@@ -1,10 +1,13 @@
 """Analytic gradients of the smooth robustness value.
 
-The smooth evaluator records every soft-operator application on a tape;
-this module sweeps that tape backwards, multiplying adjoints by the
-operators' weight vectors, and accumulates the result at the predicate
-leaves. One forward plus one backward pass costs a small constant times
-one evaluation, independent of the signal dimension.
+eval_with_gradient runs the formula's evaluation plan (see the robustness
+module) forward, keeping each reduction's weight vector, then sweeps the
+plan backwards: every reduction scatters its output adjoints, times its
+weights, back through the same gather that fed it, and the leaf adjoints
+reach the signal through the predicate coefficients (one matrix product
+for the affine atoms) or the callable predicates' jacobians. One forward
+plus one backward pass costs a small constant times one evaluation,
+independent of the signal dimension.
 
 Weight facts used by tests and by the chain rule through dynamics:
 
@@ -14,16 +17,28 @@ Weight facts used by tests and by the chain rule through dynamics:
                  the Boltzmann weights; they also sum to one but entries
                  can be negative, so the soft maximum is not monotone in
                  its arguments even though it stays below the true max.
+                 An entry whose Boltzmann weight underflows gets exactly 0.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .robustness import SemanticsError, as_signal, evaluate, smooth_forward
+from .robustness import (
+    SemanticsError,
+    _as_vector,
+    _forward,
+    _one_segment,
+    _read_series_csv,
+    _sharpness,
+    _soft_max,
+    _soft_min,
+    _write_series_csv,
+    as_signal,
+    evaluate,
+)
 
 __all__ = [
     "RobustnessGradient",
@@ -40,15 +55,10 @@ def grad_smooth_min(a, k1):
     """Gradient of smooth_min(a, k1) with respect to a.
 
     @param a:  argument vector
-    @param k1: sharpness, positive
+    @param k1: sharpness, positive and finite
     @return:   vector of positive weights summing to one
     """
-    a = np.asarray(a, dtype=float)
-    k1 = float(k1)
-    if not k1 > 0:
-        raise ValueError(f"k1 must be positive, got {k1}")
-    e = np.exp(-k1 * (a - a.min()))
-    return e / e.sum()
+    return _one_segment(_soft_min, _as_vector(a), _sharpness(k1, "k1", False), keep=True)
 
 
 def grad_smooth_max(a, k2):
@@ -57,14 +67,7 @@ def grad_smooth_max(a, k2):
     Sums to one; individual entries may be negative for arguments far
     below the soft maximum.
     """
-    a = np.asarray(a, dtype=float)
-    k2 = float(k2)
-    if not k2 >= 0:
-        raise ValueError(f"k2 must be nonnegative, got {k2}")
-    w = np.exp(k2 * (a - a.max()))
-    w /= w.sum()
-    soft = float(np.dot(w, a))
-    return w * (1.0 + k2 * (a - soft))
+    return _one_segment(_soft_max, _as_vector(a), _sharpness(k2, "k2", True), keep=True)
 
 
 @dataclass
@@ -84,33 +87,14 @@ def eval_with_gradient(phi, signal, t=0, config=None, classic_until=False):
 
     Only the ef semantics is differentiable here; the value returned is
     bit-identical to evaluate() with the same arguments because both run
-    the same forward recursion.
+    the same forward pass of the same plan.
     """
     if config is None or config.kind != "ef":
         raise SemanticsError("eval_with_gradient needs ef semantics")
-    trace, signal = smooth_forward(phi, signal, t, config, classic_until)
-    values = np.asarray(trace.values)
-    adjoint = np.zeros(len(values))
-    adjoint[trace.root] = 1.0
+    plan, signal, Y, vals, weights = _forward(phi, signal, t, config, classic_until, keep=True)
     dsignal = np.zeros_like(signal.values)
-    for slot in range(len(values) - 1, -1, -1):
-        a = adjoint[slot]
-        if a == 0.0:
-            continue
-        record = trace.records[slot]
-        kind = record[0]
-        if kind == "leaf":
-            _, pred, ts, sign = record
-            dsignal[ts] += (a * sign) * pred.gradient(signal.values[ts])
-        elif kind == "smin":
-            _, k, slots = record
-            np.add.at(adjoint, slots, a * grad_smooth_min(values[slots], k))
-        elif kind == "smax":
-            _, k, slots = record
-            np.add.at(adjoint, slots, a * grad_smooth_max(values[slots], k))
-        else:
-            raise SemanticsError(f"cannot differentiate through operator {kind!r}")
-    return RobustnessGradient(value=float(values[trace.root]), dsignal=dsignal)
+    dsignal[int(t) : int(t) + Y.shape[0]] = plan.backward(Y, weights)
+    return RobustnessGradient(value=float(vals[plan.root]), dsignal=dsignal)
 
 
 def finite_difference_gradient(phi, signal, t=0, config=None, h=1e-5, classic_until=False):
@@ -142,28 +126,8 @@ def finite_difference_gradient(phi, signal, t=0, config=None, h=1e-5, classic_un
 
 
 def save_gradient_csv(grad, path):
-    dsig = np.asarray(grad.dsignal, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"d_y{j}" for j in range(dsig.shape[1])])
-        for ts in range(dsig.shape[0]):
-            writer.writerow([ts] + [repr(float(v)) for v in dsig[ts]])
+    _write_series_csv(path, np.asarray(grad.dsignal, dtype=float), "d_y")
 
 
 def load_gradient_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "t" or len(header) < 2:
-            raise SemanticsError(f"{path}: expected header t,d_y0,... got {header!r}")
-        for j, name in enumerate(header[1:]):
-            if name != f"d_y{j}":
-                raise SemanticsError(f"{path}: column {j + 1} should be d_y{j}, got {name!r}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if int(row[0]) != len(rows):
-                raise SemanticsError(f"{path}: timesteps must run 0,1,2,... without gaps")
-            rows.append([float(v) for v in row[1:]])
-    return np.array(rows)
+    return _read_series_csv(path, "d_y", SemanticsError)

@@ -13,8 +13,7 @@ Restart 0 always starts from u = 0; the remaining restarts start from
 seeded uniform noise (over the control bounds when given, otherwise over
 [-1, 1] per entry). The reported result is the restart with the highest
 exact robustness, with ties broken by objective value and then by restart
-index, a rule that is independent of completion order, so threaded and
-serial runs pick the same winner.
+index.
 
 Everything here is deterministic for a fixed seed: same problem, same
 seed, bit-identical result.
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .concurrency import map_ordered
 from .dynamics import RolloutDivergence, rollout, rollout_with_sensitivities
 from .formula import horizon, is_nnf
 from .gradient import eval_with_gradient
@@ -69,7 +67,7 @@ class SynthesisProblem:
     @param x0:             initial state, length model.n
     @param phi:            formula in negation normal form
     @param T:              trajectory length minus one (controls are (T+1, m))
-    @param k1, k2:         sharpness of the smooth semantics
+    @param k1, k2:         finite sharpness of the smooth semantics
     @param control_weight: effort penalty coefficient w >= 0
     @param control_bounds: optional per-dimension (lo, hi) pairs, length m;
                            used to sample restart initializations and, when
@@ -127,8 +125,10 @@ class SynthesisProblem:
         if not float(self.tolerance) > 0:
             raise ValueError("tolerance must be positive")
         object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "k1", float(self.k1))
-        object.__setattr__(self, "k2", float(self.k2))
+        # SemanticsConfig rejects a non-finite or out-of-range sharpness
+        config = SemanticsConfig.ef(self.k1, self.k2)
+        object.__setattr__(self, "k1", config.k1)
+        object.__setattr__(self, "k2", config.k2)
 
     @property
     def config(self):
@@ -334,17 +334,15 @@ def _run_restart(problem, index, u0):
 def synthesize(problem):
     """Search for controls maximizing exact satisfaction margin.
 
-    Runs the baseline plus problem.restarts seeded ascents (possibly on
-    threads, see the concurrency module), then reports the restart with
-    the highest exact robustness; ties fall to the higher objective, then
-    the lower restart index. Raises SynthesisFailure when every restart
-    diverges, so a non-finite answer is never returned silently.
+    Runs the baseline plus problem.restarts seeded ascents, one after the
+    other, then reports the restart with the highest exact robustness;
+    ties fall to the higher objective, then the lower restart index.
+    Raises SynthesisFailure when every restart diverges, so a non-finite
+    answer is never returned silently.
     """
     start = time.perf_counter()
     inits = _initial_controls(problem)
-    outcomes = map_ordered(
-        lambda iu: _run_restart(problem, iu[0], iu[1]), list(enumerate(inits))
-    )
+    outcomes = [_run_restart(problem, i, u0) for i, u0 in enumerate(inits)]
     records = [rec for rec, _ in outcomes]
     candidates = [(rec, payload) for rec, payload in outcomes if not rec.failed]
     if not candidates:
@@ -382,8 +380,8 @@ def k_continuation(problem, k_schedule):
     ks = [float(k) for k in k_schedule]
     if not ks:
         raise ValueError("k_schedule must be nonempty")
-    if any(k <= 0 for k in ks):
-        raise ValueError("k_schedule entries must be positive")
+    if not all(0 < k < math.inf for k in ks):
+        raise ValueError("k_schedule entries must be positive and finite")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_schedule must be strictly increasing")
 

@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .concurrency import map_ordered, thread_limit
 from .dynamics import builtin_model
 from .formula import FormulaError, RegionTable, horizon, to_nnf
 from .optimizer import (
@@ -39,7 +38,7 @@ from .optimizer import (
     synthesize,
 )
 from .parser import ParseError, parse
-from .robustness import EXACT, count_operator_evals, evaluate
+from .robustness import EXACT, _read_table, count_operator_evals, evaluate
 
 __all__ = [
     "ScenarioError",
@@ -635,23 +634,20 @@ def _run_trial(config, trial):
 def run_bench(config, trials, time_budget_s=None):
     """Repeat synthesis with per-trial seeds and starts.
 
-    Trials run in submission-order waves sized by the thread limit. When a
-    time budget is given, no new wave starts once it is spent; in-flight
-    trials always finish and at least one trial always runs.
+    Trials run one at a time, in order. When a time budget is given, no
+    new trial starts once it is spent; the trial in progress always
+    finishes and at least one trial always runs.
     """
     trials = int(trials)
     if trials < 1:
         raise ScenarioError("trials must be at least 1")
     start = time.perf_counter()
     records = []
-    done = 0
-    while done < trials:
-        if time_budget_s is not None and records:
+    for trial in range(trials):
+        if records and time_budget_s is not None:
             if time.perf_counter() - start >= time_budget_s:
                 break
-        wave = range(done, min(trials, done + thread_limit()))
-        records.extend(map_ordered(lambda i: _run_trial(config, i), wave))
-        done = records[-1].trial + 1
+        records.append(_run_trial(config, trial))
     return records, aggregate_bench(records)
 
 
@@ -690,19 +686,15 @@ def save_bench_csv(records, path):
 
 
 def load_bench_csv(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ScenarioError(f"{path} is empty")
-    header = lines[0].split(",")
-    n = sum(1 for h in header if h.startswith("x0_"))
-    want = 2 + n + 5
-    if len(header) != want or header[0] != "trial":
-        raise ScenarioError(f"{path} does not look like a bench CSV")
+    def check_header(header):
+        n = sum(1 for h in header if h.startswith("x0_"))
+        if len(header) != 2 + n + 5 or header[0] != "trial":
+            raise ScenarioError(f"{path} does not look like a bench CSV")
+
+    header, rows = _read_table(path, ScenarioError, check_header)
+    n = len(header) - 7
     records = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != want:
-            raise ScenarioError(f"{path}: row has {len(cells)} cells, expected {want}")
+    for _, cells in rows:
         records.append(
             BenchRecord(
                 trial=int(cells[0]),
@@ -807,22 +799,28 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
     return records
 
 
+_SCALING_HEADER = ["sweep", "value", "wall_ms", "op_count", "forwards", "iterations", "rho_exact"]
+
+
 def save_scaling_csv(records, path):
-    """Header: sweep,value,wall_ms,op_count."""
-    lines = ["sweep,value,wall_ms,op_count"]
+    """Header: sweep,value,wall_ms,op_count,forwards,iterations,rho_exact."""
+    lines = [",".join(_SCALING_HEADER)]
     for r in records:
-        lines.append(f"{r.sweep},{r.value},{r.wall_ms!r},{r.op_count!r}")
+        lines.append(
+            f"{r.sweep},{r.value},{r.wall_ms!r},{r.op_count!r},"
+            f"{r.forwards},{r.iterations},{r.rho_exact!r}"
+        )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_scaling_csv(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "sweep,value,wall_ms,op_count":
-        raise ScenarioError(f"{path} does not look like a scaling CSV")
-    out = []
-    for line in lines[1:]:
-        sweep, value, wall_ms, op_count = line.split(",")
-        out.append(
-            ScalingRecord(sweep, int(value), float(wall_ms), float(op_count), 0, 0, float("nan"))
-        )
-    return out
+    def check_header(header):
+        if header != _SCALING_HEADER:
+            raise ScenarioError(f"{path} does not look like a scaling CSV")
+
+    _, rows = _read_table(path, ScenarioError, check_header)
+    return [
+        ScalingRecord(sweep, int(value), float(wall_ms), float(op_count),
+                      int(forwards), int(iterations), float(rho))
+        for _, (sweep, value, wall_ms, op_count, forwards, iterations, rho) in rows
+    ]

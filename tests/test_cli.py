@@ -156,6 +156,15 @@ class TestEval:
         assert code == 2
         assert err.startswith("error while reading inputs:")
 
+    def test_infinite_sharpness_exits_two(self, capsys, mono_csv):
+        code, out, err = run(
+            capsys, "eval", "--spec", "F[0,2] (y0 >= 0)", "--signal", mono_csv,
+            "--semantics", "ef", "--k1", "inf", "--k2", "inf",
+        )
+        assert code == 2
+        assert out == ""
+        assert "k1 must be positive and finite" in err
+
     def test_bad_spec_exits_two(self, capsys, mono_csv):
         code, _, err = run(capsys, "eval", "--spec", "F[0,2", "--signal", mono_csv)
         assert code == 2
@@ -302,7 +311,7 @@ class TestScale:
         assert payload["n_values"] == [10]
         assert payload["records"][0]["op_count"] == 530.0
         header = (out_dir / "scaling.csv").read_text().splitlines()[0]
-        assert header == "sweep,value,wall_ms,op_count"
+        assert header == "sweep,value,wall_ms,op_count,forwards,iterations,rho_exact"
 
     def test_no_sweep_given(self, capsys):
         code, _, err = run(capsys, "scale")

@@ -233,3 +233,6 @@ class TestControlsCsv:
         path.write_text("t,v0\n0,1.0\n")
         with pytest.raises(ValueError, match="u0"):
             load_controls_csv(path)
+        path.write_text("t,u0,u1\n0,1.0,2.0\n1,3.0,4.0,5.0\n")
+        with pytest.raises(ValueError, match="bad.csv: row 3 has 4 fields"):
+            load_controls_csv(path)

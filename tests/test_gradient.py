@@ -74,6 +74,12 @@ class TestOperatorWeights:
         with pytest.raises(ValueError, match="nonnegative"):
             grad_smooth_max([1.0], -2.0)
 
+    def test_underflowed_max_weights_are_zero(self):
+        # k2 * (a - soft) overflows for the far entry, whose weight is 0
+        w = grad_smooth_max([0.0, -1e10, 1.0], 1e300)
+        assert np.isfinite(w).all()
+        assert (w == [0.0, 0.0, 1.0]).all()
+
 
 class TestEvalWithGradient:
     def test_predicate_leaf(self):
@@ -200,4 +206,7 @@ class TestGradientCsv:
         path = tmp_path / "bad.csv"
         path.write_text("t,dy0\n0,1.0\n")
         with pytest.raises(SemanticsError, match="d_y0"):
+            load_gradient_csv(path)
+        path.write_text("t,d_y0,d_y1\n0,1.0,2.0\n1,3.0\n")
+        with pytest.raises(SemanticsError, match="bad.csv: row 3 has 2 fields"):
             load_gradient_csv(path)

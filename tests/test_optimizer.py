@@ -22,7 +22,7 @@ from smoothstl.optimizer import (
     synthesize,
 )
 from smoothstl.parser import parse
-from smoothstl.robustness import EXACT, SemanticsConfig, evaluate
+from smoothstl.robustness import EXACT, SemanticsConfig, SemanticsError, evaluate
 
 
 def reach_problem(**kwargs):
@@ -75,6 +75,12 @@ class TestProblemValidation:
             reach_problem(max_iters=0)
         with pytest.raises(ValueError, match="tolerance"):
             reach_problem(tolerance=0.0)
+
+    def test_sharpness_must_be_finite(self):
+        with pytest.raises(SemanticsError, match="k1 must be positive and finite"):
+            reach_problem(k1=float("inf"))
+        with pytest.raises(SemanticsError, match="k2 must be nonnegative and finite"):
+            reach_problem(k2=float("nan"))
 
     def test_config_property(self):
         problem = reach_problem(k1=3.0, k2=7.0)
@@ -211,6 +217,8 @@ class TestKContinuation:
             k_continuation(problem, [0.0, 1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             k_continuation(problem, [1.0, 1.0])
+        with pytest.raises(ValueError, match="positive and finite"):
+            k_continuation(problem, [1.0, float("inf")])
 
     def test_singleton_schedule_is_plain_synthesis(self):
         problem = reach_problem(k1=5.0, k2=5.0, max_iters=60)

@@ -1,0 +1,184 @@
+"""The compiled evaluation plan against the independent oracle.
+
+A seeded differential fuzz: evaluate() under exact, ef and lse semantics
+is compared with the naive recursions in oracle.py, and the analytic
+gradient with central differences, over all eight node kinds, both until
+conventions, evaluation times past zero, a callable predicate with a
+jacobian, exact ties, magnitudes from 1e-150 to 1e150 and sharpness from
+1e-3 to 1e6. A second test pins the operator counts per smooth forward
+pass on the builtin scenarios and a long monitoring formula.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from conftest import node_kinds, rand_formula
+from oracle import ef_ops, lse_ops, naive_exact, naive_soft
+from smoothstl.formula import (
+    Always,
+    And,
+    CallablePredicate,
+    Eventually,
+    LinearPredicate,
+    Not,
+    Or,
+    Pred,
+    Release,
+    Until,
+    conj,
+    disj,
+    horizon,
+    to_nnf,
+)
+from smoothstl.gradient import eval_with_gradient, finite_difference_gradient
+from smoothstl.parser import parse
+from smoothstl.robustness import (
+    EXACT,
+    SemanticsConfig,
+    SemanticsError,
+    Signal,
+    count_operator_evals,
+    evaluate,
+)
+from smoothstl.scenarios import build_problem, builtin_scenario
+
+ALL_KINDS = {"Pred", "Not", "And", "Or", "Always", "Eventually", "Until", "Release"}
+
+
+def scaled(phi, s):
+    """phi with every affine offset multiplied by s, so that margins on a
+    signal of magnitude s have magnitude s too."""
+    if isinstance(phi, Pred):
+        pred = phi.predicate
+        if isinstance(pred, LinearPredicate):
+            return Pred(LinearPredicate(pred.coefficients, pred.offset * s))
+        return phi
+    if isinstance(phi, Not):
+        return Not(scaled(phi.child, s))
+    if isinstance(phi, (And, Or)):
+        join = conj if isinstance(phi, And) else disj
+        return join(*[scaled(c, s) for c in phi.children])
+    if isinstance(phi, (Always, Eventually)):
+        return type(phi)(phi.interval, scaled(phi.child, s))
+    return type(phi)(phi.interval, scaled(phi.left, s), scaled(phi.right, s))
+
+
+def disc(s):
+    """Callable margin of a disc of radius s about the origin, with jacobian."""
+    return CallablePredicate(
+        fn=lambda y: s - float(y @ y) / s,
+        dim=2,
+        jacobian=lambda y: -2.0 * y / s,
+        label="disc",
+    )
+
+
+def draw_case(rng, s):
+    """A formula in NNF over 2-D signals of magnitude s, with the evaluation
+    time and the signal; a third of the signals are tie-heavy."""
+    phi = scaled(rand_formula(rng, 2, 3, 5), s)
+    if rng.integers(3) == 0:
+        atom = Pred(disc(s)).eventually(0, int(rng.integers(0, 3)))
+        phi = conj(phi, atom) if rng.integers(2) else disj(phi, atom)
+    t = int(rng.integers(0, 3))
+    n = t + horizon(phi) + 1 + int(rng.integers(0, 2))
+    if rng.integers(3) == 0:
+        # few distinct values, so windows and connectives meet exact ties
+        values = rng.choice([-1.0, 0.0, 1.0], size=(n, 2)) * s
+    else:
+        values = rng.uniform(-5.0, 5.0, size=(n, 2)) * s
+    return phi, t, Signal(values)
+
+
+def close(got, want, scale):
+    """Relative agreement to 1e-12, measured against the larger of the value
+    and the scale of the numbers that went into it."""
+    return abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+
+def test_values_match_the_oracle():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(300):
+        s = 10.0 ** rng.uniform(-150, 150)
+        phi, t, sig = draw_case(rng, s)
+        seen |= node_kinds(phi)
+        k1 = 10.0 ** rng.uniform(-3, 6)
+        k2 = 0.0 if rng.integers(5) == 0 else 10.0 ** rng.uniform(-3, 6)
+        for classic in (False, True):
+            exact = evaluate(phi, sig, t, EXACT, classic)
+            assert close(exact, naive_exact(phi, sig.values, t, classic), s)
+            negated = evaluate(Not(phi), sig, t, EXACT, classic)
+            assert negated == -exact
+            # the soft minimum adds up to log(m)/k1 for m arguments
+            scale = s + 10.0 / k1
+            got = evaluate(phi, sig, t, SemanticsConfig.ef(k1, k2), classic)
+            want = naive_soft(phi, sig.values, *ef_ops(k1, k2), t, classic)
+            assert close(got, want, scale), (got, want, s, k1, k2)
+            assert got <= exact + 1e-12 * max(abs(exact), scale)
+            got = evaluate(phi, sig, t, SemanticsConfig.lse(k1), classic)
+            want = naive_soft(phi, sig.values, *lse_ops(k1), t, classic)
+            assert close(got, want, scale), (got, want, s, k1)
+    assert seen == ALL_KINDS
+
+
+def test_gradients_match_finite_differences():
+    # the gradient is invariant under scaling the signal by s and the
+    # sharpness by 1/s, so kappa = k * s sets how curved the value is
+    rng = np.random.default_rng(2025)
+    for _ in range(120):
+        s = 10.0 ** rng.uniform(-150, 150)
+        phi, t, sig = draw_case(rng, s)
+        kappa1, kappa2 = 10.0 ** rng.uniform(-1, 1, size=2)
+        config = SemanticsConfig.ef(kappa1 / s, kappa2 / s)
+        classic = bool(rng.integers(2))
+        got = eval_with_gradient(phi, sig, t, config, classic)
+        assert got.value == evaluate(phi, sig, t, config, classic)
+        want = finite_difference_gradient(phi, sig, t, config, h=1e-6 * s, classic_until=classic)
+        assert_allclose(got.dsignal, want, rtol=1e-5, atol=1e-6)
+
+
+def test_callable_margin_must_be_finite():
+    # undefined where y0 is zero; only the samples the formula reads count
+    partial = CallablePredicate(fn=lambda y: float(y[0]) if y[0] else float("nan"), dim=1)
+    phi = Pred(partial).always(0, 1)
+    assert evaluate(phi, Signal([1.0, 2.0, 0.0])) == 1.0
+    with pytest.raises(SemanticsError, match="non-finite margin"):
+        evaluate(phi, Signal([1.0, 2.0, 0.0]), t=1)
+
+
+MONITOR_SPEC = (
+    "G[0,400] ((F[0,20] (y0 >= 1) or G[0,5] (-y1 >= -0.5))"
+    " and ((y1 >= -2) U[0,10] (y0 - y1 >= 0.5)))"
+)
+
+
+def test_operator_counts_are_pinned():
+    # scalars and applications per smooth forward pass; a node reached at
+    # a time is reduced once at that time
+    cases = []
+    for name in ("two_target", "tunnel", "charging", "table2_diffdrive"):
+        problem = build_problem(builtin_scenario(name))
+        y = np.zeros((problem.T + 1, problem.model.p))
+        cases.append((name, problem.phi, Signal(y), problem.config))
+    monitor = to_nnf(parse(MONITOR_SPEC, p=2))
+    walk = np.random.default_rng(7).normal(0.0, 0.3, size=(421, 2)).cumsum(axis=0)
+    cases.append(("monitor", monitor, Signal(walk), SemanticsConfig.ef(5.0, 5.0)))
+    pinned = {
+        "two_target": (290, 71),
+        "tunnel": (394, 99),
+        "charging": (1959, 453),
+        "table2_diffdrive": (255, 64),
+        "monitor": (52531, 10828),
+    }
+    for name, phi, sig, config in cases:
+        with count_operator_evals() as c:
+            evaluate(phi, sig, 0, EXACT)
+        assert (c.scalars, c.applications, c.forwards) == (0, 0, 0), name
+        with count_operator_evals() as c:
+            evaluate(phi, sig, 0, config)
+        assert (c.scalars, c.applications, c.forwards) == (*pinned[name], 1), name
+        with count_operator_evals() as c:
+            eval_with_gradient(phi, sig, 0, config)
+        assert (c.scalars, c.applications, c.forwards) == (*pinned[name], 1), name

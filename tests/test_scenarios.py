@@ -457,6 +457,9 @@ class TestScaling:
         assert back[0].sweep == "N" and back[0].value == 10
         assert back[0].op_count == records[0].op_count
         assert back[0].wall_ms == records[0].wall_ms
+        assert back[0].forwards == records[0].forwards
+        assert back[0].iterations == records[0].iterations
+        assert back[0].rho_exact == records[0].rho_exact
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
