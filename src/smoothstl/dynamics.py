@@ -3,7 +3,9 @@
 A system is x_{t+1} = f(x_t, u_t), y_t = g(x_t, u_t). Controls are a
 (T+1, m) array: u_T never enters a state update but does enter y_T, which
 is how output conventions that expose the control (so formulas can bound
-it) keep the final sample well defined.
+it) keep the final sample well defined. Only the state recursion loops
+in Python: outputs and Jacobians are computed once per rollout on the
+whole stacked trajectory.
 
 rollout_with_sensitivities stores the step and output Jacobians alongside
 the trajectory; its control_gradient method back-propagates a robustness
@@ -13,6 +15,7 @@ standard costate recursion, giving d rho / d u at the cost of a rollout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,13 +49,22 @@ class RolloutDivergence(RuntimeError):
 class SystemModel:
     """Callable bundle describing one control system.
 
+    step is called once per timestep; the other three are called once per
+    rollout on the whole trajectory, with the states X (N, n) and the
+    controls U (N, m) stacked along a leading time axis:
+
     @param n: state dimension
     @param m: control dimension
     @param p: output dimension
-    @param step:   f(x, u) -> next state, shape (n,)
-    @param output: g(x, u) -> output sample, shape (p,)
-    @param step_jacobians:   (x, u) -> (df/dx (n,n), df/du (n,m))
-    @param output_jacobians: (x, u) -> (dg/dx (p,n), dg/du (p,m))
+    @param step:   f(x, u) -> next state, x (n,) and u (m,) float arrays in,
+                   shape (n,) out
+    @param output: g(X, U) -> outputs, shape (N, p)
+    @param step_jacobians:   (X, U) -> (df/dx (N, n, n), df/du (N, n, m))
+    @param output_jacobians: (X, U) -> (dg/dx (N, p, n), dg/du (N, p, m))
+
+    A result without the leading time axis, such as a constant Jacobian
+    of shape (n, n), holds at every timestep. Any other shape raises a
+    ValueError that names the function.
     """
 
     n: int
@@ -82,83 +94,118 @@ def _check_rollout_args(model, x0, u):
     return x0, u
 
 
-def rollout(model, x0, u):
-    """Drive the model from x0 with controls u; returns the output Signal."""
+def _stacked(value, steps, shape, what):
+    """value as a (steps, *shape) array; a value of shape `shape` holds at
+    every step."""
+    value = np.asarray(value, dtype=float)
+    if value.shape == (steps, *shape):
+        return value
+    if value.shape == shape:
+        return np.broadcast_to(value, (steps, *shape))
+    raise ValueError(
+        f"{what} has shape {value.shape}, expected {(steps, *shape)} or {shape}"
+    )
+
+
+def _first_bad_row(a):
+    finite = np.isfinite(a).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def _simulate(model, x0, u):
+    """States (T+1, n) and outputs (T+1, p) of a checked rollout.
+
+    Raises RolloutDivergence at the first non-finite sample in the order a
+    step-by-step rollout meets them: the output at t, then the state at
+    t+1. Outputs are only computed from finite states.
+    """
     x0, u = _check_rollout_args(model, x0, u)
     T = u.shape[0] - 1
-    ys = np.empty((T + 1, model.p))
-    x = x0
-    for t in range(T + 1):
-        y = np.asarray(model.output(x, u[t]), dtype=float).reshape(-1)
-        if not np.isfinite(y).all():
-            raise RolloutDivergence(t, "output")
-        ys[t] = y
-        if t < T:
-            x = np.asarray(model.step(x, u[t]), dtype=float).reshape(-1)
-            if not np.isfinite(x).all():
-                raise RolloutDivergence(t + 1, "state")
-    return Signal(ys)
+    X = np.empty((T + 1, model.n))
+    X[0] = x0
+    step = model.step
+    try:
+        for t in range(T):
+            X[t + 1] = step(X[t], u[t])
+    except (ArithmeticError, ValueError):
+        # a step that fails on a non-finite state (math.cos(inf), say) is
+        # divergence, which a step-by-step check would have reported
+        # before calling it
+        if np.isfinite(X[: t + 1]).all():
+            raise
+        X[t + 1 :] = np.nan
+    bad_state = _first_bad_row(X)
+    stop = T + 1 if bad_state is None else bad_state
+    Y = _stacked(model.output(X[:stop], u[:stop]), stop, (model.p,), "output")
+    bad_output = _first_bad_row(Y)
+    if bad_output is not None:
+        raise RolloutDivergence(bad_output, "output")
+    if bad_state is not None:
+        raise RolloutDivergence(bad_state, "state")
+    return X, u, Y
+
+
+def rollout(model, x0, u):
+    """Drive the model from x0 with controls u; returns the output Signal."""
+    return Signal(_simulate(model, x0, u)[2])
 
 
 @dataclass
 class SensitivityRollout:
-    """Trajectory plus the per-step Jacobians needed for back-propagation."""
+    """Trajectory plus the Jacobians needed for back-propagation, stacked
+    over time: fx (T, n, n), fu (T, n, m), gx (T+1, p, n), gu (T+1, p, m).
+    Jacobians that a model returns as constants are read-only broadcast
+    views."""
 
     signal: Signal
-    fx: list
-    fu: list
-    gx: list
-    gu: list
+    fx: np.ndarray
+    fu: np.ndarray
+    gx: np.ndarray
+    gu: np.ndarray
 
     def control_gradient(self, dsignal):
         """Chain d rho / d y back through the dynamics to d rho / d u.
 
-        Runs the costate recursion backwards in time: the costate carries
-        the influence of the state on all later outputs, and each control
-        picks up its direct output effect plus its effect on the next
-        state.
+        Runs the costate recursion lam_t = gx_t' dy_t + fx_t' lam_{t+1}
+        backwards in time: the costate carries the influence of the state
+        on all later outputs. Each control picks up its direct output
+        effect gu_t' dy_t plus its effect on the next state fu_t' lam_{t+1}.
+        Only the recursion itself loops; the direct terms and the control
+        terms are one batched product each.
         """
         dsignal = np.asarray(dsignal, dtype=float)
-        T = len(self.signal) - 1
         if dsignal.shape != self.signal.values.shape:
             raise ValueError(
                 f"dsignal must have shape {self.signal.values.shape}, got {dsignal.shape}"
             )
-        m = self.gu[0].shape[1]
-        n = self.gx[0].shape[1]
-        du = np.zeros((T + 1, m))
-        lam = np.zeros(n)
-        for t in range(T, -1, -1):
-            du[t] = self.gu[t].T @ dsignal[t]
-            if t < T:
-                du[t] += self.fu[t].T @ lam
-            lam = self.gx[t].T @ dsignal[t] + (self.fx[t].T @ lam if t < T else 0.0)
+        T = dsignal.shape[0] - 1
+        row = dsignal[:, None, :]
+        lam = (row @ self.gx)[:, 0, :]
+        du = (row @ self.gu)[:, 0, :]
+        # lam[t] for t >= 1 becomes the costate; lam[0] is never needed.
+        # Zipped reversed views and np.dot keep the per-step overhead low.
+        dot = np.dot
+        steps = zip(lam[T - 1 : 0 : -1], lam[T:1:-1], self.fx[T - 1 : 0 : -1])
+        for lam_t, lam_next, fx_t in steps:
+            lam_t += dot(lam_next, fx_t)
+        du[:T] += (lam[1:, None, :] @ self.fu)[:, 0, :]
         return du
 
 
 def rollout_with_sensitivities(model, x0, u):
     """Like rollout, but also records every Jacobian along the trajectory."""
-    x0, u = _check_rollout_args(model, x0, u)
+    X, u, Y = _simulate(model, x0, u)
     T = u.shape[0] - 1
-    ys = np.empty((T + 1, model.p))
-    fx, fu, gx, gu = [], [], [], []
-    x = x0
-    for t in range(T + 1):
-        y = np.asarray(model.output(x, u[t]), dtype=float).reshape(-1)
-        if not np.isfinite(y).all():
-            raise RolloutDivergence(t, "output")
-        ys[t] = y
-        jgx, jgu = model.output_jacobians(x, u[t])
-        gx.append(np.asarray(jgx, dtype=float))
-        gu.append(np.asarray(jgu, dtype=float))
-        if t < T:
-            jfx, jfu = model.step_jacobians(x, u[t])
-            fx.append(np.asarray(jfx, dtype=float))
-            fu.append(np.asarray(jfu, dtype=float))
-            x = np.asarray(model.step(x, u[t]), dtype=float).reshape(-1)
-            if not np.isfinite(x).all():
-                raise RolloutDivergence(t + 1, "state")
-    return SensitivityRollout(signal=Signal(ys), fx=fx, fu=fu, gx=gx, gu=gu)
+    n, m, p = model.n, model.m, model.p
+    fx, fu = model.step_jacobians(X[:T], u[:T])
+    gx, gu = model.output_jacobians(X, u)
+    return SensitivityRollout(
+        signal=Signal(Y),
+        fx=_stacked(fx, T, (n, n), "step_jacobians df/dx"),
+        fu=_stacked(fu, T, (n, m), "step_jacobians df/du"),
+        gx=_stacked(gx, T + 1, (p, n), "output_jacobians dg/dx"),
+        gu=_stacked(gu, T + 1, (p, m), "output_jacobians dg/du"),
+    )
 
 
 def single_integrator_2d(dt=1.0):
@@ -175,10 +222,12 @@ def single_integrator_2d(dt=1.0):
     gu = np.vstack([zero2, eye2])
 
     def step(x, u):
-        return x + dt * u
+        px, py = x.tolist()
+        vx, vy = u.tolist()
+        return np.array([px + dt * vx, py + dt * vy])
 
     def output(x, u):
-        return np.concatenate([x, u])
+        return np.concatenate([x, u], axis=-1)
 
     def step_jacobians(x, u):
         return eye2, dt * eye2
@@ -205,24 +254,25 @@ def differential_drive(dt=1.0):
     gu = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     def step(x, u):
-        px, py, th = x
-        v, w = u
-        return np.array([px + dt * v * np.cos(th), py + dt * v * np.sin(th), th + dt * w])
+        px, py, th = x.tolist()
+        v, w = u.tolist()
+        return np.array([px + dt * v * math.cos(th), py + dt * v * math.sin(th), th + dt * w])
 
     def output(x, u):
-        return np.array([x[0], x[1], u[0], u[1]])
+        return np.concatenate([x[..., :2], u], axis=-1)
 
     def step_jacobians(x, u):
-        th = x[2]
-        v = u[0]
-        fx = np.array(
-            [
-                [1.0, 0.0, -dt * v * np.sin(th)],
-                [0.0, 1.0, dt * v * np.cos(th)],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        fu = np.array([[dt * np.cos(th), 0.0], [dt * np.sin(th), 0.0], [0.0, dt]])
+        th = x[..., 2]
+        v = u[..., 0]
+        cos, sin = np.cos(th), np.sin(th)
+        fx = np.zeros(th.shape + (3, 3))
+        fx[..., 0, 0] = fx[..., 1, 1] = fx[..., 2, 2] = 1.0
+        fx[..., 0, 2] = -dt * v * sin
+        fx[..., 1, 2] = dt * v * cos
+        fu = np.zeros(th.shape + (3, 2))
+        fu[..., 0, 0] = dt * cos
+        fu[..., 1, 0] = dt * sin
+        fu[..., 2, 1] = dt
         return fx, fu
 
     def output_jacobians(x, u):

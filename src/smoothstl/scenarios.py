@@ -685,6 +685,18 @@ def save_bench_csv(records, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_rows(path, rows, record):
+    """record(cells) for every row; a cell that is not a number names the
+    file and the row."""
+    out = []
+    for lineno, cells in rows:
+        try:
+            out.append(record(cells))
+        except ValueError:
+            raise ScenarioError(f"{path}: row {lineno} has a malformed number") from None
+    return out
+
+
 def load_bench_csv(path):
     def check_header(header):
         n = sum(1 for h in header if h.startswith("x0_"))
@@ -693,21 +705,20 @@ def load_bench_csv(path):
 
     header, rows = _read_table(path, ScenarioError, check_header)
     n = len(header) - 7
-    records = []
-    for _, cells in rows:
-        records.append(
-            BenchRecord(
-                trial=int(cells[0]),
-                seed=int(cells[1]),
-                x0=tuple(float(c) for c in cells[2 : 2 + n]),
-                rho_exact=float(cells[2 + n]),
-                rho_smooth=float(cells[3 + n]),
-                satisfied=bool(int(cells[4 + n])),
-                iterations=int(cells[5 + n]),
-                wall_ms=float(cells[6 + n]),
-            )
+
+    def record(cells):
+        return BenchRecord(
+            trial=int(cells[0]),
+            seed=int(cells[1]),
+            x0=tuple(float(c) for c in cells[2 : 2 + n]),
+            rho_exact=float(cells[2 + n]),
+            rho_smooth=float(cells[3 + n]),
+            satisfied=bool(int(cells[4 + n])),
+            iterations=int(cells[5 + n]),
+            wall_ms=float(cells[6 + n]),
         )
-    return records
+
+    return _parse_rows(path, rows, record)
 
 
 # ---------------------------------------------------------------------------
@@ -818,9 +829,10 @@ def load_scaling_csv(path):
         if header != _SCALING_HEADER:
             raise ScenarioError(f"{path} does not look like a scaling CSV")
 
+    def record(cells):
+        sweep, value, wall_ms, op_count, forwards, iterations, rho = cells
+        return ScalingRecord(sweep, int(value), float(wall_ms), float(op_count),
+                             int(forwards), int(iterations), float(rho))
+
     _, rows = _read_table(path, ScenarioError, check_header)
-    return [
-        ScalingRecord(sweep, int(value), float(wall_ms), float(op_count),
-                      int(forwards), int(iterations), float(rho))
-        for _, (sweep, value, wall_ms, op_count, forwards, iterations, rho) in rows
-    ]
+    return _parse_rows(path, rows, record)

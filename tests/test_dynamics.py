@@ -116,6 +116,73 @@ class TestJacobians:
                     gu[:, j], atol=1e-6)
 
 
+class TestStackedContract:
+    @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
+    def test_stacked_calls_equal_single_point_calls(self, factory):
+        model = factory(dt=0.7)
+        rng = np.random.default_rng(86)
+        T = 12
+        x0 = rng.uniform(-2, 2, model.n)
+        u = rng.uniform(-2, 2, (T + 1, model.m))
+        sens = rollout_with_sensitivities(model, x0, u)
+        x = np.asarray(x0, dtype=float)
+        for t in range(T + 1):
+            assert (sens.signal.values[t] == model.output(x, u[t])).all()
+            gx, gu = model.output_jacobians(x, u[t])
+            assert (sens.gx[t] == gx).all() and (sens.gu[t] == gu).all()
+            if t < T:
+                fx, fu = model.step_jacobians(x, u[t])
+                assert (sens.fx[t] == fx).all() and (sens.fu[t] == fu).all()
+                x = model.step(x, u[t])
+
+    @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
+    def test_stacked_functions_called_once_per_rollout(self, factory):
+        # the dynamics work is pinned as a count: only the state update
+        # runs once per timestep
+        inner = factory()
+        calls = {"step": 0, "output": 0, "step_jacobians": 0, "output_jacobians": 0}
+
+        def counted(name):
+            fn = getattr(inner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        model = SystemModel(
+            n=inner.n, m=inner.m, p=inner.p,
+            **{name: counted(name) for name in calls},
+        )
+        T = 30
+        u = np.random.default_rng(87).uniform(-1, 1, (T + 1, inner.m))
+        rollout_with_sensitivities(model, np.zeros(inner.n), u)
+        assert calls == {"step": T, "output": 1, "step_jacobians": 1, "output_jacobians": 1}
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("step_jacobians", lambda X, U: (np.ones((len(X), 2, 3)), np.zeros((2, 1)))),
+            ("step_jacobians", lambda X, U: (np.eye(2), np.zeros((2, 2)))),
+            ("output_jacobians", lambda X, U: (np.eye(2), np.zeros((len(X), 2, 3)))),
+            ("output", lambda X, U: np.zeros((len(X), 3))),
+        ],
+        ids=["dfdx", "dfdu", "dgdu", "output"],
+    )
+    def test_wrong_shape_names_the_function(self, name, bad):
+        good = SystemModel(
+            n=2, m=1, p=2,
+            step=lambda x, u: x,
+            output=lambda X, U: X,
+            step_jacobians=lambda X, U: (np.eye(2), np.zeros((2, 1))),
+            output_jacobians=lambda X, U: (np.eye(2), np.zeros((2, 1))),
+        )
+        model = SystemModel(**{**vars(good), name: bad})
+        with pytest.raises(ValueError, match=name):
+            rollout_with_sensitivities(model, [0.0, 0.0], np.zeros((4, 1)))
+
+
 class TestControlGradient:
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
     def test_costate_sweep_matches_fd(self, factory):
@@ -131,14 +198,53 @@ class TestControlGradient:
             want = functional_fd(model, x0, u, weights)
             assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
+    def test_batched_sweep_matches_step_by_step_recursion(self, factory):
+        model = factory(dt=0.3)
+        rng = np.random.default_rng(88)
+        T = 40
+        u = rng.uniform(-1, 1, (T + 1, model.m))
+        sens = rollout_with_sensitivities(model, rng.uniform(-1, 1, model.n), u)
+        dsignal = rng.uniform(-1, 1, (T + 1, model.p))
+        want = np.zeros((T + 1, model.m))
+        lam = np.zeros(model.n)
+        for t in range(T, -1, -1):
+            want[t] = sens.gu[t].T @ dsignal[t]
+            if t < T:
+                want[t] += sens.fu[t].T @ lam
+            lam = sens.gx[t].T @ dsignal[t] + (sens.fx[t].T @ lam if t < T else 0.0)
+        assert_allclose(sens.control_gradient(dsignal), want, rtol=1e-13, atol=1e-15)
+
     def test_sensitivity_signal_matches_plain_rollout(self):
         model = differential_drive()
         rng = np.random.default_rng(82)
+        for T in (4, 150):
+            x0 = rng.uniform(-1, 1, 3)
+            u = rng.uniform(-1, 1, (T + 1, 2))
+            a = rollout(model, x0, u)
+            b = rollout_with_sensitivities(model, x0, u).signal
+            assert (a.values == b.values).all()
+
+    def test_constant_jacobian_model_matches_fd(self):
+        # a linear plant whose Jacobian functions return single (n, n)
+        # matrices, which hold at every timestep
+        rng = np.random.default_rng(85)
+        A = rng.uniform(-0.8, 0.8, (3, 3))
+        B = rng.uniform(-1, 1, (3, 2))
+        C = rng.uniform(-1, 1, (2, 3))
+        D = rng.uniform(-1, 1, (2, 2))
+        model = SystemModel(
+            n=3, m=2, p=2,
+            step=lambda x, u: A @ x + B @ u,
+            output=lambda X, U: X @ C.T + U @ D.T,
+            step_jacobians=lambda X, U: (A, B),
+            output_jacobians=lambda X, U: (C, D),
+        )
         x0 = rng.uniform(-1, 1, 3)
-        u = rng.uniform(-1, 1, (5, 2))
-        a = rollout(model, x0, u)
-        b = rollout_with_sensitivities(model, x0, u).signal
-        assert (a.values == b.values).all()
+        u = rng.uniform(-1, 1, (7, 2))
+        weights = rng.uniform(-1, 1, (7, 2))
+        got = rollout_with_sensitivities(model, x0, u).control_gradient(weights)
+        assert_allclose(got, functional_fd(model, x0, u, weights), rtol=1e-6, atol=1e-8)
 
     def test_early_control_moves_later_positions(self):
         # u_0 changes x_1, so a robustness term that only reads y_1 still
@@ -188,6 +294,30 @@ class TestDivergence:
         with pytest.raises(RolloutDivergence) as err:
             rollout(model, [0.0], np.zeros((2, 1)))
         assert err.value.timestep == 0
+
+    def test_output_reported_before_the_next_state(self):
+        # y_1 and x_2 are both non-finite; a step-by-step rollout meets
+        # y_1 first
+        model = SystemModel(
+            n=1, m=1, p=1,
+            step=lambda x, u: x + 1.0 if x[0] < 1.0 else np.array([np.inf]),
+            output=lambda X, U: np.where(X == 1.0, np.inf, X),
+            step_jacobians=lambda X, U: (np.eye(1), np.eye(1)),
+            output_jacobians=lambda X, U: (np.eye(1), np.eye(1)),
+        )
+        with pytest.raises(RolloutDivergence, match="output") as err:
+            rollout(model, [0.0], np.zeros((4, 1)))
+        assert err.value.timestep == 1
+
+    def test_step_failing_on_a_diverged_state_is_divergence(self):
+        # a turn rate of 1e308 takes the heading to inf at t=1, where the
+        # next update cannot take its cosine
+        model = differential_drive()
+        u = np.array([[0.0, 1e308], [1.0, 0.0], [0.0, 0.0]])
+        for run in (rollout, rollout_with_sensitivities):
+            with pytest.raises(RolloutDivergence, match="state") as err:
+                run(model, [0.0, 0.0, 1e308], u)
+            assert err.value.timestep == 1
 
     def test_sensitivity_rollout_diverges_too(self):
         with np.errstate(over="ignore"), pytest.raises(RolloutDivergence):

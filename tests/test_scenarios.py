@@ -423,6 +423,16 @@ class TestBench:
         with pytest.raises(ScenarioError, match="bench CSV"):
             load_bench_csv(path)
 
+    def test_malformed_number_names_file_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "trial,seed,x0_0,rho_exact,rho_smooth,satisfied,iters,wall_ms\n"
+            "0,0,0.5,0.1,0.1,1,10,2.0\n"
+            "1,1,0.5,0.1,0.1,1,ten,2.0\n"
+        )
+        with pytest.raises(ScenarioError, match="bad.csv: row 3 has a malformed number"):
+            load_bench_csv(path)
+
 
 class TestScaling:
     def test_horizon_sweep_counts_are_structural(self):
@@ -465,4 +475,13 @@ class TestScaling:
         path = tmp_path / "bad.csv"
         path.write_text("sweep,value,wall\nN,10,1.0\n")
         with pytest.raises(ScenarioError, match="scaling CSV"):
+            load_scaling_csv(path)
+
+    def test_csv_malformed_number_names_file_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "sweep,value,wall_ms,op_count,forwards,iterations,rho_exact\n"
+            "N,ten,1.0,530.0,3,2,0.1\n"
+        )
+        with pytest.raises(ScenarioError, match="bad.csv: row 2 has a malformed number"):
             load_scaling_csv(path)
