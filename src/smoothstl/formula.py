@@ -612,10 +612,14 @@ class RegionTable:
 
     @classmethod
     def from_json_dict(cls, data):
+        if not isinstance(data, Mapping):
+            raise FormulaError(
+                f"regions must map region names to bounds, got {type(data).__name__}"
+            )
         regions = {}
         for name, faces in data.items():
             try:
-                regions[name] = {int(d): tuple(b) for d, b in faces.items()}
-            except (TypeError, ValueError) as exc:
+                regions[name] = {int(d): (float(lo), float(hi)) for d, (lo, hi) in faces.items()}
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise FormulaError(f"region {name!r}: malformed bounds") from exc
         return cls(regions)

@@ -1,8 +1,9 @@
 """Analytic gradients of the smooth robustness value.
 
 eval_with_gradient runs the formula's evaluation plan (see the robustness
-module) forward, keeping each reduction's weight vector, then sweeps the
-plan backwards: every reduction scatters its output adjoints, times its
+module) forward, keeping each group's weight vector (a group is every
+reduction of one kind at one depth, run as one segmented reduction), then
+sweeps the groups backwards: each scatters its output adjoints, times its
 weights, back through the same gather that fed it, and the leaf adjoints
 reach the signal through the predicate coefficients (one matrix product
 for the affine atoms) or the callable predicates' jacobians. One forward

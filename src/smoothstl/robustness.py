@@ -17,9 +17,13 @@ plan. The plan lists the formula's nodes (by object identity) in
 topological order, each with the sorted times its parents read, relative
 to the evaluation time. Predicates are the leaves, computed for all
 affine atoms at once as one matrix product. Every and/or/always/eventually
-node is one segmented min or max over a flat gather of its children's
-slots; until and release are three such reductions (held windows, pairs,
-outer). A node reached at a time is reduced once at that time, which is
+node is a min or max per time over a flat gather of its children's slots;
+until and release are three such reductions (held windows, pairs, outer).
+A reduction's depth is one more than the deepest slot it reads, and all
+reductions of one kind (min or max) at one depth run as one segmented
+reduction, so a pass costs one reducer call per (depth, kind), not one per
+node. Every reducer works segment by segment, so grouping changes no
+value. A node reached at a time is reduced once at that time, which is
 what the operator counts measure. Only the default-convention release
 gathers differently under exact and smooth semantics. Plans live in a
 small identity-keyed cache, so a formula evaluated repeatedly is compiled
@@ -390,22 +394,44 @@ def _reads(node, classic_until):
     return [(node.left, 0 if classic_until else lo, hi), (node.right, lo, hi)]
 
 
-def _reduction(is_min, idx, lengths, out):
-    """One segmented min or max, as (is_min, idx, starts, seg, out, stop):
-    vals[out:stop] holds one reduction of vals[idx] per segment."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
-    seg = np.repeat(np.arange(lengths.size), lengths)
-    return is_min, np.ravel(idx), starts, seg, out, out + lengths.size
+def _group(reductions, n_leaf, size):
+    """Group reductions, given in evaluation order as (is_min, idx, lengths,
+    out), one segment per length, into one segmented reduction per (depth,
+    is_min); leaves are at depth 0, and a reduction is one deeper than the
+    deepest slot it reads. Groups run by depth and keep evaluation order
+    inside. Returns them as (is_min, idx, starts, seg, out, stop) tuples:
+    vals[out:stop] holds one reduction of vals[idx] per segment, and seg
+    maps entries to segments.
+    """
+    depth = np.zeros(size, dtype=np.intp)
+    groups = {}
+    for red in reductions:
+        is_min, idx, lengths, out = red
+        depth[out : out + lengths.size] = depth[idx].max() + 1
+        groups.setdefault((depth[out], is_min), []).append(red)
+    slot, stop, grouped = np.arange(size), n_leaf, []
+    for (_, is_min), members in sorted(groups.items()):
+        # every slot read lies in an earlier group, so is already moved
+        idx = slot[np.concatenate([red[1].ravel() for red in members])]
+        lengths = np.concatenate([red[2] for red in members])
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
+        seg = np.repeat(np.arange(lengths.size), lengths)
+        for _, _, part, out in members:
+            slot[out : out + part.size] = np.arange(stop, stop + part.size)
+            stop += part.size
+        grouped.append((is_min, idx, starts, seg, stop - lengths.size, stop))
+    return grouped
 
 
 class _Plan:
     """A formula compiled for one until convention; see the module notes.
 
-    vals, the flat array a run fills, holds the leaf margins first, then
-    each node's results (and the scratch results of until and release) in
-    evaluation order. exact and smooth are the reductions each family of
-    semantics runs, in order.
+    vals, the flat array a run fills, holds the leaf margins first, then the
+    results of each group of reductions (node results and the scratch
+    results of until and release) in the order the groups run. exact and
+    smooth are the groups each family of semantics runs, in order. The
+    root's reduction is the only one at the greatest depth, so it runs last
+    and its result keeps the last slot.
     """
 
     def __init__(self, phi, classic_until):
@@ -474,7 +500,7 @@ class _Plan:
         def slots(node, at):
             return base[id(node)] + np.searchsorted(times[id(node)], at)
 
-        self.exact, self.smooth = [], []
+        self.exact, self.smooth = [], []  # in evaluation order until grouped
         for node in order:
             if _is_leaf(node):
                 continue
@@ -487,14 +513,17 @@ class _Plan:
                 else:
                     lo, hi = node.interval.lo, node.interval.hi
                     idx = slots(node.child, ts[:, None] + np.arange(lo, hi + 1))
-                red = _reduction(
-                    isinstance(node, (And, Always)), idx, np.full(ts.size, idx.shape[1]), size
-                )
+                is_min = isinstance(node, (And, Always))
+                red = (is_min, idx, np.full(ts.size, idx.shape[1]), size)
                 self.exact.append(red)
                 self.smooth.append(red)
-                size = red[-1]
+                size += ts.size
             base[id(node)] = size - ts.size
         self.size = size
+        # share the groups unless a default-convention release tells them apart
+        same = all(e is s for e, s in zip(self.exact, self.smooth))
+        self.smooth = _group(self.smooth, self.n_leaf, size)
+        self.exact = self.smooth if same else _group(self.exact, self.n_leaf, size)
         self.root = base[id(root)]
         self.applications = sum(red[2].size for red in self.smooth)
         self.scalars = sum(red[1].size for red in self.smooth)
@@ -515,9 +544,9 @@ class _Plan:
             pairs = np.stack([slots(pointwise, pointwise_at).ravel(), np.arange(size, size + n)], 1)
             outer = np.arange(size + n, size + 2 * n)
             return [
-                _reduction(inner_min, windows, np.tile(ends - first + 1, ts.size), size),
-                _reduction(inner_min, pairs, np.full(n, 2), size + n),
-                _reduction(outer_min, outer, np.full(ts.size, width), size + 2 * n),
+                (inner_min, windows, np.tile(ends - first + 1, ts.size), size),
+                (inner_min, pairs, np.full(n, 2), size + n),
+                (outer_min, outer, np.full(ts.size, width), size + 2 * n),
             ]
 
         if isinstance(node, Until):

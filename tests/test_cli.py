@@ -156,6 +156,17 @@ class TestEval:
         assert code == 2
         assert err.startswith("error while reading inputs:")
 
+    def test_regions_file_that_is_not_an_object_exits_two(self, capsys, tmp_path, mono_csv):
+        regions = tmp_path / "regions.json"
+        regions.write_text(json.dumps([1, 2]))
+        code, out, err = run(
+            capsys, "eval", "--spec", "F[0,2] (y0 >= 0)", "--signal", mono_csv,
+            "--regions", str(regions),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error while reading inputs: regions must map region names")
+
     def test_infinite_sharpness_exits_two(self, capsys, mono_csv):
         code, out, err = run(
             capsys, "eval", "--spec", "F[0,2] (y0 >= 0)", "--signal", mono_csv,

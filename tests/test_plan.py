@@ -5,8 +5,9 @@ is compared with the naive recursions in oracle.py, and the analytic
 gradient with central differences, over all eight node kinds, both until
 conventions, evaluation times past zero, a callable predicate with a
 jacobian, exact ties, magnitudes from 1e-150 to 1e150 and sharpness from
-1e-3 to 1e6. A second test pins the operator counts per smooth forward
-pass on the builtin scenarios and a long monitoring formula.
+1e-3 to 1e6, plus fixed formulas that share subformula objects between
+parents. Two more tests pin the operator counts and the reducer calls per
+forward pass on the builtin scenarios and a long monitoring formula.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from conftest import node_kinds, rand_formula
 from oracle import ef_ops, lse_ops, naive_exact, naive_soft
+from smoothstl import robustness
 from smoothstl.formula import (
     Always,
     And,
@@ -97,6 +99,40 @@ def close(got, want, scale):
     return abs(got - want) <= 1e-12 * max(abs(want), scale)
 
 
+def shared_cases():
+    """(formula, time, signal) cases in which one node object has several
+    parents, so its adjoint collects terms from several reductions; the
+    signals are 2-D, with entries up to 5 in magnitude."""
+    a = Pred(LinearPredicate((1.0, -0.5), 0.3))
+    b = Not(Pred(LinearPredicate((0.2, 1.0), -0.1)))
+    held = a.always(0, 2)
+    formulas = [
+        conj(a, disj(a.eventually(0, 1), b), held.eventually(0, 1), b.until(a, 0, 2)),
+        disj(conj(held, b), held.until(b, 1, 2), b.release(held, 0, 1), a.until(a, 0, 1)),
+    ]
+    rng = np.random.default_rng(11)
+    for phi in formulas:
+        for t in (0, 2):
+            yield phi, t, Signal(rng.uniform(-5.0, 5.0, size=(t + horizon(phi) + 2, 2)))
+
+
+def check_values(phi, t, sig, s, k1, k2):
+    for classic in (False, True):
+        exact = evaluate(phi, sig, t, EXACT, classic)
+        assert close(exact, naive_exact(phi, sig.values, t, classic), s)
+        negated = evaluate(Not(phi), sig, t, EXACT, classic)
+        assert negated == -exact
+        # the soft minimum adds up to log(m)/k1 for m arguments
+        scale = s + 10.0 / k1
+        got = evaluate(phi, sig, t, SemanticsConfig.ef(k1, k2), classic)
+        want = naive_soft(phi, sig.values, *ef_ops(k1, k2), t, classic)
+        assert close(got, want, scale), (got, want, s, k1, k2)
+        assert got <= exact + 1e-12 * max(abs(exact), scale)
+        got = evaluate(phi, sig, t, SemanticsConfig.lse(k1), classic)
+        want = naive_soft(phi, sig.values, *lse_ops(k1), t, classic)
+        assert close(got, want, scale), (got, want, s, k1)
+
+
 def test_values_match_the_oracle():
     rng = np.random.default_rng(2024)
     seen = set()
@@ -106,21 +142,19 @@ def test_values_match_the_oracle():
         seen |= node_kinds(phi)
         k1 = 10.0 ** rng.uniform(-3, 6)
         k2 = 0.0 if rng.integers(5) == 0 else 10.0 ** rng.uniform(-3, 6)
-        for classic in (False, True):
-            exact = evaluate(phi, sig, t, EXACT, classic)
-            assert close(exact, naive_exact(phi, sig.values, t, classic), s)
-            negated = evaluate(Not(phi), sig, t, EXACT, classic)
-            assert negated == -exact
-            # the soft minimum adds up to log(m)/k1 for m arguments
-            scale = s + 10.0 / k1
-            got = evaluate(phi, sig, t, SemanticsConfig.ef(k1, k2), classic)
-            want = naive_soft(phi, sig.values, *ef_ops(k1, k2), t, classic)
-            assert close(got, want, scale), (got, want, s, k1, k2)
-            assert got <= exact + 1e-12 * max(abs(exact), scale)
-            got = evaluate(phi, sig, t, SemanticsConfig.lse(k1), classic)
-            want = naive_soft(phi, sig.values, *lse_ops(k1), t, classic)
-            assert close(got, want, scale), (got, want, s, k1)
+        check_values(phi, t, sig, s, k1, k2)
     assert seen == ALL_KINDS
+    for phi, t, sig in shared_cases():
+        for k1, k2 in ((0.5, 0.0), (2.0, 3.0), (1e4, 1e5)):
+            check_values(phi, t, sig, 1.0, k1, k2)
+
+
+def check_gradient(phi, t, sig, s, kappa1, kappa2, classic):
+    config = SemanticsConfig.ef(kappa1 / s, kappa2 / s)
+    got = eval_with_gradient(phi, sig, t, config, classic)
+    assert got.value == evaluate(phi, sig, t, config, classic)
+    want = finite_difference_gradient(phi, sig, t, config, h=1e-6 * s, classic_until=classic)
+    assert_allclose(got.dsignal, want, rtol=1e-5, atol=1e-6)
 
 
 def test_gradients_match_finite_differences():
@@ -131,12 +165,11 @@ def test_gradients_match_finite_differences():
         s = 10.0 ** rng.uniform(-150, 150)
         phi, t, sig = draw_case(rng, s)
         kappa1, kappa2 = 10.0 ** rng.uniform(-1, 1, size=2)
-        config = SemanticsConfig.ef(kappa1 / s, kappa2 / s)
         classic = bool(rng.integers(2))
-        got = eval_with_gradient(phi, sig, t, config, classic)
-        assert got.value == evaluate(phi, sig, t, config, classic)
-        want = finite_difference_gradient(phi, sig, t, config, h=1e-6 * s, classic_until=classic)
-        assert_allclose(got.dsignal, want, rtol=1e-5, atol=1e-6)
+        check_gradient(phi, t, sig, s, kappa1, kappa2, classic)
+    for phi, t, sig in shared_cases():
+        for classic in (False, True):
+            check_gradient(phi, t, sig, 1.0, 0.5, 2.0, classic)
 
 
 def test_callable_margin_must_be_finite():
@@ -154,9 +187,8 @@ MONITOR_SPEC = (
 )
 
 
-def test_operator_counts_are_pinned():
-    # scalars and applications per smooth forward pass; a node reached at
-    # a time is reduced once at that time
+def pinned_cases():
+    """(name, formula, signal, ef config) of the builtins and the monitor."""
     cases = []
     for name in ("two_target", "tunnel", "charging", "table2_diffdrive"):
         problem = build_problem(builtin_scenario(name))
@@ -165,6 +197,13 @@ def test_operator_counts_are_pinned():
     monitor = to_nnf(parse(MONITOR_SPEC, p=2))
     walk = np.random.default_rng(7).normal(0.0, 0.3, size=(421, 2)).cumsum(axis=0)
     cases.append(("monitor", monitor, Signal(walk), SemanticsConfig.ef(5.0, 5.0)))
+    return cases
+
+
+def test_operator_counts_are_pinned():
+    # scalars and applications per smooth forward pass; a node reached at
+    # a time is reduced once at that time
+    cases = pinned_cases()
     pinned = {
         "two_target": (290, 71),
         "tunnel": (394, 99),
@@ -182,3 +221,22 @@ def test_operator_counts_are_pinned():
         with count_operator_evals() as c:
             eval_with_gradient(phi, sig, 0, config)
         assert (c.scalars, c.applications, c.forwards) == (*pinned[name], 1), name
+
+
+def test_reducer_calls_are_pinned(monkeypatch):
+    # reductions of one kind (min or max) at one dependency depth run as one
+    # segmented reduction, so a pass calls a reducer once per such group
+    calls = []
+    for name in ("_exact_min", "_exact_max", "_soft_min", "_soft_max", "_lse_max"):
+        fn = getattr(robustness, name)
+        monkeypatch.setattr(robustness, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
+    pinned = {"two_target": 6, "tunnel": 6, "charging": 7, "table2_diffdrive": 6, "monitor": 7}
+    for name, phi, sig, config in pinned_cases():
+        for run in (
+            lambda: evaluate(phi, sig, 0, EXACT),
+            lambda: evaluate(phi, sig, 0, config),
+            lambda: eval_with_gradient(phi, sig, 0, config),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == pinned[name], name
