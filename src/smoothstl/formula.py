@@ -512,10 +512,12 @@ class RegionTable:
     """
 
     def __init__(self, regions: Mapping[str, Mapping] | None = None):
-        table = {}
-        for name, faces in (regions or {}).items():
-            table[name] = self._check_region(name, faces)
-        self._table = table
+        regions = {} if regions is None else regions
+        if not isinstance(regions, Mapping):
+            raise FormulaError(
+                f"regions must map region names to bounds, got {type(regions).__name__}"
+            )
+        self._table = {name: self._check_region(name, faces) for name, faces in regions.items()}
 
     @staticmethod
     def _check_region(name, faces):
@@ -523,14 +525,26 @@ class RegionTable:
             raise FormulaError(f"region name must be an identifier, got {name!r}")
         if name in _RESERVED_WORDS or _looks_like_signal_var(name):
             raise FormulaError(f"region name {name!r} collides with the grammar")
+        if not isinstance(faces, Mapping):
+            raise FormulaError(
+                f"region {name!r}: malformed bounds: expected a mapping from dimensions "
+                f"to (lower, upper) pairs, got {type(faces).__name__}"
+            )
         if not faces:
             raise FormulaError(f"region {name!r} has no dimensions")
         checked = {}
         for dim, bounds in faces.items():
-            d = operator.index(dim) if not isinstance(dim, str) else int(dim)
+            try:
+                d = int(dim) if isinstance(dim, str) else operator.index(dim)
+                lo, hi = bounds
+                lo, hi = float(lo), float(hi)
+            except (TypeError, ValueError):
+                raise FormulaError(
+                    f"region {name!r}: malformed bounds: dimension {dim!r} needs an "
+                    f"integer dimension and a (lower, upper) pair of numbers, got {bounds!r}"
+                ) from None
             if d < 0:
                 raise FormulaError(f"region {name!r}: dimension must be nonnegative")
-            lo, hi = bounds
             lo = _check_finite_scalar(lo, f"region {name!r} lower bound")
             hi = _check_finite_scalar(hi, f"region {name!r} upper bound")
             if not lo < hi:
@@ -612,14 +626,4 @@ class RegionTable:
 
     @classmethod
     def from_json_dict(cls, data):
-        if not isinstance(data, Mapping):
-            raise FormulaError(
-                f"regions must map region names to bounds, got {type(data).__name__}"
-            )
-        regions = {}
-        for name, faces in data.items():
-            try:
-                regions[name] = {int(d): (float(lo), float(hi)) for d, (lo, hi) in faces.items()}
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise FormulaError(f"region {name!r}: malformed bounds") from exc
-        return cls(regions)
+        return cls(data)

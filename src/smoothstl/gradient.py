@@ -1,10 +1,13 @@
 """Analytic gradients of the smooth robustness value.
 
 eval_with_gradient runs the formula's evaluation plan (see the robustness
-module) forward, keeping each group's weight vector (a group is every
-reduction of one kind at one depth, run as one segmented reduction), then
-sweeps the groups backwards: each scatters its output adjoints, times its
-weights, back through the same gather that fed it, and the leaf adjoints
+module) forward, keeping each group's weights (a group is one segmented
+reduction over reductions of one kind at one depth: a flat 1-D gather, or
+a dense (L, n) block of 256 or more same-length segments whose weights
+have the block's shape), then sweeps the groups backwards: each scatters
+its output adjoints, times its weights, back through the same gather that
+fed it (a dense block's gather and weights are flattened first, since
+np.add.at is about 3x slower on a 2-D index), and the leaf adjoints
 reach the signal through the predicate coefficients (one matrix product
 for the affine atoms) or the callable predicates' jacobians. One forward
 plus one backward pass costs a small constant times one evaluation,

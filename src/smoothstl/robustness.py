@@ -19,15 +19,28 @@ to the evaluation time. Predicates are the leaves, computed for all
 affine atoms at once as one matrix product. Every and/or/always/eventually
 node is a min or max per time over a flat gather of its children's slots;
 until and release are three such reductions (held windows, pairs, outer).
-A reduction's depth is one more than the deepest slot it reads, and all
-reductions of one kind (min or max) at one depth run as one segmented
-reduction, so a pass costs one reducer call per (depth, kind), not one per
-node. Every reducer works segment by segment, so grouping changes no
-value. A node reached at a time is reduced once at that time, which is
-what the operator counts measure. Only the default-convention release
-gathers differently under exact and smooth semantics. Plans live in a
-small identity-keyed cache, so a formula evaluated repeatedly is compiled
-once.
+A reduction's depth is one more than the deepest slot it reads, and the
+reductions of one kind (min or max) at one depth run together, so a pass
+costs a few reducer calls per (depth, kind), not one per node. Inside a
+(depth, kind), the segments come in two layouts:
+
+  dense   every segment length shared by at least _DENSE_SEGMENTS (256)
+          segments is a block of its own: an (L, n) gather, one column
+          per segment, reduced along axis 0 with plain broadcasting.
+  flat    all other segments share one 1-D gather, reduced per segment
+          with ufunc.reduceat.
+
+The rule sends the long, regular windows of offline monitoring to the
+dense side, where a block costs a few numpy calls whatever its segment
+count, and keeps the small, mixed groups of synthesis formulas in one flat
+call each. Every reducer works segment by segment, so neither grouping nor
+layout changes an exact value; a soft sum over a dense column adds its
+entries in order where reduceat adds them pairwise, which can move the
+last bit for segments of 8 or more entries. A node reached at a time is
+reduced once at that time, which is what the operator counts measure.
+Only the default-convention release gathers differently under exact and
+smooth semantics. Plans live in a small identity-keyed cache, so a formula
+evaluated repeatedly is compiled once.
 
 The smooth semantics require negation normal form (use to_nnf first):
 negation is folded into the atoms so that only soft minima and maxima
@@ -218,30 +231,33 @@ def count_operator_evals():
         _counter_var.reset(token)
 
 
-# Segmented reducers. Each reduces a flat array a, cut into nonempty
-# segments that begin at starts (seg maps every entry to its segment), to
-# one value per segment, and returns (values, weights): weights is the
-# derivative of each value in its segment's entries when keep is set,
-# else None. The soft ones work in shifted form, so exponent arguments are
-# at most zero and, being capped at _EXP_CUTOFF, never overflow; the
-# under-approximation survives in floating point because each correction
-# is a sum of one-signed quantities.
+# Segmented reducers. Each reduces its input a to one value per segment
+# and returns (values, weights): weights is the derivative of each value in
+# its segment's entries when keep is set, else None. a comes in one of two
+# layouts. Flat: a 1-D array cut into nonempty segments that begin at
+# starts, with seg mapping every entry to its segment. Dense: an (L, n)
+# array whose n columns are segments of length L, reduced along axis 0;
+# starts is None and seg is Ellipsis, so that v[seg] lines per-segment
+# values v up with the entries in both layouts. The soft ones work in
+# shifted form, so exponent arguments are at most zero and, being capped at
+# _EXP_CUTOFF, never overflow; the under-approximation survives in floating
+# point because each correction is a sum of one-signed quantities.
 
 _EXP_CUTOFF = 800.0  # exp(-x) is exactly 0.0 in float64 for every x above this
 
 
 def _exact_min(a, starts, seg, k, keep):
-    return np.minimum.reduceat(a, starts), None
+    return (np.minimum.reduce(a) if starts is None else np.minimum.reduceat(a, starts)), None
 
 
 def _exact_max(a, starts, seg, k, keep):
-    return np.maximum.reduceat(a, starts), None
+    return (np.maximum.reduce(a) if starts is None else np.maximum.reduceat(a, starts)), None
 
 
 def _soft_min(a, starts, seg, k, keep):
-    m = np.minimum.reduceat(a, starts)
+    m = np.minimum.reduce(a) if starts is None else np.minimum.reduceat(a, starts)
     e = np.exp(-k * np.minimum(a - m[seg], _EXP_CUTOFF / k))
-    s = np.add.reduceat(e, starts)
+    s = np.add.reduce(e) if starts is None else np.add.reduceat(e, starts)
     return m - np.log(s) / k, (e / s[seg] if keep else None)
 
 
@@ -249,18 +265,19 @@ def _boltzmann(a, starts, seg, k):
     """Segment maxima m, gaps d = a - m and the weights exp(k d), normalised
     per segment. A weight that underflows is exactly 0: the gaps are floored
     where exp would give 0 anyway, so k d stays finite."""
-    m = np.maximum.reduceat(a, starts)
+    m = np.maximum.reduce(a) if starts is None else np.maximum.reduceat(a, starts)
     d = a - m[seg]
     if k > 0:
         d = np.maximum(d, -_EXP_CUTOFF / k)
     w = np.exp(k * d)
-    w /= np.add.reduceat(w, starts)[seg]
+    w /= (np.add.reduce(w) if starts is None else np.add.reduceat(w, starts))[seg]
     return m, d, w
 
 
 def _soft_max(a, starts, seg, k, keep):
     m, d, w = _boltzmann(a, starts, seg, k)
-    out = m + np.add.reduceat(w * d, starts)
+    wd = w * d
+    out = m + (np.add.reduce(wd) if starts is None else np.add.reduceat(wd, starts))
     if not keep:
         return out, None
     gap = a - out[seg]
@@ -271,9 +288,10 @@ def _soft_max(a, starts, seg, k, keep):
 
 
 def _lse_max(a, starts, seg, k, keep):
-    m = np.maximum.reduceat(a, starts)
+    m = np.maximum.reduce(a) if starts is None else np.maximum.reduceat(a, starts)
     e = np.exp(-k * np.minimum(m[seg] - a, _EXP_CUTOFF / k))
-    return m + np.log(np.add.reduceat(e, starts)) / k, None
+    s = np.add.reduce(e) if starts is None else np.add.reduceat(e, starts)
+    return m + np.log(s) / k, None
 
 
 def _one_segment(reducer, a, k, keep=False):
@@ -394,14 +412,31 @@ def _reads(node, classic_until):
     return [(node.left, 0 if classic_until else lo, hi), (node.right, lo, hi)]
 
 
+# A (depth, kind) group's block of at least this many same-length segments
+# is reduced densely. Measured on a 2-core Xeon with numpy 2.4 for blocks of
+# length 2 and 6: reducing a block densely instead of inside the flat
+# reduceat saves the soft reducers 30 to 40 ns per segment, and the reducer
+# call it adds costs 7 to 9 us of fixed numpy overhead, so the two break
+# even at 230 to 280 segments.
+_DENSE_SEGMENTS = 256
+
+
+def _starts(lengths):
+    return np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
+
+
 def _group(reductions, n_leaf, size):
     """Group reductions, given in evaluation order as (is_min, idx, lengths,
-    out), one segment per length, into one segmented reduction per (depth,
+    out), one segment per length, into segmented reductions by (depth,
     is_min); leaves are at depth 0, and a reduction is one deeper than the
-    deepest slot it reads. Groups run by depth and keep evaluation order
-    inside. Returns them as (is_min, idx, starts, seg, out, stop) tuples:
-    vals[out:stop] holds one reduction of vals[idx] per segment, and seg
-    maps entries to segments.
+    deepest slot it reads. Inside a (depth, is_min) group, every length
+    shared by at least _DENSE_SEGMENTS segments gets a dense reduction of
+    its own, and all other segments share one flat reduction. Groups run by
+    depth and keep evaluation order inside. Returns them as (is_min, idx,
+    starts, seg, out, stop) tuples: vals[out:stop] holds one reduction of
+    vals[idx] per segment. A flat idx is 1-D, with segments beginning at
+    starts and seg mapping entries to segments; a dense idx is (L, n), one
+    column per segment, with starts None and seg Ellipsis.
     """
     depth = np.zeros(size, dtype=np.intp)
     groups = {}
@@ -414,12 +449,27 @@ def _group(reductions, n_leaf, size):
         # every slot read lies in an earlier group, so is already moved
         idx = slot[np.concatenate([red[1].ravel() for red in members])]
         lengths = np.concatenate([red[2] for red in members])
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
-        seg = np.repeat(np.arange(lengths.size), lengths)
-        for _, _, part, out in members:
-            slot[out : out + part.size] = np.arange(stop, stop + part.size)
-            stop += part.size
-        grouped.append((is_min, idx, starts, seg, stop - lengths.size, stop))
+        outs = np.concatenate([out + np.arange(part.size) for _, _, part, out in members])
+        starts = _starts(lengths)
+        flat = np.ones(lengths.size, dtype=bool)
+        parts = []
+        # the counts are compared as Python ints: in a synthesis run, whose
+        # plans have no dense block, a first numpy comparison would add
+        # 0.13 MB to the peak memory
+        for L, count in enumerate(np.bincount(lengths).tolist()):
+            if count >= _DENSE_SEGMENTS:
+                pick = lengths == L
+                flat &= ~pick
+                parts.append((pick, idx[starts[pick] + np.arange(L)[:, None]], None, ...))
+        if flat.any():
+            rest = lengths[flat]
+            seg = np.repeat(np.arange(rest.size), rest)
+            parts.append((flat, idx[np.repeat(flat, lengths)], _starts(rest), seg))
+        for pick, part_idx, part_starts, seg in parts:
+            n = int(np.count_nonzero(pick))
+            slot[outs[pick]] = np.arange(stop, stop + n)
+            grouped.append((is_min, part_idx, part_starts, seg, stop, stop + n))
+            stop += n
     return grouped
 
 
@@ -525,7 +575,7 @@ class _Plan:
         self.smooth = _group(self.smooth, self.n_leaf, size)
         self.exact = self.smooth if same else _group(self.exact, self.n_leaf, size)
         self.root = base[id(root)]
-        self.applications = sum(red[2].size for red in self.smooth)
+        self.applications = sum(stop - out for *_, out, stop in self.smooth)
         self.scalars = sum(red[1].size for red in self.smooth)
 
     def _add_until(self, node, ts, classic_until, slots, size):
@@ -597,7 +647,10 @@ class _Plan:
         adjoint = np.zeros(self.size)
         adjoint[self.root] = 1.0
         for (_, idx, _, seg, out, stop), w in zip(reversed(self.smooth), reversed(weights)):
-            np.add.at(adjoint, idx, w * adjoint[out:stop][seg])
+            if seg is ...:  # dense; a 2-D index makes add.at about 3x slower
+                np.add.at(adjoint, idx.ravel(), (w * adjoint[out:stop]).ravel())
+            else:
+                np.add.at(adjoint, idx, w * adjoint[out:stop][seg])
         # leaf adjoints, summed per (row, predicate), then pushed to the samples
         rows, cols = Y.shape[0], self.n_preds
         G = np.bincount(

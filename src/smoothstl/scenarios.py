@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +68,23 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario configs; names the offending key."""
+
+
+def _whole(value):
+    """value as an int, if it is a whole number."""
+    number = value if isinstance(value, numbers.Integral) else float(value)
+    if number != int(number):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(number)
+
+
+def _pair(value):
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+def _pairs(value):
+    return tuple(_pair(pair) for pair in value)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +141,19 @@ class ScenarioConfig:
         def bad(key, why):
             return ScenarioError(f"{key}: {why}")
 
+        def convert(key, to, what):
+            """Set the field to to(its value), naming the field if that fails."""
+            value = getattr(self, key)
+            try:
+                object.__setattr__(self, key, to(value))
+            except (TypeError, ValueError, OverflowError):
+                raise bad(key, f"needs {what}, got {value!r}") from None
+
+        for key in ("T", "restarts", "max_iters", "seed"):
+            convert(key, _whole, "a whole number")
+        for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt", "tolerance"):
+            convert(key, float, "a number")
+
         try:
             model = builtin_model(self.model, self.dt)
         except ValueError as exc:
@@ -132,13 +163,10 @@ class ScenarioConfig:
                 object.__setattr__(self, "regions", RegionTable(self.regions))
             except FormulaError as exc:
                 raise bad("regions", exc) from None
-        object.__setattr__(self, "T", int(self.T))
         if self.T < 1:
             raise bad("T", "horizon must be at least 1")
         for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt"):
-            value = float(getattr(self, key))
-            object.__setattr__(self, key, value)
-            if not math.isfinite(value):
+            if not math.isfinite(getattr(self, key)):
                 raise bad(key, "must be finite")
         if self.k1 <= 0:
             raise bad("k1", "sharpness must be positive")
@@ -149,47 +177,40 @@ class ScenarioConfig:
         if self.obstacle_inflation < 0:
             raise bad("obstacle_inflation", "must be nonnegative")
         if self.control_bounds is not None:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in self.control_bounds)
-            if len(bounds) != model.m:
+            convert("control_bounds", _pairs, "(lo, hi) pairs of numbers")
+            if len(self.control_bounds) != model.m:
                 raise bad("control_bounds", f"needs {model.m} (lo, hi) pairs")
-            if any(not lo < hi for lo, hi in bounds):
+            if any(not lo < hi for lo, hi in self.control_bounds):
                 raise bad("control_bounds", "every pair needs lo < hi")
-            object.__setattr__(self, "control_bounds", bounds)
 
         if (self.x0 is None) == (self.x0_box is None):
             raise bad("x0", "exactly one of x0 and x0_box must be set")
         if self.x0 is not None:
-            x0 = tuple(float(v) for v in self.x0)
-            if len(x0) != model.n:
+            convert("x0", lambda v: tuple(float(x) for x in v), "a list of numbers")
+            if len(self.x0) != model.n:
                 raise bad("x0", f"needs {model.n} entries for {self.model}")
-            object.__setattr__(self, "x0", x0)
         else:
-            box = tuple((float(lo), float(hi)) for lo, hi in self.x0_box)
+            convert("x0_box", _pairs, "(lo, hi) pairs of numbers")
             # the box covers position only; heading has its own range
             want = 2 if self.model == "differential_drive" else model.n
-            if len(box) != want:
+            if len(self.x0_box) != want:
                 raise bad("x0_box", f"needs {want} (lo, hi) pairs for {self.model}")
-            if any(not lo <= hi for lo, hi in box):
+            if any(not lo <= hi for lo, hi in self.x0_box):
                 raise bad("x0_box", "every pair needs lo <= hi")
-            object.__setattr__(self, "x0_box", box)
         if self.theta0_range is not None:
             if self.model != "differential_drive":
                 raise bad("theta0_range", "only meaningful for differential_drive")
-            lo, hi = (float(v) for v in self.theta0_range)
+            convert("theta0_range", _pair, "a (lo, hi) pair of numbers")
+            lo, hi = self.theta0_range
             if not lo <= hi:
                 raise bad("theta0_range", "needs lo <= hi")
-            object.__setattr__(self, "theta0_range", (lo, hi))
         elif self.model == "differential_drive" and self.x0_box is not None:
             raise bad("theta0_range", "required when sampling differential_drive starts")
 
-        if int(self.restarts) < 0:
+        if self.restarts < 0:
             raise bad("restarts", "must be nonnegative")
-        object.__setattr__(self, "restarts", int(self.restarts))
-        if int(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise bad("max_iters", "must be positive")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
 
         try:
             phi = self.formula()
@@ -252,19 +273,8 @@ def scenario_from_json_dict(data, name=None):
     fields = dict(data)
     try:
         fields["regions"] = RegionTable.from_json_dict(fields["regions"])
-    except (FormulaError, AttributeError) as exc:
+    except FormulaError as exc:
         raise ScenarioError(f"regions: {exc}") from None
-    for key in ("control_bounds", "x0", "x0_box", "theta0_range"):
-        if fields.get(key) is not None:
-            try:
-                value = fields[key]
-                if key in ("control_bounds", "x0_box"):
-                    value = tuple(tuple(pair) for pair in value)
-                else:
-                    value = tuple(value)
-                fields[key] = value
-            except TypeError as exc:
-                raise ScenarioError(f"{key}: {exc}") from None
     fields.setdefault("name", name or "scenario")
     try:
         return ScenarioConfig(**fields)

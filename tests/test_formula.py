@@ -335,3 +335,17 @@ class TestRegionTable:
                 RegionTable.from_json_dict({"obs": faces})
         with pytest.raises(FormulaError, match="regions must map region names"):
             RegionTable.from_json_dict([1, 2])
+
+    # the constructor checks the same shapes, so each error names the region
+
+    def test_region_that_is_not_a_mapping(self):
+        with pytest.raises(FormulaError, match="region 'obs': malformed bounds.*got int"):
+            RegionTable({"obs": 5})
+
+    def test_bounds_that_are_not_a_pair(self):
+        with pytest.raises(FormulaError, match=r"region 'obs': malformed bounds.*\(1,\)"):
+            RegionTable({"obs": {0: (1,)}})
+
+    def test_dimension_that_is_not_an_integer(self):
+        with pytest.raises(FormulaError, match="region 'obs': malformed bounds: dimension 'x'"):
+            RegionTable({"obs": {"x": (1, 2)}})

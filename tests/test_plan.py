@@ -6,8 +6,11 @@ gradient with central differences, over all eight node kinds, both until
 conventions, evaluation times past zero, a callable predicate with a
 jacobian, exact ties, magnitudes from 1e-150 to 1e150 and sharpness from
 1e-3 to 1e6, plus fixed formulas that share subformula objects between
-parents. Two more tests pin the operator counts and the reducer calls per
-forward pass on the builtin scenarios and a long monitoring formula.
+parents. Formulas with a 301-step outer window run the same checks on
+the dense layout that large same-length segment blocks take. Three more
+tests pin the operator counts, the dense/flat layout split and the
+reducer calls per forward pass on the builtin scenarios and a long
+monitoring formula.
 """
 
 import numpy as np
@@ -172,6 +175,54 @@ def test_gradients_match_finite_differences():
             check_gradient(phi, t, sig, 1.0, 0.5, 2.0, classic)
 
 
+def long_cases():
+    """(formula, time, signal) cases whose outer window spans 301 times, so
+    that their same-length segment blocks run on the dense path; each
+    formula appears with a uniform and a tie-heavy 2-D signal."""
+    a = Pred(LinearPredicate((1.0, -0.5), 0.3))
+    b = Not(Pred(LinearPredicate((0.2, 1.0), -0.1)))
+    c = Pred(disc(2.0))
+    formulas = [
+        disj(a.eventually(0, 4), b.always(1, 3)).always(0, 300),
+        a.until(b, 0, 3).eventually(0, 300),
+        b.release(a, 1, 3).always(0, 300),
+        conj(c, a.eventually(0, 2)).eventually(0, 300),
+        disj(a.until(b, 1, 2), a.release(c, 0, 2)).always(0, 300),
+    ]
+    rng = np.random.default_rng(12)
+    for phi in formulas:
+        n = 1 + horizon(phi) + 1
+        yield phi, 1, Signal(rng.uniform(-3.0, 3.0, size=(n, 2)))
+        yield phi, 1, Signal(rng.choice([-1.0, 0.0, 1.0], size=(n, 2)))
+
+
+def dense_groups(phi, classic):
+    """Numbers of dense and flat groups in the exact and smooth plans."""
+    plan = robustness._plan(phi, classic)
+    groups = {id(g): g for g in plan.exact + plan.smooth}.values()
+    dense = sum(starts is None for _, _, starts, *_ in groups)
+    return dense, len(groups) - dense
+
+
+def test_dense_blocks_match_the_oracle():
+    for phi, t, sig in long_cases():
+        for classic in (False, True):
+            assert dense_groups(phi, classic)[0] > 0
+        for k1, k2 in ((2.0, 0.0), (3.0, 4.0)):
+            check_values(phi, t, sig, 3.0, k1, k2)
+            config = SemanticsConfig.ef(k1, k2)
+            for classic in (False, True):
+                got = eval_with_gradient(phi, sig, t, config, classic).value
+                assert got == evaluate(phi, sig, t, config, classic)
+
+
+def test_dense_blocks_match_finite_differences():
+    # the uniform signal of each formula; differences cost 1,200 evaluations
+    for phi, t, sig in list(long_cases())[::2]:
+        for classic in (False, True):
+            check_gradient(phi, t, sig, 1.0, 0.5, 2.0, classic)
+
+
 def test_callable_margin_must_be_finite():
     # undefined where y0 is zero; only the samples the formula reads count
     partial = CallablePredicate(fn=lambda y: float(y[0]) if y[0] else float("nan"), dim=1)
@@ -218,19 +269,30 @@ def test_operator_counts_are_pinned():
         with count_operator_evals() as c:
             evaluate(phi, sig, 0, config)
         assert (c.scalars, c.applications, c.forwards) == (*pinned[name], 1), name
+        # plain ints, so that the counts serialise as JSON
+        assert type(c.scalars) is int and type(c.applications) is int, name
         with count_operator_evals() as c:
             eval_with_gradient(phi, sig, 0, config)
         assert (c.scalars, c.applications, c.forwards) == (*pinned[name], 1), name
 
 
+def test_only_large_same_length_blocks_are_dense():
+    # every block of the monitor formula has 401 or more segments; the
+    # builtins' largest has 186, so their plans stay flat
+    for name, phi, _, _ in pinned_cases():
+        want = (16, 1) if name == "monitor" else (0, len(robustness._plan(phi, False).smooth))
+        assert dense_groups(phi, False) == want, name
+
+
 def test_reducer_calls_are_pinned(monkeypatch):
     # reductions of one kind (min or max) at one dependency depth run as one
-    # segmented reduction, so a pass calls a reducer once per such group
+    # flat segmented reduction plus one per dense block, so a pass calls a
+    # reducer once per such group
     calls = []
     for name in ("_exact_min", "_exact_max", "_soft_min", "_soft_max", "_lse_max"):
         fn = getattr(robustness, name)
         monkeypatch.setattr(robustness, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
-    pinned = {"two_target": 6, "tunnel": 6, "charging": 7, "table2_diffdrive": 6, "monitor": 7}
+    pinned = {"two_target": 6, "tunnel": 6, "charging": 7, "table2_diffdrive": 6, "monitor": 17}
     for name, phi, sig, config in pinned_cases():
         for run in (
             lambda: evaluate(phi, sig, 0, EXACT),

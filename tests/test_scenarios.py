@@ -199,6 +199,28 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match=f"^{key}:"):
             ScenarioConfig(**self.base_kwargs(**{field: value}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("T", "abc"),
+        ("T", 5.5),
+        ("x0", ("a", 0.0)),
+        ("k1", "sharp"),
+        ("restarts", "two"),
+        ("restarts", 1.5),
+        ("max_iters", 2.5),
+        ("seed", 1.5),
+        ("control_weight", "heavy"),
+        ("obstacle_inflation", "wide"),
+        ("control_bounds", ((-1.0, 1.0, 0.0), (-1.0, 1.0))),
+    ])
+    def test_malformed_numbers_name_the_field(self, field, value):
+        with pytest.raises(ScenarioError, match=f"^{field}: needs .*, got "):
+            ScenarioConfig(**self.base_kwargs(**{field: value}))
+
+    def test_whole_numbers_may_be_written_as_floats(self):
+        config = ScenarioConfig(**self.base_kwargs(T=5.0, seed=7.0))
+        assert (config.T, config.seed) == (5, 7)
+        assert type(config.T) is int and type(config.seed) is int
+
     def test_exactly_one_start_spec(self):
         with pytest.raises(ScenarioError, match="exactly one"):
             ScenarioConfig(**self.base_kwargs(x0=None))
@@ -276,6 +298,13 @@ class TestJsonRoundTrip:
                 "spec": "F[0,5] goal", "x0": [0.0, 0.0],
                 "velocity": 3,
             })
+
+    def test_malformed_number_in_a_file_names_the_field(self, tmp_path):
+        data = scenario_to_json_dict(builtin_scenario("tunnel"))
+        path = tmp_path / "tunnel.json"
+        path.write_text(json.dumps(dict(data, T="abc")))
+        with pytest.raises(ScenarioError, match="^T: needs a whole number, got 'abc'"):
+            load_scenario(path)
 
     def test_file_errors(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read"):
