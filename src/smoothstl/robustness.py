@@ -38,8 +38,8 @@ layout changes an exact value; a soft sum over a dense column adds its
 entries in order where reduceat adds them pairwise, which can move the
 last bit for segments of 8 or more entries. A node reached at a time is
 reduced once at that time, which is what the operator counts measure.
-Only the default-convention release gathers differently under exact and
-smooth semantics. Plans live in a small identity-keyed cache, so a formula
+Every semantics runs the same gathers: a release is smoothed as the dual
+of the until in effect, an outer soft min of inner soft maxes. Plans live in a small identity-keyed cache, so a formula
 evaluated repeatedly is compiled once.
 
 The smooth semantics require negation normal form (use to_nnf first):
@@ -478,9 +478,8 @@ class _Plan:
 
     vals, the flat array a run fills, holds the leaf margins first, then the
     results of each group of reductions (node results and the scratch
-    results of until and release) in the order the groups run. exact and
-    smooth are the groups each family of semantics runs, in order. The
-    root's reduction is the only one at the greatest depth, so it runs last
+    results of until and release) in the order the groups run; every
+    semantics runs the same groups, in order. The root's reduction is the only one at the greatest depth, so it runs last
     and its result keeps the last slot.
     """
 
@@ -550,13 +549,13 @@ class _Plan:
         def slots(node, at):
             return base[id(node)] + np.searchsorted(times[id(node)], at)
 
-        self.exact, self.smooth = [], []  # in evaluation order until grouped
+        reductions = []  # in evaluation order until grouped
         for node in order:
             if _is_leaf(node):
                 continue
             ts = times[id(node)]
             if isinstance(node, (Until, Release)):
-                size = self._add_until(node, ts, classic_until, slots, size)
+                size = self._add_until(reductions, node, ts, classic_until, slots, size)
             else:
                 if isinstance(node, (And, Or)):
                     idx = np.stack([slots(c, ts) for c in node.children], axis=1)
@@ -564,22 +563,17 @@ class _Plan:
                     lo, hi = node.interval.lo, node.interval.hi
                     idx = slots(node.child, ts[:, None] + np.arange(lo, hi + 1))
                 is_min = isinstance(node, (And, Always))
-                red = (is_min, idx, np.full(ts.size, idx.shape[1]), size)
-                self.exact.append(red)
-                self.smooth.append(red)
+                reductions.append((is_min, idx, np.full(ts.size, idx.shape[1]), size))
                 size += ts.size
             base[id(node)] = size - ts.size
         self.size = size
-        # share the groups unless a default-convention release tells them apart
-        same = all(e is s for e, s in zip(self.exact, self.smooth))
-        self.smooth = _group(self.smooth, self.n_leaf, size)
-        self.exact = self.smooth if same else _group(self.exact, self.n_leaf, size)
+        self.groups = _group(reductions, self.n_leaf, size)
         self.root = base[id(root)]
-        self.applications = sum(stop - out for *_, out, stop in self.smooth)
-        self.scalars = sum(red[1].size for red in self.smooth)
+        self.applications = sum(stop - out for *_, out, stop in self.groups)
+        self.scalars = sum(red[1].size for red in self.groups)
 
-    def _add_until(self, node, ts, classic_until, slots, size):
-        """Append the three reductions of an until or release node: held
+    def _add_until(self, reductions, node, ts, classic_until, slots, size):
+        """Append to reductions the three of an until or release node: held
         windows, (pointwise, held) pairs, and the outer reduction over the
         pairs; its results go last, after the two scratch blocks."""
         lo, hi = node.interval.lo, node.interval.hi
@@ -589,30 +583,18 @@ class _Plan:
         held_at = ts[:, None] + np.concatenate([np.arange(first, e + 1) for e in ends])
         pointwise_at = ts[:, None] + ends
 
-        def layers(held, pointwise, inner_min, outer_min):
-            windows = slots(held, held_at)
-            pairs = np.stack([slots(pointwise, pointwise_at).ravel(), np.arange(size, size + n)], 1)
-            outer = np.arange(size + n, size + 2 * n)
-            return [
-                (inner_min, windows, np.tile(ends - first + 1, ts.size), size),
-                (inner_min, pairs, np.full(n, 2), size + n),
-                (outer_min, outer, np.full(ts.size, width), size + 2 * n),
-            ]
-
-        if isinstance(node, Until):
-            held, pointwise = (node.left, node.right) if classic_until else (node.right, node.left)
-            exact = smooth = layers(held, pointwise, True, False)
-        elif classic_until:
-            exact = smooth = layers(node.left, node.right, False, True)
-        else:
-            # the exact release is the negation dual of the default until;
-            # the smooth one keeps the until shape (outer max of inner mins,
-            # right operand pointwise, left held): it stays below the exact
-            # value but does not converge to it as the sharpness grows
-            exact = layers(node.right, node.left, False, True)
-            smooth = layers(node.left, node.right, True, False)
-        self.exact.extend(exact)
-        self.smooth.extend(smooth)
+        # the classic convention holds the left operand, the default one the
+        # right; a release is the until with min and max swapped
+        held, pointwise = (node.left, node.right) if classic_until else (node.right, node.left)
+        inner_min = isinstance(node, Until)
+        windows = slots(held, held_at)
+        pairs = np.stack([slots(pointwise, pointwise_at).ravel(), np.arange(size, size + n)], 1)
+        outer = np.arange(size + n, size + 2 * n)
+        reductions += [
+            (inner_min, windows, np.tile(ends - first + 1, ts.size), size),
+            (inner_min, pairs, np.full(n, 2), size + n),
+            (not inner_min, outer, np.full(ts.size, width), size + 2 * n),
+        ]
         return size + 2 * n + ts.size
 
     def margins(self, Y):
@@ -630,12 +612,12 @@ class _Plan:
             S[rows, col] = vals
         return S
 
-    def run(self, Y, reductions, reducers, keep):
+    def run(self, Y, reducers, keep):
         """Fill vals for the window Y; with keep, also each reduction's weights."""
         vals = np.empty(self.size)
         vals[: self.n_leaf] = self.margins(Y)[self.rows, self.cols] * self.signs
         weights = []
-        for is_min, idx, starts, seg, out, stop in reductions:
+        for is_min, idx, starts, seg, out, stop in self.groups:
             fn, k = reducers[is_min]
             vals[out:stop], w = fn(vals[idx], starts, seg, k, keep)
             weights.append(w)
@@ -646,7 +628,7 @@ class _Plan:
         smooth run with keep returned."""
         adjoint = np.zeros(self.size)
         adjoint[self.root] = 1.0
-        for (_, idx, _, seg, out, stop), w in zip(reversed(self.smooth), reversed(weights)):
+        for (_, idx, _, seg, out, stop), w in zip(reversed(self.groups), reversed(weights)):
             if seg is ...:  # dense; a 2-D index makes add.at about 3x slower
                 np.add.at(adjoint, idx.ravel(), (w * adjoint[out:stop]).ravel())
             else:
@@ -720,8 +702,7 @@ def _forward(phi, signal, t, config, classic_until, keep=False):
             f"predicate expects {bad} signal dimensions, signal has {signal.p}"
         )
     Y = signal.values[t : need + 1]
-    reductions = plan.smooth if smooth else plan.exact
-    vals, weights = plan.run(Y, reductions, _REDUCERS[config.kind](config), keep)
+    vals, weights = plan.run(Y, _REDUCERS[config.kind](config), keep)
     if smooth:
         _tick(plan.applications, plan.scalars, forwards=1)
     return plan, signal, Y, vals, weights

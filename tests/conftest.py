@@ -19,13 +19,11 @@ def rand_predicate(rng, p):
     return LinearPredicate(tuple(coeffs), float(rng.uniform(-3.0, 3.0)))
 
 
-def rand_formula(rng, p, depth, budget, allow_release=True):
+def rand_formula(rng, p, depth, budget):
     """Random formula in negation normal form with horizon at most budget."""
     kinds = ["pred", "notpred"]
     if depth > 0:
-        kinds += ["and", "or", "always", "eventually", "until"]
-        if allow_release:
-            kinds.append("release")
+        kinds += ["and", "or", "always", "eventually", "until", "release"]
     kind = kinds[rng.integers(len(kinds))]
     if kind == "pred":
         return Pred(rand_predicate(rng, p))
@@ -33,17 +31,17 @@ def rand_formula(rng, p, depth, budget, allow_release=True):
         return Not(Pred(rand_predicate(rng, p)))
     if kind in ("and", "or"):
         n = int(rng.integers(2, 4))
-        children = [rand_formula(rng, p, depth - 1, budget, allow_release) for _ in range(n)]
+        children = [rand_formula(rng, p, depth - 1, budget) for _ in range(n)]
         return conj(*children) if kind == "and" else disj(*children)
     hi = int(rng.integers(0, budget + 1))
     lo = int(rng.integers(0, hi + 1))
     rest = budget - hi
-    left = rand_formula(rng, p, depth - 1, rest, allow_release)
+    left = rand_formula(rng, p, depth - 1, rest)
     if kind == "always":
         return left.always(lo, hi)
     if kind == "eventually":
         return left.eventually(lo, hi)
-    right = rand_formula(rng, p, depth - 1, rest, allow_release)
+    right = rand_formula(rng, p, depth - 1, rest)
     if kind == "until":
         return left.until(right, lo, hi)
     return left.release(right, lo, hi)

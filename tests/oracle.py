@@ -115,12 +115,10 @@ def lse_ops(k):
 def naive_soft(phi, y, min_op, max_op, t=0, classic_until=False):
     """Smooth robustness by direct recursion over a min/max operator pair.
 
-    Expects negation normal form, like the library. The two release clauses
-    differ on purpose: the default convention smooths an until-shaped clause
-    (outer max of inner mins, right operand pointwise, left operand held),
-    which under-approximates the exact release but is not its structural
-    transcription; the classic convention smooths the De Morgan dual of
-    classic until directly (outer min of inner maxes).
+    Expects negation normal form, like the library. Until and release
+    transcribe the exact clauses of naive_exact with min_op and max_op in
+    place of min and max, so release is the De Morgan dual of whichever
+    until is in effect (outer min of inner maxes) in both conventions.
     """
 
     def rec(f, u):
@@ -161,9 +159,7 @@ def naive_soft(phi, y, min_op, max_op, t=0, classic_until=False):
                 hold = max_op([rec(phi.left, u) for u in range(t, tp + 1)])
                 cands.append(max_op([rec(phi.right, tp), hold]))
             else:
-                hold = min_op([rec(phi.left, u) for u in range(t + lo, tp + 1)])
-                cands.append(min_op([rec(phi.right, tp), hold]))
-        if classic_until:
-            return min_op(cands)
-        return max_op(cands)
+                hold = max_op([rec(phi.right, u) for u in range(t + lo, tp + 1)])
+                cands.append(max_op([rec(phi.left, tp), hold]))
+        return min_op(cands)
     raise TypeError(f"no smooth rule for {type(phi).__name__}")

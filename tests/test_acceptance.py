@@ -97,15 +97,11 @@ def test_03_soundness_fuzz():
 
 
 def test_04_completeness_in_the_sharpness_limit():
-    # release is excluded from the draw: its smooth clause deliberately
-    # keeps the safe orientation at every sharpness, so it does not
-    # tighten to the exact value as k grows (see the robustness module
-    # notes); the other seven node kinds must converge
     with criterion("04 smooth value converges to exact as k grows"):
         rng = np.random.default_rng(104)
         for _ in range(100):
             p = int(rng.integers(1, 3))
-            phi = rand_formula(rng, p=p, depth=3, budget=8, allow_release=False)
+            phi = rand_formula(rng, p=p, depth=3, budget=8)
             y = rand_signal(rng, phi, p)
             rho = evaluate(phi, y, config=EXACT)
             gaps = [

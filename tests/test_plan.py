@@ -197,9 +197,8 @@ def long_cases():
 
 
 def dense_groups(phi, classic):
-    """Numbers of dense and flat groups in the exact and smooth plans."""
-    plan = robustness._plan(phi, classic)
-    groups = {id(g): g for g in plan.exact + plan.smooth}.values()
+    """Numbers of dense and flat groups in the plan."""
+    groups = robustness._plan(phi, classic).groups
     dense = sum(starts is None for _, _, starts, *_ in groups)
     return dense, len(groups) - dense
 
@@ -280,7 +279,7 @@ def test_only_large_same_length_blocks_are_dense():
     # every block of the monitor formula has 401 or more segments; the
     # builtins' largest has 186, so their plans stay flat
     for name, phi, _, _ in pinned_cases():
-        want = (16, 1) if name == "monitor" else (0, len(robustness._plan(phi, False).smooth))
+        want = (16, 1) if name == "monitor" else (0, len(robustness._plan(phi, False).groups))
         assert dense_groups(phi, False) == want, name
 
 
