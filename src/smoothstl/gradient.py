@@ -13,6 +13,19 @@ for the affine atoms) or the callable predicates' jacobians. One forward
 plus one backward pass costs a small constant times one evaluation,
 independent of the signal dimension.
 
+The held history of an until or release is a scan, whose row j depends
+on every row above it, so it keeps no weights but the running sums of
+its forward pass, and its backward step runs the matching reverse
+recurrence before the scatter. For the soft minimum, with m_j the running
+minimum, S_j the running sum and e_i = exp(-k1 (a_i - m_i)),
+
+  B_i = adjoint_i / S_i + exp(-k1 (m_i - m_{i+1})) B_{i+1},
+  entry adjoint_i = e_i B_i,
+
+taken by doubling like the forward scan; the soft maximum runs the same
+recurrence on two sums, one for the weights and one for the gap terms of
+its weights below. Neither needs more memory than the forward pass kept.
+
 Weight facts used by tests and by the chain rule through dynamics:
 
   soft minimum   weights are a softmax of -k1 * a: positive, sum to one,

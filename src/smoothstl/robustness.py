@@ -17,11 +17,21 @@ plan. The plan lists the formula's nodes (by object identity) in
 topological order, each with the sorted times its parents read, relative
 to the evaluation time. Predicates are the leaves, computed for all
 affine atoms at once as one matrix product. Every and/or/always/eventually
-node is a min or max per time over a flat gather of its children's slots;
-until and release are three such reductions (held windows, pairs, outer).
-A reduction's depth is one more than the deepest slot it reads, and the
-reductions of one kind (min or max) at one depth run together, so a pass
-costs a few reducer calls per (depth, kind), not one per node. Inside a
+node is a min or max per time over a flat gather of its children's slots.
+An until or release is three steps:
+
+  held    one scan of the held operand: a (W, n) gather whose column c
+          is the operand at ts[c] + first .. ts[c] + hi (first = lo, or 0
+          in the classic convention), reduced to all W running prefixes
+          at once, so the held history costs O(W n) entries, not O(W^2 n);
+  pairs   a min (until) or max (release) of the pointwise operand at
+          ts[c] + e and the prefix ending there, for e = lo .. hi;
+  outer   a max (until) or min (release) over each time's pairs.
+
+Pairs and outer are reductions like the others. A reduction's depth is one
+more than the deepest slot it reads, and the reductions of one kind (min
+or max) at one depth run together, so a pass costs a few reducer calls per
+(depth, kind), not one per node; every scan runs on its own. Inside a
 (depth, kind), the segments come in two layouts:
 
   dense   every segment length shared by at least _DENSE_SEGMENTS (256)
@@ -36,11 +46,17 @@ count, and keeps the small, mixed groups of synthesis formulas in one flat
 call each. Every reducer works segment by segment, so neither grouping nor
 layout changes an exact value; a soft sum over a dense column adds its
 entries in order where reduceat adds them pairwise, which can move the
-last bit for segments of 8 or more entries. A node reached at a time is
-reduced once at that time, which is what the operator counts measure.
+last bit for segments of 8 or more entries. The exact scans are running
+minima and maxima, so exact values are bit-identical to reducing every
+prefix on its own; the soft scans sum in another order (see the scan
+notes below) and agree with reducing each prefix on its own to about
+1e-15 of the inputs' scale. A node
+reached at a time is reduced once at that time, and a scan counts one
+application per prefix, which is what the operator counts measure.
 Every semantics runs the same gathers: a release is smoothed as the dual
-of the until in effect, an outer soft min of inner soft maxes. Plans live in a small identity-keyed cache, so a formula
-evaluated repeatedly is compiled once.
+of the until in effect, an outer soft min of inner soft maxes. Plans live
+in a small identity-keyed cache, so a formula evaluated repeatedly is
+compiled once.
 
 The smooth semantics require negation normal form (use to_nnf first):
 negation is folded into the atoms so that only soft minima and maxima
@@ -245,6 +261,9 @@ def count_operator_evals():
 
 _EXP_CUTOFF = 800.0  # exp(-x) is exactly 0.0 in float64 for every x above this
 
+# the kinds of reduction a plan runs, in the order it runs them at one depth
+_MAX, _MIN, _SCAN_MAX, _SCAN_MIN = range(4)
+
 
 def _exact_min(a, starts, seg, k, keep):
     return (np.minimum.reduce(a) if starts is None else np.minimum.reduceat(a, starts)), None
@@ -292,6 +311,124 @@ def _lse_max(a, starts, seg, k, keep):
     e = np.exp(-k * np.minimum(m[seg] - a, _EXP_CUTOFF / k))
     s = np.add.reduce(e) if starts is None else np.add.reduceat(e, starts)
     return m + np.log(s) / k, None
+
+
+# Scans. Each reduces every prefix of the columns of a (W, n) array: row j
+# of its output, returned flattened, reduces rows 0..j. starts and seg are
+# None. With keep, the second value is a function that maps the output's
+# adjoints, shaped like a, to the adjoints of a's entries. Scans double:
+# after the pass with stride h = 1, 2, 4, ..., row j covers rows j-2h+1..j,
+# so a scan takes about log2(W) whole-block numpy calls per quantity, where
+# a walk down the rows would take W calls of about a microsecond each
+# whatever their width. The soft ones keep the running extreme m and, per
+# row, sums in the shifted form of the reducers above, taken relative to
+# that row's m; a sum moved from row i to a later row j is rescaled by
+# r = exp(-k |m_j - m_i|), so every exponent stays at most zero and every
+# sum is one-signed, as above.
+
+
+def _running(ufunc, a):
+    """ufunc.accumulate(a) along axis 0 for an idempotent ufunc (minimum
+    or maximum). On the (11, 401) block of a long until this takes half the
+    time of accumulate itself, which walks the array column by column."""
+    out = a.copy()
+    h = 1
+    while h < len(out):
+        # not out=: numpy's overlap check on that costs more than the copy
+        out[h:] = ufunc(out[h:], out[:-h])
+        h *= 2
+    return out
+
+
+def _strides(m, k, rising):
+    """(h, rise, r) per stride h = 1, 2, 4, ... below len(m): rise[i] is how
+    far the running extreme m moves from row i to row i + h, made of steps
+    capped at _EXP_CUTOFF / k where k > 0, and r = exp(-k rise), formed as
+    products of the one-row factors."""
+    rise = m[1:] - m[:-1] if rising else m[:-1] - m[1:]
+    if k > 0:
+        rise = np.minimum(rise, _EXP_CUTOFF / k)
+    r = np.exp(-k * rise)
+    levels, h = [(1, rise, r)], 2
+    while h < len(m):
+        _, rise, r = levels[-1]
+        half = h // 2
+        levels.append((h, rise[half:] + rise[:-half], r[half:] * r[:-half]))
+        h *= 2
+    return levels
+
+
+def _scan_exact_min(a, starts, seg, k, keep):
+    return _running(np.minimum, a).ravel(), None
+
+
+def _scan_exact_max(a, starts, seg, k, keep):
+    return _running(np.maximum, a).ravel(), None
+
+
+def _scan_soft_min(a, starts, seg, k, keep):
+    """Running m_j - log(S_j)/k with S_j the sum of exp(-k (a_i - m_j)) over
+    i <= j. The minimum's own term is exactly 1, so S_j >= 1 and the value
+    never exceeds the running minimum."""
+    m = _running(np.minimum, a)
+    e = np.exp(-k * np.minimum(a - m, _EXP_CUTOFF / k))
+    levels = _strides(m, k, rising=False)
+    s = e.copy()
+    for h, _, r in levels:
+        s[h:] += r * s[:-h]
+    out = (m - np.log(s) / k).ravel()
+    if not keep:
+        return out, None
+
+    def back(adjoint):
+        # entry i's derivative in value j >= i is e_i exp(-k (m_i - m_j)) / S_j,
+        # so it gets e_i times the rescaled sum of adjoint_j / S_j over j >= i
+        b = adjoint / s
+        for h, _, r in levels:
+            b[:-h] += r * b[h:]
+        return e * b
+
+    return out, back
+
+
+def _scan_soft_max(a, starts, seg, k, keep):
+    """Running Boltzmann average m_j + P_j/Z_j: Z_j sums the weights
+    exp(k (a_i - m_j)) and P_j the weighted gaps a_i - m_j over i <= j.
+    Moving sums from row i to row j, where the running maximum is higher
+    by rise, rescales both and lowers every gap in P by rise."""
+    m = _running(np.maximum, a)
+    d = a - m
+    if k > 0:
+        # as in _boltzmann: floored only where the weight is 0 anyway
+        d = np.maximum(d, -_EXP_CUTOFF / k)
+    e = np.exp(k * d)
+    levels = _strides(m, k, rising=True)
+    z, p = e.copy(), e * d
+    for h, rise, r in levels:
+        p[h:] += r * (p[:-h] - rise * z[:-h])
+        z[h:] += r * z[:-h]
+    gap = p / z  # the value minus the running maximum, at most zero
+    out = (m + gap).ravel()
+    if not keep:
+        return out, None
+
+    def back(adjoint):
+        # entry i's derivative in value j >= i is w_ij (1 + k (a_i - value_j))
+        # with w_ij = e_i exp(-k (m_j - m_i)) / Z_j and a_i - value_j =
+        # d_i - (m_j - m_i) - gap_j; A and D sum the two parts over j >= i
+        q = adjoint / z
+        A, D = q.copy(), -q * gap
+        for h, rise, r in levels:
+            D[:-h] += r * (D[h:] - rise * A[h:])
+            A[:-h] += r * A[h:]
+        return e * ((1.0 + k * d) * A + k * D)
+
+    return out, back
+
+
+def _scan_lse_max(a, starts, seg, k, keep):
+    out, _ = _scan_soft_min(-a, starts, seg, k, False)
+    return -out, None
 
 
 def _one_segment(reducer, a, k, keep=False):
@@ -426,27 +563,38 @@ def _starts(lengths):
 
 
 def _group(reductions, n_leaf, size):
-    """Group reductions, given in evaluation order as (is_min, idx, lengths,
-    out), one segment per length, into segmented reductions by (depth,
-    is_min); leaves are at depth 0, and a reduction is one deeper than the
-    deepest slot it reads. Inside a (depth, is_min) group, every length
+    """Group reductions, given in evaluation order as (op, idx, lengths,
+    out), into the segmented reductions and scans a plan runs. A reduction
+    (op _MAX or _MIN) has one segment per length; a scan (op _SCAN_MAX or
+    _SCAN_MIN) has lengths None and a (W, n) idx. Leaves are at depth 0,
+    and a reduction is one deeper than the deepest slot it reads. The
+    reductions of one (depth, op) form one group; inside it, every length
     shared by at least _DENSE_SEGMENTS segments gets a dense reduction of
-    its own, and all other segments share one flat reduction. Groups run by
-    depth and keep evaluation order inside. Returns them as (is_min, idx,
-    starts, seg, out, stop) tuples: vals[out:stop] holds one reduction of
-    vals[idx] per segment. A flat idx is 1-D, with segments beginning at
-    starts and seg mapping entries to segments; a dense idx is (L, n), one
-    column per segment, with starts None and seg Ellipsis.
+    its own, and all other segments share one flat reduction. Every scan is
+    a group of its own. Groups run by depth and keep evaluation order
+    inside. Returns them as (op, idx, starts, seg, out, stop) tuples:
+    vals[out:stop] holds one reduction of vals[idx] per segment, or a
+    scan's output. A flat idx is 1-D, with segments beginning at starts and
+    seg mapping entries to segments; a dense idx is (L, n), one column per
+    segment, with starts None and seg Ellipsis; a scan keeps its (W, n) idx,
+    with starts and seg None.
     """
     depth = np.zeros(size, dtype=np.intp)
     groups = {}
     for red in reductions:
-        is_min, idx, lengths, out = red
-        depth[out : out + lengths.size] = depth[idx].max() + 1
-        groups.setdefault((depth[out], is_min), []).append(red)
+        op, idx, lengths, out = red
+        scan = lengths is None
+        depth[out : out + (idx.size if scan else lengths.size)] = depth[idx].max() + 1
+        groups.setdefault((depth[out], op, out) if scan else (depth[out], op), []).append(red)
     slot, stop, grouped = np.arange(size), n_leaf, []
-    for (_, is_min), members in sorted(groups.items()):
+    for (_, op, *_), members in sorted(groups.items()):
         # every slot read lies in an earlier group, so is already moved
+        if members[0][2] is None:
+            _, idx, _, out = members[0]
+            slot[out : out + idx.size] = np.arange(stop, stop + idx.size)
+            grouped.append((op, slot[idx], None, None, stop, stop + idx.size))
+            stop += idx.size
+            continue
         idx = slot[np.concatenate([red[1].ravel() for red in members])]
         lengths = np.concatenate([red[2] for red in members])
         outs = np.concatenate([out + np.arange(part.size) for _, _, part, out in members])
@@ -468,7 +616,7 @@ def _group(reductions, n_leaf, size):
         for pick, part_idx, part_starts, seg in parts:
             n = int(np.count_nonzero(pick))
             slot[outs[pick]] = np.arange(stop, stop + n)
-            grouped.append((is_min, part_idx, part_starts, seg, stop, stop + n))
+            grouped.append((op, part_idx, part_starts, seg, stop, stop + n))
             stop += n
     return grouped
 
@@ -562,8 +710,8 @@ class _Plan:
                 else:
                     lo, hi = node.interval.lo, node.interval.hi
                     idx = slots(node.child, ts[:, None] + np.arange(lo, hi + 1))
-                is_min = isinstance(node, (And, Always))
-                reductions.append((is_min, idx, np.full(ts.size, idx.shape[1]), size))
+                op = _MIN if isinstance(node, (And, Always)) else _MAX
+                reductions.append((op, idx, np.full(ts.size, idx.shape[1]), size))
                 size += ts.size
             base[id(node)] = size - ts.size
         self.size = size
@@ -573,29 +721,31 @@ class _Plan:
         self.scalars = sum(red[1].size for red in self.groups)
 
     def _add_until(self, reductions, node, ts, classic_until, slots, size):
-        """Append to reductions the three of an until or release node: held
-        windows, (pointwise, held) pairs, and the outer reduction over the
-        pairs; its results go last, after the two scratch blocks."""
+        """Append to reductions the three of an until or release node: a scan
+        of the held operand, (pointwise, held) pairs, and the outer reduction
+        over the pairs; its results go last, after the two scratch blocks."""
         lo, hi = node.interval.lo, node.interval.hi
-        width, first, n = hi - lo + 1, (0 if classic_until else lo), ts.size * (hi - lo + 1)
-        ends = np.arange(lo, hi + 1)
-        # per t, the held windows are the prefixes of first..hi that end at lo..hi
-        held_at = ts[:, None] + np.concatenate([np.arange(first, e + 1) for e in ends])
-        pointwise_at = ts[:, None] + ends
-
+        first = 0 if classic_until else lo
+        n_t, width, rows = ts.size, hi - lo + 1, hi - first + 1
         # the classic convention holds the left operand, the default one the
         # right; a release is the until with min and max swapped
         held, pointwise = (node.left, node.right) if classic_until else (node.right, node.left)
-        inner_min = isinstance(node, Until)
-        windows = slots(held, held_at)
-        pairs = np.stack([slots(pointwise, pointwise_at).ravel(), np.arange(size, size + n)], 1)
-        outer = np.arange(size + n, size + 2 * n)
+        scan, inner, outer = (_SCAN_MIN, _MIN, _MAX) if isinstance(node, Until) else (_SCAN_MAX, _MAX, _MIN)
+        # held block: row j, column c is the held operand at ts[c] + first + j,
+        # so the scan's row e - first is the held history of the pair at
+        # ts[c] + e; pairs and outer run per time, e = lo .. hi
+        block = slots(held, ts + np.arange(first, hi + 1)[:, None])
+        ends = np.arange(lo, hi + 1)
+        history = size + (ends - first) * n_t + np.arange(n_t)[:, None]
+        pairs = np.stack([slots(pointwise, ts[:, None] + ends).ravel(), history.ravel()], 1)
+        pairs_out = size + rows * n_t
+        outer_out = pairs_out + n_t * width
         reductions += [
-            (inner_min, windows, np.tile(ends - first + 1, ts.size), size),
-            (inner_min, pairs, np.full(n, 2), size + n),
-            (not inner_min, outer, np.full(ts.size, width), size + 2 * n),
+            (scan, block, None, size),
+            (inner, pairs, np.full(n_t * width, 2), pairs_out),
+            (outer, np.arange(pairs_out, outer_out), np.full(n_t, width), outer_out),
         ]
-        return size + 2 * n + ts.size
+        return outer_out + n_t
 
     def margins(self, Y):
         """Predicate margins at the rows of Y, one column per predicate.
@@ -617,8 +767,8 @@ class _Plan:
         vals = np.empty(self.size)
         vals[: self.n_leaf] = self.margins(Y)[self.rows, self.cols] * self.signs
         weights = []
-        for is_min, idx, starts, seg, out, stop in self.groups:
-            fn, k = reducers[is_min]
+        for op, idx, starts, seg, out, stop in self.groups:
+            fn, k = reducers[op]
             vals[out:stop], w = fn(vals[idx], starts, seg, k, keep)
             weights.append(w)
         return vals, weights
@@ -629,7 +779,9 @@ class _Plan:
         adjoint = np.zeros(self.size)
         adjoint[self.root] = 1.0
         for (_, idx, _, seg, out, stop), w in zip(reversed(self.groups), reversed(weights)):
-            if seg is ...:  # dense; a 2-D index makes add.at about 3x slower
+            if seg is None:  # a scan; w maps its output adjoints to its entries'
+                np.add.at(adjoint, idx.ravel(), w(adjoint[out:stop].reshape(idx.shape)).ravel())
+            elif seg is ...:  # dense; a 2-D index makes add.at about 3x slower
                 np.add.at(adjoint, idx.ravel(), (w * adjoint[out:stop]).ravel())
             else:
                 np.add.at(adjoint, idx, w * adjoint[out:stop][seg])
@@ -664,11 +816,18 @@ def _plan(phi, classic_until):
     return plan
 
 
-# (min reducer, sharpness) and (max reducer, sharpness) of each semantics
+# the (reducer, sharpness) of each semantics, indexed by op: _MAX, _MIN,
+# _SCAN_MAX, _SCAN_MIN
 _REDUCERS = {
-    "exact": lambda c: {True: (_exact_min, None), False: (_exact_max, None)},
-    "ef": lambda c: {True: (_soft_min, c.k1), False: (_soft_max, c.k2)},
-    "lse": lambda c: {True: (_soft_min, c.k), False: (_lse_max, c.k)},
+    "exact": lambda c: (
+        (_exact_max, None), (_exact_min, None), (_scan_exact_max, None), (_scan_exact_min, None)
+    ),
+    "ef": lambda c: (
+        (_soft_max, c.k2), (_soft_min, c.k1), (_scan_soft_max, c.k2), (_scan_soft_min, c.k1)
+    ),
+    "lse": lambda c: (
+        (_lse_max, c.k), (_soft_min, c.k), (_scan_lse_max, c.k), (_scan_soft_min, c.k)
+    ),
 }
 
 

@@ -7,10 +7,11 @@ conventions, evaluation times past zero, a callable predicate with a
 jacobian, exact ties, magnitudes from 1e-150 to 1e150 and sharpness from
 1e-3 to 1e6, plus fixed formulas that share subformula objects between
 parents. Formulas with a 301-step outer window run the same checks on
-the dense layout that large same-length segment blocks take. Three more
-tests pin the operator counts, the dense/flat layout split and the
-reducer calls per forward pass on the builtin scenarios and a long
-monitoring formula.
+the dense layout that large same-length segment blocks take, and single
+untils and releases with windows up to 300 run them on the prefix scan of
+their held history. Three more tests pin the operator counts, the
+dense/scan/flat layout split and the reducer calls per forward pass on
+the builtin scenarios and a long monitoring formula.
 """
 
 import numpy as np
@@ -196,17 +197,17 @@ def long_cases():
         yield phi, 1, Signal(rng.choice([-1.0, 0.0, 1.0], size=(n, 2)))
 
 
-def dense_groups(phi, classic):
-    """Numbers of dense and flat groups in the plan."""
-    groups = robustness._plan(phi, classic).groups
-    dense = sum(starts is None for _, _, starts, *_ in groups)
-    return dense, len(groups) - dense
+def layout(phi, classic):
+    """Numbers of dense blocks, scans and flat groups in the plan."""
+    segs = [seg for _, _, _, seg, _, _ in robustness._plan(phi, classic).groups]
+    dense, scans = sum(seg is ... for seg in segs), sum(seg is None for seg in segs)
+    return dense, scans, len(segs) - dense - scans
 
 
 def test_dense_blocks_match_the_oracle():
     for phi, t, sig in long_cases():
         for classic in (False, True):
-            assert dense_groups(phi, classic)[0] > 0
+            assert layout(phi, classic)[0] > 0
         for k1, k2 in ((2.0, 0.0), (3.0, 4.0)):
             check_values(phi, t, sig, 3.0, k1, k2)
             config = SemanticsConfig.ef(k1, k2)
@@ -220,6 +221,50 @@ def test_dense_blocks_match_finite_differences():
     for phi, t, sig in list(long_cases())[::2]:
         for classic in (False, True):
             check_gradient(phi, t, sig, 1.0, 0.5, 2.0, classic)
+
+
+def scan_cases():
+    """(formula, time, signal, magnitude) cases with one until or release,
+    whose held history is one scan: both kinds, lo = 0 and lo > 0, windows
+    up to 300, operands that are atoms or reductions, alone or under an
+    outer window (so that the scan has several columns), on 2-D signals of
+    magnitude 1e-150 to 1e150, every other one tie-heavy."""
+    rng = np.random.default_rng(13)
+    windows = [(0, 0), (2, 2), (0, 1), (0, 6), (3, 9), (1, 17), (0, 300), (40, 300)]
+    for i, (lo, hi) in enumerate(windows * 2):
+        s = 10.0 ** rng.uniform(-150, 150)
+        x = scaled(Pred(LinearPredicate((1.0, -0.5), 0.3)), s)
+        y = scaled(Not(Pred(LinearPredicate((0.2, 1.0), -0.1))), s)
+        if i % 4 == 1:
+            x, y = x.eventually(0, 1), y.always(0, 1)
+        phi = x.until(y, lo, hi) if i < len(windows) else y.release(x, lo, hi)
+        if hi < 300:
+            phi = (phi, phi.always(0, 3), phi.eventually(1, 2))[i % 3]
+        t = int(rng.integers(0, 3))
+        n = t + horizon(phi) + 1
+        if i % 2:
+            values = rng.choice([-1.0, 0.0, 1.0], size=(n, 2)) * s
+        else:
+            values = rng.uniform(-5.0, 5.0, size=(n, 2)) * s
+        yield phi, t, Signal(values), s
+
+
+def test_scans_match_the_oracle():
+    rng = np.random.default_rng(14)
+    for phi, t, sig, s in scan_cases():
+        for classic in (False, True):
+            assert layout(phi, classic)[1] == 1
+        k1 = 10.0 ** rng.uniform(-3, 6)
+        k2 = 0.0 if rng.integers(4) == 0 else 10.0 ** rng.uniform(-3, 6)
+        check_values(phi, t, sig, s, k1, k2)
+
+
+def test_scans_match_finite_differences():
+    rng = np.random.default_rng(15)
+    for phi, t, sig, s in scan_cases():
+        kappa1, kappa2 = 10.0 ** rng.uniform(-1, 1, size=2)
+        for classic in (False, True):
+            check_gradient(phi, t, sig, s, kappa1, kappa2, classic)
 
 
 def test_callable_margin_must_be_finite():
@@ -259,7 +304,7 @@ def test_operator_counts_are_pinned():
         "tunnel": (394, 99),
         "charging": (1959, 453),
         "table2_diffdrive": (255, 64),
-        "monitor": (52531, 10828),
+        "monitor": (30476, 10828),
     }
     for name, phi, sig, config in cases:
         with count_operator_evals() as c:
@@ -276,22 +321,24 @@ def test_operator_counts_are_pinned():
 
 
 def test_only_large_same_length_blocks_are_dense():
-    # every block of the monitor formula has 401 or more segments; the
-    # builtins' largest has 186, so their plans stay flat
+    # every block of the monitor formula has 401 or more segments, and its
+    # until's held history is one scan; the builtins' largest block has 186
+    # segments and they have no until, so their plans stay flat
     for name, phi, _, _ in pinned_cases():
-        want = (16, 1) if name == "monitor" else (0, len(robustness._plan(phi, False).groups))
-        assert dense_groups(phi, False) == want, name
+        want = (6, 1, 1) if name == "monitor" else (0, 0, len(robustness._plan(phi, False).groups))
+        assert layout(phi, False) == want, name
 
 
 def test_reducer_calls_are_pinned(monkeypatch):
     # reductions of one kind (min or max) at one dependency depth run as one
-    # flat segmented reduction plus one per dense block, so a pass calls a
-    # reducer once per such group
+    # flat segmented reduction plus one per dense block, and every until or
+    # release runs one scan, so a pass calls a reducer once per such group
     calls = []
-    for name in ("_exact_min", "_exact_max", "_soft_min", "_soft_max", "_lse_max"):
+    reducers = ("_exact_min", "_exact_max", "_soft_min", "_soft_max", "_lse_max")
+    for name in reducers + tuple(f"_scan{name}" for name in reducers):
         fn = getattr(robustness, name)
         monkeypatch.setattr(robustness, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
-    pinned = {"two_target": 6, "tunnel": 6, "charging": 7, "table2_diffdrive": 6, "monitor": 17}
+    pinned = {"two_target": 6, "tunnel": 6, "charging": 7, "table2_diffdrive": 6, "monitor": 8}
     for name, phi, sig, config in pinned_cases():
         for run in (
             lambda: evaluate(phi, sig, 0, EXACT),
