@@ -78,6 +78,14 @@ def _whole(value):
     return int(number)
 
 
+def _convert(key, value, to, what):
+    """to(value), or a ScenarioError naming key if that fails."""
+    try:
+        return to(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{key}: needs {what}, got {value!r}") from None
+
+
 def _pair(value):
     lo, hi = value
     return float(lo), float(hi)
@@ -100,7 +108,7 @@ class ScenarioConfig:
     @param T:              horizon; trajectories have T+1 samples
     @param regions:        named boxes the spec text may reference
     @param spec:           formula source parsed against the regions
-    @param dt:             model sampling period
+    @param dt:             model sampling period, positive
     @param k1, k2:         smooth semantics sharpness
     @param control_weight: effort penalty w in the objective
     @param control_bounds: per-input (lo, hi) pairs or None for unbounded
@@ -142,12 +150,7 @@ class ScenarioConfig:
             return ScenarioError(f"{key}: {why}")
 
         def convert(key, to, what):
-            """Set the field to to(its value), naming the field if that fails."""
-            value = getattr(self, key)
-            try:
-                object.__setattr__(self, key, to(value))
-            except (TypeError, ValueError, OverflowError):
-                raise bad(key, f"needs {what}, got {value!r}") from None
+            object.__setattr__(self, key, _convert(key, getattr(self, key), to, what))
 
         for key in ("T", "restarts", "max_iters", "seed"):
             convert(key, _whole, "a whole number")
@@ -168,6 +171,8 @@ class ScenarioConfig:
         for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt"):
             if not math.isfinite(getattr(self, key)):
                 raise bad(key, "must be finite")
+        if self.dt <= 0:
+            raise bad("dt", "sampling period must be positive")
         if self.k1 <= 0:
             raise bad("k1", "sharpness must be positive")
         if self.k2 < 0:
@@ -535,7 +540,7 @@ def build_problem(config, x0=None, seed=None, **overrides):
     scenario's values; x0 defaults to the fixed start or, for sampling
     scenarios, a draw seeded by the seed in effect.
     """
-    seed = config.seed if seed is None else int(seed)
+    seed = config.seed if seed is None else _convert("seed", seed, _whole, "a whole number")
     if x0 is None:
         x0 = sample_x0(config, _x0_rng(seed))
     fields = dict(

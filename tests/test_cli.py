@@ -283,6 +283,14 @@ class TestSynth:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_nonpositive_sampling_period_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "zero_dt.json"
+        with open(tiny_scenario(tmp_path)) as fh:
+            config.write_text(json.dumps(dict(json.load(fh), dt=0)))
+        code, _, err = run(capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "dt: sampling period must be positive" in err
+
     def test_missing_config_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--config", str(tmp_path / "ghost.json")

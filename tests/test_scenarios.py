@@ -216,6 +216,11 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match=f"^{field}: needs .*, got "):
             ScenarioConfig(**self.base_kwargs(**{field: value}))
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_sampling_period_must_be_positive(self, dt):
+        with pytest.raises(ScenarioError, match="^dt: sampling period must be positive"):
+            ScenarioConfig(**self.base_kwargs(dt=dt))
+
     def test_whole_numbers_may_be_written_as_floats(self):
         config = ScenarioConfig(**self.base_kwargs(T=5.0, seed=7.0))
         assert (config.T, config.seed) == (5, 7)
@@ -368,6 +373,13 @@ class TestBuildProblem:
         config = builtin_scenario("two_target")
         problem = build_problem(config, x0=(1.0, 1.0))
         assert problem.x0 == (1.0, 1.0)
+
+    def test_seed_must_be_a_whole_number(self):
+        config = builtin_scenario("tunnel")
+        with pytest.raises(ScenarioError, match="^seed: needs a whole number, got 1.5"):
+            build_problem(config, seed=1.5)
+        problem = build_problem(config, seed=7.0)
+        assert problem.seed == 7 and type(problem.seed) is int
 
     def test_sampled_x0_follows_the_seed(self):
         config = builtin_scenario("table2_diffdrive")
