@@ -50,9 +50,9 @@ last bit for segments of 8 or more entries. The exact scans are running
 minima and maxima, so exact values are bit-identical to reducing every
 prefix on its own; the soft scans sum in another order (see the scan
 notes below) and agree with reducing each prefix on its own to about
-1e-15 of the inputs' scale. A node
-reached at a time is reduced once at that time, and a scan counts one
-application per prefix, which is what the operator counts measure.
+1e-15 of the inputs' scale. A node reached at a time is reduced once at
+that time, and a scan counts one application per prefix, which is what
+the operator counts measure.
 Every semantics runs the same gathers: a release is smoothed as the dual
 of the until in effect, an outer soft min of inner soft maxes. Plans live
 in a small identity-keyed cache, so a formula evaluated repeatedly is
@@ -627,8 +627,9 @@ class _Plan:
     vals, the flat array a run fills, holds the leaf margins first, then the
     results of each group of reductions (node results and the scratch
     results of until and release) in the order the groups run; every
-    semantics runs the same groups, in order. The root's reduction is the only one at the greatest depth, so it runs last
-    and its result keeps the last slot.
+    semantics runs the same groups, in order. The root's reduction is the
+    only one at the greatest depth, so it runs last and its result keeps
+    the last slot.
     """
 
     def __init__(self, phi, classic_until):
@@ -730,7 +731,8 @@ class _Plan:
         # the classic convention holds the left operand, the default one the
         # right; a release is the until with min and max swapped
         held, pointwise = (node.left, node.right) if classic_until else (node.right, node.left)
-        scan, inner, outer = (_SCAN_MIN, _MIN, _MAX) if isinstance(node, Until) else (_SCAN_MAX, _MAX, _MIN)
+        until = isinstance(node, Until)
+        scan, inner, outer = (_SCAN_MIN, _MIN, _MAX) if until else (_SCAN_MAX, _MAX, _MIN)
         # held block: row j, column c is the held operand at ts[c] + first + j,
         # so the scan's row e - first is the held history of the pair at
         # ts[c] + e; pairs and outer run per time, e = lo .. hi
