@@ -22,9 +22,10 @@ minimum, S_j the running sum and e_i = exp(-k1 (a_i - m_i)),
   B_i = adjoint_i / S_i + exp(-k1 (m_i - m_{i+1})) B_{i+1},
   entry adjoint_i = e_i B_i,
 
-taken by doubling like the forward scan; the soft maximum runs the same
-recurrence on two sums, one for the weights and one for the gap terms of
-its weights below. Neither needs more memory than the forward pass kept.
+taken by doubling like the forward scan. The soft maximum runs the same
+recurrence on two sums, one for each part of its weights (see below):
+the Boltzmann weights, and the weights times the gaps to the soft
+maximum. Neither needs more memory than the forward pass kept.
 
 Weight facts used by tests and by the chain rule through dynamics:
 

@@ -589,8 +589,8 @@ def _group(reductions, n_leaf, size):
     slot, stop, grouped = np.arange(size), n_leaf, []
     for (_, op, *_), members in sorted(groups.items()):
         # every slot read lies in an earlier group, so is already moved
-        if members[0][2] is None:
-            _, idx, _, out = members[0]
+        if members[0][2] is None:  # a scan, a group of its own
+            ((_, idx, _, out),) = members
             slot[out : out + idx.size] = np.arange(stop, stop + idx.size)
             grouped.append((op, slot[idx], None, None, stop, stop + idx.size))
             stop += idx.size
