@@ -40,7 +40,7 @@ from .scenarios import (
     save_scaling_csv,
     scenario_to_json_dict,
 )
-from .svgplot import scene_svg
+from .svgplot import save_scene_svg
 
 __all__ = ["main", "entry"]
 
@@ -179,22 +179,6 @@ def cmd_grad(args):
 # synth
 
 
-def _restart_summary(records):
-    return [
-        {
-            "index": r.index,
-            "rho_exact": float(r.rho_exact),
-            "rho_smooth": float(r.rho_smooth),
-            "objective": float(r.objective),
-            "iterations": r.iterations,
-            "converged": r.converged,
-            "failed": r.failed,
-            "wall_ms": float(r.wall_ms),
-        }
-        for r in records
-    ]
-
-
 def cmd_synth(args):
     with _stage("loading the scenario"):
         config = _load_config(args)
@@ -218,11 +202,8 @@ def cmd_synth(args):
         ctrl_path = out / "controls.csv"
         save_controls_csv(result.u_star, ctrl_path)
         svg_path = out / "scene.svg"
-        svg_path.write_text(
-            scene_svg(
-                config.effective_regions(), [result.y_star.values], title=config.name
-            )
-            + "\n"
+        save_scene_svg(
+            config.effective_regions(), [result.y_star.values], svg_path, title=config.name
         )
         dwell = dwell_steps(config, result.y_star)
         satisfied_runs = sum(
@@ -242,7 +223,7 @@ def cmd_synth(args):
                 "restart_index": result.restart_index,
                 "satisfied_restarts": satisfied_runs,
                 "dwell_steps": dwell,
-                "restarts": _restart_summary(result.restart_records),
+                "restarts": [dataclasses.asdict(r) for r in result.restart_records],
             },
             "timing": {"wall_s": wall_s},
             "files": {
@@ -289,19 +270,7 @@ def cmd_bench(args):
             "config": scenario_to_json_dict(config),
             "trials_requested": args.trials,
             "aggregate": dataclasses.asdict(agg),
-            "records": [
-                {
-                    "trial": r.trial,
-                    "seed": r.seed,
-                    "x0": [float(v) for v in r.x0],
-                    "rho_exact": float(r.rho_exact),
-                    "rho_smooth": float(r.rho_smooth),
-                    "satisfied": r.satisfied,
-                    "iterations": r.iterations,
-                    "wall_ms": float(r.wall_ms),
-                }
-                for r in records
-            ],
+            "records": [dataclasses.asdict(r) for r in records],
             "files": {"bench": str(csv_path)},
         }
         payload["files"]["report"] = _write_report(out, payload)

@@ -325,34 +325,30 @@ def disj(*formulas):
     return Or(tuple(flat))
 
 
+def _operands(phi):
+    """phi's child formulas in field order; a FormulaError for anything
+    that is not a node."""
+    if isinstance(phi, Pred):
+        return ()
+    if isinstance(phi, (Not, Always, Eventually)):
+        return (phi.child,)
+    if isinstance(phi, (And, Or)):
+        return phi.children
+    if isinstance(phi, (Until, Release)):
+        return (phi.left, phi.right)
+    raise FormulaError(f"not a formula node: {type(phi).__name__}")
+
+
 def node_count(phi):
     """Number of AST nodes (predicate atoms count as one node each)."""
-    if isinstance(phi, Pred):
-        return 1
-    if isinstance(phi, Not):
-        return 1 + node_count(phi.child)
-    if isinstance(phi, (And, Or)):
-        return 1 + sum(node_count(c) for c in phi.children)
-    if isinstance(phi, (Always, Eventually)):
-        return 1 + node_count(phi.child)
-    if isinstance(phi, (Until, Release)):
-        return 1 + node_count(phi.left) + node_count(phi.right)
-    raise FormulaError(f"not a formula node: {type(phi).__name__}")
+    return 1 + sum(node_count(c) for c in _operands(phi))
 
 
 def is_nnf(phi):
     """True when negation appears only directly above predicates."""
-    if isinstance(phi, Pred):
-        return True
     if isinstance(phi, Not):
         return isinstance(phi.child, Pred)
-    if isinstance(phi, (And, Or)):
-        return all(is_nnf(c) for c in phi.children)
-    if isinstance(phi, (Always, Eventually)):
-        return is_nnf(phi.child)
-    if isinstance(phi, (Until, Release)):
-        return is_nnf(phi.left) and is_nnf(phi.right)
-    raise FormulaError(f"not a formula node: {type(phi).__name__}")
+    return all(is_nnf(c) for c in _operands(phi))
 
 
 def to_nnf(phi):
@@ -364,47 +360,31 @@ def to_nnf(phi):
     signal, is idempotent under repeated application, and at most
     doubles the node count.
     """
-    return _nnf_pos(phi)
+    return _nnf(phi, False)
 
 
-def _nnf_pos(phi):
+# the kind each connective and temporal operator becomes under negation
+_DUAL = {
+    And: Or, Or: And,
+    Always: Eventually, Eventually: Always,
+    Until: Release, Release: Until,
+}
+
+
+def _nnf(phi, negate):
+    """NNF of phi, or of not phi when negate is set."""
+    operands = _operands(phi)
     if isinstance(phi, Pred):
-        return phi
+        return Not(phi) if negate else phi
     if isinstance(phi, Not):
-        return _nnf_neg(phi.child)
-    if isinstance(phi, And):
-        return conj(*[_nnf_pos(c) for c in phi.children])
-    if isinstance(phi, Or):
-        return disj(*[_nnf_pos(c) for c in phi.children])
-    if isinstance(phi, Always):
-        return Always(phi.interval, _nnf_pos(phi.child))
-    if isinstance(phi, Eventually):
-        return Eventually(phi.interval, _nnf_pos(phi.child))
-    if isinstance(phi, Until):
-        return Until(phi.interval, _nnf_pos(phi.left), _nnf_pos(phi.right))
-    if isinstance(phi, Release):
-        return Release(phi.interval, _nnf_pos(phi.left), _nnf_pos(phi.right))
-    raise FormulaError(f"not a formula node: {type(phi).__name__}")
-
-
-def _nnf_neg(phi):
-    if isinstance(phi, Pred):
-        return Not(phi)
-    if isinstance(phi, Not):
-        return _nnf_pos(phi.child)
-    if isinstance(phi, And):
-        return disj(*[_nnf_neg(c) for c in phi.children])
-    if isinstance(phi, Or):
-        return conj(*[_nnf_neg(c) for c in phi.children])
-    if isinstance(phi, Always):
-        return Eventually(phi.interval, _nnf_neg(phi.child))
-    if isinstance(phi, Eventually):
-        return Always(phi.interval, _nnf_neg(phi.child))
-    if isinstance(phi, Until):
-        return Release(phi.interval, _nnf_neg(phi.left), _nnf_neg(phi.right))
-    if isinstance(phi, Release):
-        return Until(phi.interval, _nnf_neg(phi.left), _nnf_neg(phi.right))
-    raise FormulaError(f"not a formula node: {type(phi).__name__}")
+        return _nnf(phi.child, not negate)
+    kind = _DUAL[type(phi)] if negate else type(phi)
+    operands = [_nnf(c, negate) for c in operands]
+    if kind is And:
+        return conj(*operands)
+    if kind is Or:
+        return disj(*operands)
+    return kind(phi.interval, *operands)
 
 
 def horizon(phi):
@@ -413,17 +393,10 @@ def horizon(phi):
     A signal must provide samples at t .. t+horizon(phi) for evaluation
     at time t to be defined.
     """
-    if isinstance(phi, Pred):
-        return 0
-    if isinstance(phi, Not):
-        return horizon(phi.child)
-    if isinstance(phi, (And, Or)):
-        return max(horizon(c) for c in phi.children)
-    if isinstance(phi, (Always, Eventually)):
-        return phi.interval.hi + horizon(phi.child)
-    if isinstance(phi, (Until, Release)):
-        return phi.interval.hi + max(horizon(phi.left), horizon(phi.right))
-    raise FormulaError(f"not a formula node: {type(phi).__name__}")
+    ahead = max((horizon(c) for c in _operands(phi)), default=0)
+    if isinstance(phi, (Always, Eventually, Until, Release)):
+        return phi.interval.hi + ahead
+    return ahead
 
 
 # Printing. Precedence levels, loosest first: or < and < until/release <

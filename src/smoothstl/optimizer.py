@@ -22,6 +22,7 @@ seed, bit-identical result.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -57,6 +58,14 @@ _MAX_BACKTRACKS = 40
 
 class SynthesisFailure(RuntimeError):
     """Every restart failed to produce a finite trajectory."""
+
+
+def _whole(value):
+    """value as an int, if it is a whole number."""
+    number = value if isinstance(value, numbers.Integral) else float(value)
+    if number != int(number):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -99,14 +108,17 @@ class SynthesisProblem:
             raise ValueError(f"x0 must have length {self.model.n}, got {len(self.x0)}")
         if not is_nnf(self.phi):
             raise ValueError("phi must be in negation normal form; apply to_nnf first")
-        T = int(self.T)
-        object.__setattr__(self, "T", T)
-        if horizon(self.phi) > T:
-            raise ValueError(
-                f"formula looks {horizon(self.phi)} steps ahead but the horizon is T={T}"
-            )
-        if not float(self.control_weight) >= 0:
-            raise ValueError("control_weight must be nonnegative")
+        for key in ("T", "restarts", "seed", "max_iters"):
+            value = getattr(self, key)
+            try:
+                object.__setattr__(self, key, _whole(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{key} must be a whole number, got {value!r}") from None
+        ahead = horizon(self.phi)
+        if ahead > self.T:
+            raise ValueError(f"formula looks {ahead} steps ahead but the horizon is T={self.T}")
+        if not 0 <= float(self.control_weight) < math.inf:
+            raise ValueError("control_weight must be nonnegative and finite")
         object.__setattr__(self, "control_weight", float(self.control_weight))
         if self.control_bounds is not None:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.control_bounds)
@@ -115,15 +127,15 @@ class SynthesisProblem:
             for lo, hi in bounds:
                 if not lo < hi:
                     raise ValueError(f"control bound ({lo}, {hi}) is empty")
+            if not np.isfinite(bounds).all():
+                raise ValueError("control_bounds must be finite")
             object.__setattr__(self, "control_bounds", bounds)
-        if int(self.restarts) < 0:
+        if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        object.__setattr__(self, "restarts", int(self.restarts))
-        if int(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        if not float(self.tolerance) > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < float(self.tolerance) < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         object.__setattr__(self, "tolerance", float(self.tolerance))
         # SemanticsConfig rejects a non-finite or out-of-range sharpness
         config = SemanticsConfig.ef(self.k1, self.k2)

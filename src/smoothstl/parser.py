@@ -36,6 +36,7 @@ from .formula import (
     RegionTable,
     Release,
     Until,
+    _RESERVED_WORDS,
     conj,
     disj,
 )
@@ -189,7 +190,7 @@ class _Parser:
         if tok.kind == "IDENT":
             if _VAR_RE.match(tok.text):
                 return self.parse_predicate()
-            if tok.text in _grammar_words():
+            if tok.text in _RESERVED_WORDS:
                 self.fail(f"unexpected keyword {tok.text!r}")
             self.advance()
             return self._region(tok, complement=False)
@@ -289,10 +290,6 @@ class _Parser:
             sign = -1.0
         tok = self.expect("NUM", "a number")
         return sign * float(tok.text)
-
-
-def _grammar_words():
-    return ("not", "and", "or", "G", "F", "U", "R")
 
 
 def parse(text, regions=None, p=2):

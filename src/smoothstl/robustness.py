@@ -307,10 +307,8 @@ def _soft_max(a, starts, seg, k, keep):
 
 
 def _lse_max(a, starts, seg, k, keep):
-    m = np.maximum.reduce(a) if starts is None else np.maximum.reduceat(a, starts)
-    e = np.exp(-k * np.minimum(m[seg] - a, _EXP_CUTOFF / k))
-    s = np.add.reduce(e) if starts is None else np.add.reduceat(e, starts)
-    return m + np.log(s) / k, None
+    out, _ = _soft_min(-a, starts, seg, k, False)
+    return -out, None
 
 
 # Scans. Each reduces every prefix of the columns of a (W, n) array: row j
@@ -842,9 +840,17 @@ def _forward(phi, signal, t, config, classic_until, keep=False):
     if not isinstance(config, SemanticsConfig):
         raise SemanticsError("config must be a SemanticsConfig")
     signal = as_signal(signal)
+    if type(t) is not int:
+        # a whole float such as 2.0 is fine; 1.5 must not truncate to 1
+        try:
+            whole = int(t) == t
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise SemanticsError(f"evaluation time t must be a whole number, got {t!r}")
+        t = int(t)
     if t < 0:
         raise SemanticsError(f"evaluation time must be nonnegative, got {t}")
-    t = int(t)
     plan = _plan(phi, classic_until)
     need = t + plan.horizon
     if need > signal.T:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,9 +32,11 @@ from .dynamics import builtin_model
 from .formula import FormulaError, RegionTable, horizon, to_nnf
 from .optimizer import (
     DEFAULT_MAX_ITERS,
+    DEFAULT_RESTARTS,
     DEFAULT_TOLERANCE,
     SynthesisFailure,
     SynthesisProblem,
+    _whole,
     synthesize,
 )
 from .parser import ParseError, parse
@@ -68,14 +69,6 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario configs; names the offending key."""
-
-
-def _whole(value):
-    """value as an int, if it is a whole number."""
-    number = value if isinstance(value, numbers.Integral) else float(value)
-    if number != int(number):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(number)
 
 
 def _convert(key, value, to, what):
@@ -138,7 +131,7 @@ class ScenarioConfig:
     x0: tuple | None = None
     x0_box: tuple | None = None
     theta0_range: tuple | None = None
-    restarts: int = 10
+    restarts: int = DEFAULT_RESTARTS
     seed: int = 0
     obstacle_inflation: float = 0.0
     max_iters: int = DEFAULT_MAX_ITERS
@@ -168,7 +161,7 @@ class ScenarioConfig:
                 raise bad("regions", exc) from None
         if self.T < 1:
             raise bad("T", "horizon must be at least 1")
-        for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt"):
+        for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt", "tolerance"):
             if not math.isfinite(getattr(self, key)):
                 raise bad(key, "must be finite")
         if self.dt <= 0:
@@ -211,6 +204,10 @@ class ScenarioConfig:
                 raise bad("theta0_range", "needs lo <= hi")
         elif self.model == "differential_drive" and self.x0_box is not None:
             raise bad("theta0_range", "required when sampling differential_drive starts")
+        for key in ("control_bounds", "x0", "x0_box", "theta0_range"):
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value).all():
+                raise bad(key, "must be finite")
 
         if self.restarts < 0:
             raise bad("restarts", "must be nonnegative")
@@ -242,77 +239,36 @@ class ScenarioConfig:
         return to_nnf(parse(self.spec, self.effective_regions(), p=model.p))
 
 
-# JSON layout: one object, one key per field. regions is nested as
-# {name: {dim: [lo, hi]}}. Keys absent from the file take the dataclass
-# defaults; unknown keys are rejected rather than ignored.
-
-_REQUIRED_KEYS = ("model", "T", "regions", "spec")
-_OPTIONAL_KEYS = (
-    "name",
-    "dt",
-    "k1",
-    "k2",
-    "control_weight",
-    "control_bounds",
-    "x0",
-    "x0_box",
-    "theta0_range",
-    "restarts",
-    "seed",
-    "obstacle_inflation",
-    "max_iters",
-    "tolerance",
-    "hard_clamp",
-)
+# JSON layout: one object, one key per field, in field order. regions is
+# nested as {name: {dim: [lo, hi]}} and None fields are left out. Keys
+# absent from the file take the dataclass defaults; unknown keys are
+# rejected rather than ignored.
 
 
 def scenario_from_json_dict(data, name=None):
     if not isinstance(data, dict):
         raise ScenarioError("config must be a JSON object")
-    for key in _REQUIRED_KEYS:
-        if key not in data:
-            raise ScenarioError(f"missing key {key!r}")
+    fields = dataclasses.fields(ScenarioConfig)
+    for f in fields:
+        if f.name != "name" and f.default is dataclasses.MISSING and f.name not in data:
+            raise ScenarioError(f"missing key {f.name!r}")
+    known = {f.name for f in fields}
     for key in data:
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
+        if key not in known:
             raise ScenarioError(f"unknown key {key!r}")
-    fields = dict(data)
-    try:
-        fields["regions"] = RegionTable.from_json_dict(fields["regions"])
-    except FormulaError as exc:
-        raise ScenarioError(f"regions: {exc}") from None
-    fields.setdefault("name", name or "scenario")
-    try:
-        return ScenarioConfig(**fields)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from None
+    return ScenarioConfig(**{"name": name or "scenario", **data})
 
 
 def scenario_to_json_dict(config):
-    out = {
-        "name": config.name,
-        "model": config.model,
-        "dt": config.dt,
-        "T": config.T,
-        "regions": config.regions.to_json_dict(),
-        "spec": config.spec,
-        "k1": config.k1,
-        "k2": config.k2,
-        "control_weight": config.control_weight,
-        "restarts": config.restarts,
-        "seed": config.seed,
-        "obstacle_inflation": config.obstacle_inflation,
-        "max_iters": config.max_iters,
-        "tolerance": config.tolerance,
-        "hard_clamp": config.hard_clamp,
-    }
-    if config.control_bounds is not None:
-        out["control_bounds"] = [list(pair) for pair in config.control_bounds]
-    if config.x0 is not None:
-        out["x0"] = list(config.x0)
-    if config.x0_box is not None:
-        out["x0_box"] = [list(pair) for pair in config.x0_box]
-    if config.theta0_range is not None:
-        out["theta0_range"] = list(config.theta0_range)
+    out = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, RegionTable):
+            value = value.to_json_dict()
+        elif isinstance(value, tuple):
+            value = [list(v) if isinstance(v, tuple) else v for v in value]
+        if value is not None:
+            out[f.name] = value
     return out
 
 
@@ -396,7 +352,10 @@ def _charging_spec(n, counts):
         dwell = _CHARGING_DWELLS[row]
         hi = min(hi, n - dwell)
         if hi < lo:
-            raise ScenarioError(f"T: horizon {n} cannot fit service window {row + 1}")
+            raise ScenarioError(
+                f"T: horizon {n} is too short for service window {row + 1}; "
+                f"need at least {lo + dwell}"
+            )
         names = " or ".join(f"chg{row + 1}_{j + 1}" for j in range(count))
         if count > 1:
             names = f"({names})"
@@ -405,21 +364,6 @@ def _charging_spec(n, counts):
     parts.append(f"G[0,{n}] not ({avoid})")
     parts.append(f"G[0,{n}] ubox")
     return " and ".join(parts)
-
-
-def _single_station_spec(n):
-    # the length-scaling variant: keep only the first cluster's first
-    # station, cap its service window so the dwell still fits
-    lo, hi = _CHARGING_WINDOWS[0]
-    dwell = _CHARGING_DWELLS[0]
-    hi = min(hi, n - dwell)
-    if hi < lo:
-        raise ScenarioError(f"horizon {n} is too short for the dwell; need at least {lo + dwell + 1}")
-    avoid = " or ".join(sorted(r for r in _CHARGING_FIXED_REGIONS if r.startswith("obs")))
-    return (
-        f"F[0,{n}] goal and F[{lo},{hi}] G[0,{dwell}] chg1_1"
-        f" and G[0,{n}] not ({avoid}) and G[0,{n}] ubox"
-    )
 
 
 def _two_target():
@@ -543,20 +487,16 @@ def build_problem(config, x0=None, seed=None, **overrides):
     seed = config.seed if seed is None else _convert("seed", seed, _whole, "a whole number")
     if x0 is None:
         x0 = sample_x0(config, _x0_rng(seed))
-    fields = dict(
+    # the knobs both classes declare carry over by name
+    knobs = {f.name for f in dataclasses.fields(SynthesisProblem)}
+    fields = {
+        f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name in knobs
+    }
+    fields.update(
         model=config.system_model(),
         x0=tuple(np.asarray(x0, dtype=float).reshape(-1)),
         phi=config.formula(),
-        T=config.T,
-        k1=config.k1,
-        k2=config.k2,
-        control_weight=config.control_weight,
-        control_bounds=config.control_bounds,
-        hard_clamp=config.hard_clamp,
-        restarts=config.restarts,
         seed=seed,
-        max_iters=config.max_iters,
-        tolerance=config.tolerance,
     )
     unknown = set(overrides) - set(fields)
     if unknown:
@@ -788,7 +728,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
             base,
             name=f"{base.name}_n{n}",
             T=n,
-            spec=_single_station_spec(n),
+            spec=_charging_spec(n, (1,)),
             restarts=restarts,
             max_iters=max_iters,
         )

@@ -5,6 +5,7 @@ subprocess to prove the installed entry point resolves. Commands write
 into tmp_path so runs stay hermetic.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -15,8 +16,9 @@ import pytest
 
 from smoothstl.cli import main
 from smoothstl.gradient import load_gradient_csv
+from smoothstl.optimizer import RestartRecord
 from smoothstl.robustness import Signal, load_signal_csv, save_signal_csv
-from smoothstl.scenarios import ScenarioConfig, save_scenario
+from smoothstl.scenarios import BenchRecord, ScenarioConfig, save_scenario
 
 
 def run(capsys, *argv):
@@ -291,6 +293,31 @@ class TestSynth:
         assert code == 2
         assert "dt: sampling period must be positive" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("control_bounds", [[-1.0, 1.0], [-math.inf, 1.0]]),
+        ("x0", [0.0, math.inf]),
+    ])
+    def test_infinite_config_entries_exit_two(self, capsys, tmp_path, key, value):
+        config = tmp_path / "infinite.json"
+        with open(tiny_scenario(tmp_path)) as fh:
+            config.write_text(json.dumps(dict(json.load(fh), **{key: value})))
+        assert "Infinity" in config.read_text()
+        code, _, err = run(
+            capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert f"{key}: must be finite" in err
+
+    def test_restart_entries_are_restart_records(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "synth", "--config", tiny_scenario(tmp_path),
+            "--out", str(tmp_path / "run"), "--json",
+        )
+        fields = [f.name for f in dataclasses.fields(RestartRecord)]
+        restarts = json.loads(out)["result"]["restarts"]
+        assert len(restarts) == 2
+        assert all(list(entry) == fields for entry in restarts)
+
     def test_missing_config_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--config", str(tmp_path / "ghost.json")
@@ -316,6 +343,18 @@ class TestBench:
         assert len(lines) == 3
         assert lines[0].startswith("trial,seed,")
         assert (out_dir / "report.json").exists()
+
+    def test_records_are_bench_records(self, capsys, tmp_path):
+        config = tiny_scenario(tmp_path, max_iters=5)
+        code, out, _ = run(
+            capsys, "bench", "--config", config, "--trials", "2",
+            "--out", str(tmp_path / "bench"), "--json",
+        )
+        assert code == 0
+        fields = [f.name for f in dataclasses.fields(BenchRecord)]
+        records = json.loads(out)["records"]
+        assert len(records) == 2
+        assert all(list(record) == fields for record in records)
 
 
 class TestScale:

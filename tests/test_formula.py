@@ -220,6 +220,14 @@ class TestNodeCount:
         assert node_count(a.until(b | c, 0, 1)) == 5
 
 
+@pytest.mark.parametrize("walk", [node_count, is_nnf, to_nnf, horizon])
+def test_traversals_reject_a_non_node(walk):
+    with pytest.raises(FormulaError, match="^not a formula node: LinearPredicate$"):
+        walk(atoms()[0].predicate)
+    with pytest.raises(FormulaError, match="^not a formula node: str$"):
+        walk("G[0,1] y0 >= 0")
+
+
 class TestFormatFormula:
     def test_reads_like_the_grammar(self):
         table = RegionTable({"goal": {0: (2.5, 3.5)}})

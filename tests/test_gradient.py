@@ -93,6 +93,16 @@ class TestEvalWithGradient:
         assert_allclose(result.value, -math.log(2.0), rtol=1e-15)
         assert_allclose(result.dsignal, [[0.5], [0.5]], rtol=1e-15)
 
+    def test_fractional_time_is_rejected(self):
+        phi = parse("F[0,2] y0 >= 1", p=1)
+        sig = Signal([0.0, 1.0, 2.0, 3.0, 4.0])
+        for run in (evaluate, eval_with_gradient, finite_difference_gradient):
+            with pytest.raises(SemanticsError, match="time t must be a whole number, got 1.5"):
+                run(phi, sig, 1.5, EF)
+        # a whole float is the same time as the int
+        assert evaluate(phi, sig, 2.0, EF) == evaluate(phi, sig, 2, EF)
+        assert eval_with_gradient(phi, sig, 2.0, EF).value == evaluate(phi, sig, 2, EF)
+
     def test_value_bit_identical_to_evaluate(self):
         rng = np.random.default_rng(72)
         for _ in range(60):

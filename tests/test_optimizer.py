@@ -76,6 +76,33 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="tolerance"):
             reach_problem(tolerance=0.0)
 
+    @pytest.mark.parametrize("key,value", [
+        ("T", 10.7), ("restarts", 2.5), ("max_iters", 3.9), ("seed", 1.5), ("seed", "one"),
+    ])
+    def test_counts_must_be_whole_numbers(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a whole number, got {value!r}"):
+            reach_problem(**{key: value})
+
+    def test_whole_floats_become_ints(self):
+        problem = reach_problem(T=4.0, restarts=2.0, max_iters=3.0, seed=1.0)
+        knobs = (problem.T, problem.restarts, problem.max_iters, problem.seed)
+        assert knobs == (4, 2, 3, 1)
+        assert all(type(v) is int for v in knobs)
+
+    def test_infinite_control_weight_is_rejected(self):
+        with pytest.raises(ValueError, match="^control_weight must be nonnegative and finite"):
+            reach_problem(control_weight=float("inf"))
+
+    def test_infinite_tolerance_is_rejected(self):
+        # it would stop every ascent at its start
+        with pytest.raises(ValueError, match="^tolerance must be positive and finite"):
+            reach_problem(tolerance=float("inf"))
+
+    @pytest.mark.parametrize("pair", [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf)])
+    def test_control_bounds_must_be_finite(self, pair):
+        with pytest.raises(ValueError, match="^control_bounds must be finite"):
+            reach_problem(control_bounds=(pair, (-1.0, 1.0)))
+
     def test_sharpness_must_be_finite(self):
         with pytest.raises(SemanticsError, match="k1 must be positive and finite"):
             reach_problem(k1=float("inf"))

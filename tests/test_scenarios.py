@@ -194,10 +194,25 @@ class TestConfigValidation:
         ("spec", "F[0,9] goal", "T"),
         ("control_bounds", ((-1.0, 1.0),), "control_bounds"),
         ("theta0_range", (0.0, 1.0), "theta0_range"),
+        ("control_bounds", ((-1.0, math.inf), (-1.0, 1.0)), "control_bounds"),
+        ("x0", (0.0, math.inf), "x0"),
+        ("tolerance", math.inf, "tolerance"),
     ])
     def test_errors_name_the_key(self, field, value, key):
         with pytest.raises(ScenarioError, match=f"^{key}:"):
             ScenarioConfig(**self.base_kwargs(**{field: value}))
+
+    @pytest.mark.parametrize("field,value", [
+        ("x0_box", ((0.0, 1.0), (-math.inf, 1.0))),
+        ("theta0_range", (0.0, math.inf)),
+    ])
+    def test_nonfinite_sampling_ranges_name_the_key(self, field, value):
+        kwargs = self.base_kwargs(
+            model="differential_drive", x0=None,
+            x0_box=((0.0, 1.0), (0.0, 1.0)), theta0_range=(0.0, 6.28),
+        )
+        with pytest.raises(ScenarioError, match=f"^{field}: must be finite"):
+            ScenarioConfig(**dict(kwargs, **{field: value}))
 
     @pytest.mark.parametrize("field,value", [
         ("T", "abc"),
@@ -278,6 +293,30 @@ class TestJsonRoundTrip:
         path = tmp_path / f"{name}.json"
         save_scenario(config, path)
         assert load_scenario(path) == config
+
+    def test_every_optional_field_survives_the_round_trip(self, tmp_path):
+        config = ScenarioConfig(
+            name="every_knob", model="differential_drive", T=8,
+            regions={
+                "goal": {0: (1.0, 2.0), 1: (1.0, 2.0)},
+                "obs": {0: (3.0, 4.0), 1: (3.0, 4.0)},
+            },
+            spec="F[0,8] goal and G[0,8] not obs", dt=0.5, k1=3.0, k2=4.0,
+            control_weight=0.02, control_bounds=((-1.0, 1.0), (-2.0, 2.0)),
+            x0_box=((0.0, 0.5), (0.0, 0.5)), theta0_range=(0.0, 1.0), restarts=1, seed=3,
+            obstacle_inflation=0.1, max_iters=30, tolerance=1e-5, hard_clamp=True,
+        )
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(ScenarioConfig)
+            if f.default is not dataclasses.MISSING
+        }
+        assert [k for k, v in defaults.items() if getattr(config, k) == v] == ["x0"]
+        path = tmp_path / "every_knob.json"
+        save_scenario(config, path)
+        assert load_scenario(path) == config
+        assert list(json.loads(path.read_text())) == [
+            f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "x0"
+        ]
 
     def test_defaults_are_applied(self):
         config = scenario_from_json_dict({
