@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -64,10 +63,14 @@ def _stage(name):
 
 
 def _read_spec_arg(raw):
+    """The text of the file raw names, else raw itself; text the OS rejects
+    as a path name (too long, say) is formula text."""
     path = Path(raw)
-    if path.is_file():
-        return path.read_text()
-    return raw
+    try:
+        is_file = path.is_file()
+    except OSError:
+        return raw
+    return path.read_text() if is_file else raw
 
 
 def _load_regions(raw):
@@ -191,9 +194,7 @@ def cmd_synth(args):
         }
         problem = build_problem(config, seed=config.seed, **overrides)
     with _stage("synthesizing"):
-        start = time.perf_counter()
         result = synthesize(problem)
-        wall_s = time.perf_counter() - start
     with _stage("writing outputs"):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -225,7 +226,7 @@ def cmd_synth(args):
                 "dwell_steps": dwell,
                 "restarts": [dataclasses.asdict(r) for r in result.restart_records],
             },
-            "timing": {"wall_s": wall_s},
+            "timing": {"wall_s": result.wall_time},
             "files": {
                 "trajectory": str(traj_path),
                 "controls": str(ctrl_path),
@@ -240,7 +241,7 @@ def cmd_synth(args):
         f"restarts: {runs} runs, {satisfied_runs} satisfied, "
         f"best is restart {result.restart_index}",
         f"rho_exact {result.rho_exact!r}  rho_smooth {result.rho_smooth!r}  "
-        f"({result.iterations} iterations, {wall_s:.2f}s)",
+        f"({result.iterations} iterations, {result.wall_time:.2f}s)",
         f"dwell steps {dwell} of {config.T + 1}",
         f"wrote trajectory.csv controls.csv scene.svg report.json in {out}",
     ]

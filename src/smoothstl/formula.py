@@ -170,7 +170,7 @@ class Interval:
 
 
 class _Formula:
-    """Shared connective sugar for all node kinds."""
+    """Shared connective sugar and operand check for all node kinds."""
 
     __slots__ = ()
 
@@ -198,6 +198,10 @@ class _Formula:
     def __str__(self):
         return format_formula(self)
 
+    def __post_init__(self):
+        for operand in _operands(self):
+            _require_formula(operand, f"{type(self).__name__} operand")
+
 
 def _require_formula(x, what="operand"):
     if not isinstance(x, _Formula):
@@ -217,9 +221,6 @@ class Pred(_Formula):
 @dataclass(frozen=True)
 class Not(_Formula):
     child: "Formula"
-
-    def __post_init__(self):
-        _require_formula(self.child, "negation operand")
 
 
 def _check_connective_children(children, kind):
@@ -256,17 +257,11 @@ class Always(_Formula):
     interval: Interval
     child: "Formula"
 
-    def __post_init__(self):
-        _require_formula(self.child, "always operand")
-
 
 @dataclass(frozen=True)
 class Eventually(_Formula):
     interval: Interval
     child: "Formula"
-
-    def __post_init__(self):
-        _require_formula(self.child, "eventually operand")
 
 
 @dataclass(frozen=True)
@@ -275,20 +270,12 @@ class Until(_Formula):
     left: "Formula"
     right: "Formula"
 
-    def __post_init__(self):
-        _require_formula(self.left, "until operand")
-        _require_formula(self.right, "until operand")
-
 
 @dataclass(frozen=True)
 class Release(_Formula):
     interval: Interval
     left: "Formula"
     right: "Formula"
-
-    def __post_init__(self):
-        _require_formula(self.left, "release operand")
-        _require_formula(self.right, "release operand")
 
 
 Formula = Union[Pred, Not, And, Or, Always, Eventually, Until, Release]

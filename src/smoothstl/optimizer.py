@@ -22,7 +22,6 @@ seed, bit-identical result.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +30,7 @@ import numpy as np
 from .dynamics import RolloutDivergence, rollout, rollout_with_sensitivities
 from .formula import horizon, is_nnf
 from .gradient import eval_with_gradient
-from .robustness import EXACT, SemanticsConfig, evaluate
+from .robustness import EXACT, SemanticsConfig, _whole, evaluate
 
 __all__ = [
     "SynthesisFailure",
@@ -58,14 +57,6 @@ _MAX_BACKTRACKS = 40
 
 class SynthesisFailure(RuntimeError):
     """Every restart failed to produce a finite trajectory."""
-
-
-def _whole(value):
-    """value as an int, if it is a whole number."""
-    number = value if isinstance(value, numbers.Integral) else float(value)
-    if number != int(number):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(number)
 
 
 @dataclass(frozen=True)
@@ -109,11 +100,7 @@ class SynthesisProblem:
         if not is_nnf(self.phi):
             raise ValueError("phi must be in negation normal form; apply to_nnf first")
         for key in ("T", "restarts", "seed", "max_iters"):
-            value = getattr(self, key)
-            try:
-                object.__setattr__(self, key, _whole(value))
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"{key} must be a whole number, got {value!r}") from None
+            object.__setattr__(self, key, _whole(getattr(self, key), key))
         ahead = horizon(self.phi)
         if ahead > self.T:
             raise ValueError(f"formula looks {ahead} steps ahead but the horizon is T={self.T}")
@@ -244,17 +231,16 @@ def _lbfgs_direction(g, pairs):
     return (-q).reshape(g.shape)
 
 
-def _ascend(evaluate_obj, u0, problem):
-    """Maximize J from u0; returns (u, J, g, trace, iterations, converged).
+def _ascend(problem, u0):
+    """Maximize J from u0; returns (u, J, trace, iterations, converged).
 
-    evaluate_obj returns (J, dJ) or raises RolloutDivergence; a divergence
-    at the start marks the ascent failed, one inside the line search just
-    rejects that step length.
+    A divergence of the rollout at the start marks the ascent failed
+    (None), one inside the line search just rejects that step length.
     """
     bounds = problem.control_bounds if problem.hard_clamp else None
     u = _clamp(np.asarray(u0, dtype=float), bounds)
     try:
-        J, g = evaluate_obj(u)
+        J, g = objective(problem, u)
     except RolloutDivergence:
         return None
     if not (math.isfinite(J) and np.isfinite(g).all()):
@@ -280,7 +266,7 @@ def _ascend(evaluate_obj, u0, problem):
             cand = _clamp(u + alpha * d, bounds)
             gain = float(np.sum(g * (cand - u)))
             try:
-                Jc, gc = evaluate_obj(cand)
+                Jc, gc = objective(problem, cand)
             except RolloutDivergence:
                 alpha *= 0.5
                 continue
@@ -303,7 +289,7 @@ def _ascend(evaluate_obj, u0, problem):
         iterations = it + 1
         if step < 1e-14:
             break
-    return u, J, g, trace, iterations, converged
+    return u, J, trace, iterations, converged
 
 
 def _initial_controls(problem):
@@ -322,8 +308,11 @@ def _initial_controls(problem):
 
 
 def _run_restart(problem, index, u0):
+    """One ascent from u0, scored exactly and smoothly at problem's
+    sharpness; returns (record, (u, y, trace)), or (record, None) when it
+    diverged."""
     start = time.perf_counter()
-    outcome = _ascend(lambda u: objective(problem, u), u0, problem)
+    outcome = _ascend(problem, u0)
     wall_ms = (time.perf_counter() - start) * 1e3
     if outcome is None:
         record = RestartRecord(
@@ -332,7 +321,7 @@ def _run_restart(problem, index, u0):
             wall_ms=wall_ms, failed=True,
         )
         return record, None
-    u, J, _, trace, iterations, converged = outcome
+    u, J, trace, iterations, converged = outcome
     y = rollout(problem.model, problem.x0, u)
     rho_exact = evaluate(problem.phi, y, 0, EXACT, problem.classic_until)
     rho_smooth = evaluate(problem.phi, y, 0, problem.config, problem.classic_until)
@@ -387,7 +376,8 @@ def k_continuation(problem, k_schedule):
     The first stage is a full synthesize() at the smallest sharpness; each
     later stage runs a single ascent warm-started from the previous
     stage's winner with k1 = k2 = k. The result reports robustness at the
-    final sharpness. A one-element schedule is exactly synthesize().
+    final sharpness; its restart_index and restart_records describe the
+    first stage. A one-element schedule is exactly synthesize().
     """
     ks = [float(k) for k in k_schedule]
     if not ks:
@@ -398,51 +388,42 @@ def k_continuation(problem, k_schedule):
         raise ValueError("k_schedule must be strictly increasing")
 
     start = time.perf_counter()
-    stage_problem = replace(problem, k1=ks[0], k2=ks[0])
-    result = synthesize(stage_problem)
+    first = synthesize(replace(problem, k1=ks[0], k2=ks[0]))
     if len(ks) == 1:
-        return result
+        return first
 
     stages = [
         ContinuationStage(
-            k=ks[0], u_init=None, u_star=result.u_star,
-            rho_exact=result.rho_exact, iterations=result.iterations,
+            k=ks[0], u_init=None, u_star=first.u_star,
+            rho_exact=first.rho_exact, iterations=first.iterations,
         )
     ]
-    u = result.u_star
-    trace = list(result.objective_trace)
-    iterations = result.iterations
+    trace = list(first.objective_trace)
     for k in ks[1:]:
-        stage_problem = replace(problem, k1=k, k2=k)
-        outcome = _ascend(lambda v: objective(stage_problem, v), u, stage_problem)
-        if outcome is None:
+        u_init = stages[-1].u_star
+        record, payload = _run_restart(replace(problem, k1=k, k2=k), len(stages), u_init)
+        if record.failed:
             raise SynthesisFailure(f"continuation stage k={k} diverged from its warm start")
-        u_init = u
-        u, J, _, stage_trace, stage_iters, _ = outcome
-        y = rollout(stage_problem.model, stage_problem.x0, u)
-        rho_exact = evaluate(stage_problem.phi, y, 0, EXACT, stage_problem.classic_until)
+        u, y, stage_trace = payload
         stages.append(
             ContinuationStage(
-                k=k, u_init=u_init, u_star=u, rho_exact=rho_exact, iterations=stage_iters
+                k=k, u_init=u_init, u_star=u,
+                rho_exact=record.rho_exact, iterations=record.iterations,
             )
         )
         trace.extend(stage_trace)
-        iterations += stage_iters
 
-    final_problem = replace(problem, k1=ks[-1], k2=ks[-1])
-    y = rollout(final_problem.model, final_problem.x0, u)
-    rho_exact = evaluate(final_problem.phi, y, 0, EXACT, final_problem.classic_until)
-    rho_smooth = evaluate(final_problem.phi, y, 0, final_problem.config, final_problem.classic_until)
-    return SynthesisResult(
+    # the last stage ran at ks[-1] on the reported controls, so its record
+    # already holds the final robustness
+    return replace(
+        first,
         u_star=u,
         y_star=y,
-        rho_smooth=rho_smooth,
-        rho_exact=rho_exact,
-        satisfied=rho_exact > 0.0,
-        iterations=iterations,
+        rho_smooth=record.rho_smooth,
+        rho_exact=record.rho_exact,
+        satisfied=record.rho_exact > 0.0,
+        iterations=sum(s.iterations for s in stages),
         objective_trace=trace,
         wall_time=time.perf_counter() - start,
-        restart_index=result.restart_index,
-        restart_records=result.restart_records,
         stages=stages,
     )

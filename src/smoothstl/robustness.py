@@ -165,6 +165,18 @@ def as_signal(signal):
     return signal if isinstance(signal, Signal) else Signal(signal)
 
 
+def _whole(value, name="value", error=ValueError):
+    """value as an int, if it is a whole number: 2.0 passes, and 2.5 never
+    truncates to 2."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return number
+
+
 def _sharpness(value, name, allow_zero, error=ValueError):
     """value as a float, if it is finite and positive (or zero when allowed)."""
     k = float(value)
@@ -497,7 +509,7 @@ def lse_max(a, k):
 
 def min_error_bound(m, k1):
     """Worst-case gap  min(a) - smooth_min(a, k1)  over m arguments."""
-    m = int(m)
+    m = _whole(m, "m")
     if m < 1:
         raise ValueError("m must be at least 1")
     return math.log(m) / _sharpness(k1, "k1", allow_zero=False)
@@ -841,14 +853,7 @@ def _forward(phi, signal, t, config, classic_until, keep=False):
         raise SemanticsError("config must be a SemanticsConfig")
     signal = as_signal(signal)
     if type(t) is not int:
-        # a whole float such as 2.0 is fine; 1.5 must not truncate to 1
-        try:
-            whole = int(t) == t
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole:
-            raise SemanticsError(f"evaluation time t must be a whole number, got {t!r}")
-        t = int(t)
+        t = _whole(t, "evaluation time t", SemanticsError)
     if t < 0:
         raise SemanticsError(f"evaluation time must be nonnegative, got {t}")
     plan = _plan(phi, classic_until)

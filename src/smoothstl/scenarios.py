@@ -36,11 +36,10 @@ from .optimizer import (
     DEFAULT_TOLERANCE,
     SynthesisFailure,
     SynthesisProblem,
-    _whole,
     synthesize,
 )
 from .parser import ParseError, parse
-from .robustness import EXACT, _read_table, count_operator_evals, evaluate
+from .robustness import EXACT, _read_table, _whole, count_operator_evals, evaluate
 
 __all__ = [
     "ScenarioError",
@@ -174,6 +173,11 @@ class ScenarioConfig:
             raise bad("control_weight", "must be nonnegative")
         if self.obstacle_inflation < 0:
             raise bad("obstacle_inflation", "must be nonnegative")
+        if self.tolerance <= 0:
+            raise bad("tolerance", "must be positive")
+        # a string such as "false" is truthy and would turn clamping on
+        if self.hard_clamp not in (True, False):
+            raise bad("hard_clamp", f"needs true or false, got {self.hard_clamp!r}")
         if self.control_bounds is not None:
             convert("control_bounds", _pairs, "(lo, hi) pairs of numbers")
             if len(self.control_bounds) != model.m:
@@ -533,7 +537,7 @@ def dwell_steps(config, signal):
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One synthesis trial; failed trials keep NaN robustness fields."""
+    """One synthesis trial; failed trials keep NaN robustness and wall_ms."""
 
     trial: int
     seed: int
@@ -565,25 +569,15 @@ class BenchAggregate:
 
 def _run_trial(config, trial):
     seed = config.seed + trial
-    x0 = sample_x0(config, _x0_rng(seed))
-    start = time.perf_counter()
+    problem = build_problem(config, seed=seed)
     try:
-        result = synthesize(build_problem(config, x0=x0, seed=seed))
+        result = synthesize(problem)
+        outcome = (result.rho_exact, result.rho_smooth, result.satisfied,
+                   result.iterations, result.wall_time * 1e3)
     except SynthesisFailure:
-        wall_ms = (time.perf_counter() - start) * 1e3
-        return BenchRecord(trial, seed, tuple(x0), float("nan"), float("nan"),
-                           False, 0, wall_ms)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return BenchRecord(
-        trial=trial,
-        seed=seed,
-        x0=tuple(x0),
-        rho_exact=result.rho_exact,
-        rho_smooth=result.rho_smooth,
-        satisfied=result.satisfied,
-        iterations=result.iterations,
-        wall_ms=wall_ms,
-    )
+        nan = float("nan")
+        outcome = (nan, nan, False, 0, nan)
+    return BenchRecord(trial, seed, problem.x0, *outcome)
 
 
 def run_bench(config, trials, time_budget_s=None):
@@ -593,7 +587,7 @@ def run_bench(config, trials, time_budget_s=None):
     new trial starts once it is spent; the trial in progress always
     finishes and at least one trial always runs.
     """
-    trials = int(trials)
+    trials = _convert("trials", trials, _whole, "a whole number")
     if trials < 1:
         raise ScenarioError("trials must be at least 1")
     start = time.perf_counter()
@@ -700,14 +694,13 @@ class ScalingRecord:
     rho_exact: float
 
 
-def _measure(config):
+def _measure(sweep, value, config):
     problem = build_problem(config)
     with count_operator_evals() as counter:
-        start = time.perf_counter()
         result = synthesize(problem)
-        wall_ms = (time.perf_counter() - start) * 1e3
     per_forward = counter.scalars / counter.forwards if counter.forwards else float("nan")
-    return wall_ms, per_forward, counter.forwards, result
+    return ScalingRecord(sweep, value, result.wall_time * 1e3, per_forward, counter.forwards,
+                         result.iterations, result.rho_exact)
 
 
 def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
@@ -723,7 +716,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
     base = builtin_scenario("charging") if base is None else base
     records = []
     for n in n_values:
-        n = int(n)
+        n = _convert("n_values", n, _whole, "whole numbers")
         cfg = dataclasses.replace(
             base,
             name=f"{base.name}_n{n}",
@@ -732,13 +725,9 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
             restarts=restarts,
             max_iters=max_iters,
         )
-        wall_ms, per_forward, forwards, result = _measure(cfg)
-        records.append(
-            ScalingRecord("N", n, wall_ms, per_forward, forwards,
-                          result.iterations, result.rho_exact)
-        )
+        records.append(_measure("N", n, cfg))
     for p in p_values:
-        p = int(p)
+        p = _convert("p_values", p, _whole, "whole numbers")
         if p < 1:
             raise ScenarioError(f"station count must be positive, got {p}")
         counts = (p, p, p)
@@ -757,11 +746,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
             restarts=restarts,
             max_iters=max_iters,
         )
-        wall_ms, per_forward, forwards, result = _measure(cfg)
-        records.append(
-            ScalingRecord("P", p, wall_ms, per_forward, forwards,
-                          result.iterations, result.rho_exact)
-        )
+        records.append(_measure("P", p, cfg))
     return records
 
 

@@ -6,10 +6,18 @@ and the smooth evaluators. Horizons are kept within an explicit budget so
 matching signals stay short.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from smoothstl.formula import LinearPredicate, Not, Pred, conj, disj, horizon
 from smoothstl.robustness import Signal
+
+# pytest puts src on its own sys.path; a child interpreter (the module
+# entry-point test) finds an uninstalled package only through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def rand_predicate(rng, p):

@@ -102,6 +102,12 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--spec", str(spec), "--signal", mono_csv)
         assert code == 0 and out == "0.3\n"
 
+    def test_spec_too_long_to_be_a_path_is_formula_text(self, capsys, mono_csv):
+        spec = " and ".join(f"G[0,2] y0 >= -{i}" for i in range(90, 110))
+        assert len(spec) == 425
+        code, out, _ = run(capsys, "eval", "--spec", spec, "--signal", mono_csv)
+        assert code == 0 and out == "90.5\n"
+
     def test_t_offset(self, capsys, mono_csv):
         code, out, _ = run(
             capsys, "eval", "--spec", "G[0,1] (y0 >= 0.2)", "--signal", mono_csv,
@@ -307,6 +313,17 @@ class TestSynth:
         )
         assert code == 2
         assert f"{key}: must be finite" in err
+
+    def test_string_flag_in_config_exits_two(self, capsys, tmp_path):
+        # "false" is a non-empty string, so it would have turned clamping on
+        config = tmp_path / "quoted.json"
+        with open(tiny_scenario(tmp_path)) as fh:
+            config.write_text(json.dumps(dict(json.load(fh), hard_clamp="false")))
+        code, _, err = run(
+            capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert "hard_clamp: needs true or false, got 'false'" in err
 
     def test_restart_entries_are_restart_records(self, capsys, tmp_path):
         code, out, _ = run(

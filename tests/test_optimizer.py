@@ -6,6 +6,8 @@ can achieve an exact margin of at most half the box width, and a straight
 run at the box center achieves it. The optimizer must land in that range.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -265,6 +267,14 @@ class TestKContinuation:
             assert (cur.u_init == prev.u_star).all()
         assert (result.u_star == result.stages[-1].u_star).all()
         assert result.rho_exact == result.stages[-1].rho_exact
+        y = rollout(problem.model, problem.x0, result.u_star)
+        assert (result.y_star.values == y.values).all()
+        assert result.iterations == sum(s.iterations for s in result.stages)
+        # restart bookkeeping is the first stage's full solve
+        first = synthesize(reach_problem(max_iters=80, k1=1.0, k2=1.0))
+        assert result.restart_index == first.restart_index
+        for got, want in zip(result.restart_records, first.restart_records, strict=True):
+            assert replace(got, wall_ms=0.0) == replace(want, wall_ms=0.0)
 
     def test_final_sharpness_defines_the_report(self):
         problem = reach_problem(max_iters=80)

@@ -187,6 +187,11 @@ class TestErrorBounds:
         with pytest.raises(ValueError, match="positive"):
             min_error_bound(3, 0.0)
 
+    def test_min_bound_count_must_be_whole(self):
+        with pytest.raises(ValueError, match="m must be a whole number, got 2.7"):
+            min_error_bound(2.7, 1.0)
+        assert min_error_bound(3.0, 1.0) == min_error_bound(3, 1.0)
+
     def test_max_bound_validation(self):
         with pytest.raises(ValueError, match="at least two"):
             max_error_bound([1.0], 1.0)

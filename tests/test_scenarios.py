@@ -236,6 +236,16 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match="^dt: sampling period must be positive"):
             ScenarioConfig(**self.base_kwargs(dt=dt))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("tolerance", 0.0, "tolerance: must be positive"),
+        ("tolerance", -1.0, "tolerance: must be positive"),
+        ("hard_clamp", "false", "hard_clamp: needs true or false, got 'false'"),
+    ])
+    def test_values_that_mean_something_else_are_rejected(self, field, value, message):
+        with pytest.raises(ScenarioError) as info:
+            ScenarioConfig(**self.base_kwargs(**{field: value}))
+        assert str(info.value) == message
+
     def test_whole_numbers_may_be_written_as_floats(self):
         config = ScenarioConfig(**self.base_kwargs(T=5.0, seed=7.0))
         assert (config.T, config.seed) == (5, 7)
@@ -466,12 +476,17 @@ class TestBench:
         records, _ = run_bench(config, trials=2)
         direct = synthesize(build_problem(config, seed=config.seed + 1))
         assert records[1].rho_exact == direct.rho_exact
+        assert records[1].x0 == build_problem(config, seed=config.seed + 1).x0
 
     def test_budget_still_runs_one_wave(self):
         config = quick(builtin_scenario("two_target"), max_iters=10)
         records, agg = run_bench(config, trials=5, time_budget_s=0.0)
         assert 1 <= len(records) < 5
         assert agg.trials == len(records)
+
+    def test_trial_count_must_be_whole(self):
+        with pytest.raises(ScenarioError, match="^trials: needs a whole number, got 1.7"):
+            run_bench(builtin_scenario("two_target"), trials=1.7)
 
     def test_at_least_one_trial_required(self):
         with pytest.raises(ScenarioError, match="at least 1"):
@@ -531,6 +546,11 @@ class TestScaling:
         assert counts == [1490.0, 1688.0, 1853.0]
         increments = [b - a for a, b in zip(counts, counts[1:])]
         assert increments == sorted(increments, reverse=True)
+
+    @pytest.mark.parametrize("sweep,value", [("n_values", 12.5), ("p_values", 1.5)])
+    def test_sweep_points_must_be_whole(self, sweep, value):
+        with pytest.raises(ScenarioError, match=f"^{sweep}: needs whole numbers, got {value}"):
+            run_scaling(**{sweep: (value,)}, restarts=0, max_iters=1)
 
     def test_short_horizons_are_rejected(self):
         with pytest.raises(ScenarioError, match="too short"):
