@@ -3,9 +3,13 @@
 A system is x_{t+1} = f(x_t, u_t), y_t = g(x_t, u_t). Controls are a
 (T+1, m) array: u_T never enters a state update but does enter y_T, which
 is how output conventions that expose the control (so formulas can bound
-it) keep the final sample well defined. Only the state recursion loops
-in Python: outputs and Jacobians are computed once per rollout on the
-whole stacked trajectory.
+it) keep the final sample well defined. Outputs and Jacobians are
+computed once per rollout on the whole stacked trajectory. So is the
+state recursion when the model supplies `states`, as both builtins do:
+their plants are chains of integrators, so each state is a cumulative
+sum. A model with only `step` falls back to a Python loop over the
+timesteps. Either way, divergence is reported at the first non-finite
+sample.
 
 rollout_with_sensitivities stores the step and output Jacobians alongside
 the trajectory; its control_gradient method back-propagates a robustness
@@ -49,7 +53,9 @@ class RolloutDivergence(RuntimeError):
 class SystemModel:
     """Callable bundle describing one control system.
 
-    step is called once per timestep; the other three are called once per
+    step defines the dynamics one timestep at a time. states, when given,
+    computes the same trajectory in one call and replaces the per-step
+    loop over step. The output and Jacobian functions are called once per
     rollout on the whole trajectory, with the states X (N, n) and the
     controls U (N, m) stacked along a leading time axis:
 
@@ -61,6 +67,9 @@ class SystemModel:
     @param output: g(X, U) -> outputs, shape (N, p)
     @param step_jacobians:   (X, U) -> (df/dx (N, n, n), df/du (N, n, m))
     @param output_jacobians: (X, U) -> (dg/dx (N, p, n), dg/du (N, p, m))
+    @param states: optional (x0, U) -> X, x0 (n,) and the T controls that
+                   enter state updates (T, m) in, the states (T+1, n) with
+                   X[0] = x0 out; must agree with repeated step calls
 
     A result without the leading time axis, such as a constant Jacobian
     of shape (n, n), holds at every timestep. Any other shape raises a
@@ -74,6 +83,7 @@ class SystemModel:
     output: Callable
     step_jacobians: Callable
     output_jacobians: Callable
+    states: Callable | None = None
     name: str = field(default="", compare=False)
     dt: float = field(default=1.0, compare=False)
 
@@ -112,6 +122,24 @@ def _first_bad_row(a):
     return None if finite.all() else int(np.argmin(finite))
 
 
+def _step_loop(step, x0, U):
+    """States (T+1, n) from x0 and the controls U (T, m), one step call
+    per timestep."""
+    X = np.empty((len(U) + 1, len(x0)))
+    X[0] = x0
+    try:
+        for t in range(len(U)):
+            X[t + 1] = step(X[t], U[t])
+    except (ArithmeticError, ValueError):
+        # a step that fails on a non-finite state (math.cos(inf), say) is
+        # divergence, which a step-by-step check would have reported
+        # before calling it
+        if np.isfinite(X[: t + 1]).all():
+            raise
+        X[t + 1 :] = np.nan
+    return X
+
+
 def _simulate(model, x0, u):
     """States (T+1, n) and outputs (T+1, p) of a checked rollout.
 
@@ -121,19 +149,14 @@ def _simulate(model, x0, u):
     """
     x0, u = _check_rollout_args(model, x0, u)
     T = u.shape[0] - 1
-    X = np.empty((T + 1, model.n))
-    X[0] = x0
-    step = model.step
-    try:
-        for t in range(T):
-            X[t + 1] = step(X[t], u[t])
-    except (ArithmeticError, ValueError):
-        # a step that fails on a non-finite state (math.cos(inf), say) is
-        # divergence, which a step-by-step check would have reported
-        # before calling it
-        if np.isfinite(X[: t + 1]).all():
-            raise
-        X[t + 1 :] = np.nan
+    if model.states is not None:
+        # past the first non-finite state the values are never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.asarray(model.states(x0, u[:T]), dtype=float)
+        if X.shape != (T + 1, model.n):
+            raise ValueError(f"states has shape {X.shape}, expected {(T + 1, model.n)}")
+    else:
+        X = _step_loop(model.step, x0, u[:T])
     bad_state = _first_bad_row(X)
     stop = T + 1 if bad_state is None else bad_state
     Y = _stacked(model.output(X[:stop], u[:stop]), stop, (model.p,), "output")
@@ -226,6 +249,10 @@ def single_integrator_2d(dt=1.0):
         vx, vy = u.tolist()
         return np.array([px + dt * vx, py + dt * vy])
 
+    def states(x0, U):
+        # the same additions as step, in the same order
+        return np.add.accumulate(np.vstack([x0, dt * U]), axis=0)
+
     def output(x, u):
         return np.concatenate([x, u], axis=-1)
 
@@ -239,7 +266,7 @@ def single_integrator_2d(dt=1.0):
         n=2, m=2, p=4,
         step=step, output=output,
         step_jacobians=step_jacobians, output_jacobians=output_jacobians,
-        name="single_integrator_2d", dt=dt,
+        states=states, name="single_integrator_2d", dt=dt,
     )
 
 
@@ -257,6 +284,16 @@ def differential_drive(dt=1.0):
         px, py, th = x.tolist()
         v, w = u.tolist()
         return np.array([px + dt * v * math.cos(th), py + dt * v * math.sin(th), th + dt * w])
+
+    def states(x0, U):
+        # the same operations as step, in the same order: each coordinate
+        # is a running sum of its increments
+        px0, py0, th0 = x0.tolist()
+        dv = dt * U[:, 0]
+        th = np.add.accumulate(np.concatenate([[th0], dt * U[:, 1]]))
+        px = np.add.accumulate(np.concatenate([[px0], dv * np.cos(th[:-1])]))
+        py = np.add.accumulate(np.concatenate([[py0], dv * np.sin(th[:-1])]))
+        return np.column_stack([px, py, th])
 
     def output(x, u):
         return np.concatenate([x[..., :2], u], axis=-1)
@@ -282,7 +319,7 @@ def differential_drive(dt=1.0):
         n=3, m=2, p=4,
         step=step, output=output,
         step_jacobians=step_jacobians, output_jacobians=output_jacobians,
-        name="differential_drive", dt=dt,
+        states=states, name="differential_drive", dt=dt,
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,9 +79,21 @@ def _convert(key, value, to, what):
         raise ScenarioError(f"{key}: needs {what}, got {value!r}") from None
 
 
+def _number(value, to=float):
+    """to(value) for a real number. A bool or a string is refused even
+    where to() would take it: float("3") and int(True) both succeed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    return to(value)
+
+
+def _whole_number(value):
+    return _number(value, _whole)
+
+
 def _pair(value):
     lo, hi = value
-    return float(lo), float(hi)
+    return _number(lo), _number(hi)
 
 
 def _pairs(value):
@@ -145,9 +158,9 @@ class ScenarioConfig:
             object.__setattr__(self, key, _convert(key, getattr(self, key), to, what))
 
         for key in ("T", "restarts", "max_iters", "seed"):
-            convert(key, _whole, "a whole number")
+            convert(key, _whole_number, "a whole number")
         for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt", "tolerance"):
-            convert(key, float, "a number")
+            convert(key, _number, "a number")
 
         try:
             model = builtin_model(self.model, self.dt)
@@ -188,7 +201,7 @@ class ScenarioConfig:
         if (self.x0 is None) == (self.x0_box is None):
             raise bad("x0", "exactly one of x0 and x0_box must be set")
         if self.x0 is not None:
-            convert("x0", lambda v: tuple(float(x) for x in v), "a list of numbers")
+            convert("x0", lambda v: tuple(_number(x) for x in v), "a list of numbers")
             if len(self.x0) != model.n:
                 raise bad("x0", f"needs {model.n} entries for {self.model}")
         else:
@@ -488,7 +501,7 @@ def build_problem(config, x0=None, seed=None, **overrides):
     scenario's values; x0 defaults to the fixed start or, for sampling
     scenarios, a draw seeded by the seed in effect.
     """
-    seed = config.seed if seed is None else _convert("seed", seed, _whole, "a whole number")
+    seed = config.seed if seed is None else _convert("seed", seed, _whole_number, "a whole number")
     if x0 is None:
         x0 = sample_x0(config, _x0_rng(seed))
     # the knobs both classes declare carry over by name
@@ -587,7 +600,7 @@ def run_bench(config, trials, time_budget_s=None):
     new trial starts once it is spent; the trial in progress always
     finishes and at least one trial always runs.
     """
-    trials = _convert("trials", trials, _whole, "a whole number")
+    trials = _convert("trials", trials, _whole_number, "a whole number")
     if trials < 1:
         raise ScenarioError("trials must be at least 1")
     start = time.perf_counter()
@@ -716,7 +729,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
     base = builtin_scenario("charging") if base is None else base
     records = []
     for n in n_values:
-        n = _convert("n_values", n, _whole, "whole numbers")
+        n = _convert("n_values", n, _whole_number, "whole numbers")
         cfg = dataclasses.replace(
             base,
             name=f"{base.name}_n{n}",
@@ -727,7 +740,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
         )
         records.append(_measure("N", n, cfg))
     for p in p_values:
-        p = _convert("p_values", p, _whole, "whole numbers")
+        p = _convert("p_values", p, _whole_number, "whole numbers")
         if p < 1:
             raise ScenarioError(f"station count must be positive, got {p}")
         counts = (p, p, p)

@@ -325,6 +325,17 @@ class TestSynth:
         assert code == 2
         assert "hard_clamp: needs true or false, got 'false'" in err
 
+    def test_quoted_x0_in_config_exits_two(self, capsys, tmp_path):
+        # float() would run over the characters and start at (1.0, 2.0)
+        config = tmp_path / "quoted.json"
+        with open(tiny_scenario(tmp_path)) as fh:
+            config.write_text(json.dumps(dict(json.load(fh), x0="12")))
+        code, _, err = run(
+            capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert "x0: needs a list of numbers, got '12'" in err
+
     def test_restart_entries_are_restart_records(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "synth", "--config", tiny_scenario(tmp_path),

@@ -1,5 +1,7 @@
 """Dynamics tests: rollouts, Jacobians, and the costate backward sweep."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -117,16 +119,20 @@ class TestJacobians:
 
 
 class TestStackedContract:
+    @pytest.mark.parametrize("T", [0, 1, 12, 300])
+    @pytest.mark.parametrize("dt", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
-    def test_stacked_calls_equal_single_point_calls(self, factory):
-        model = factory(dt=0.7)
+    def test_stacked_calls_equal_single_point_calls(self, factory, dt, T):
+        model = factory(dt=dt)
         rng = np.random.default_rng(86)
-        T = 12
-        x0 = rng.uniform(-2, 2, model.n)
-        u = rng.uniform(-2, 2, (T + 1, model.m))
+        x0 = rng.uniform(-5, 5, model.n)
+        u = rng.uniform(-5, 5, (T + 1, model.m))
         sens = rollout_with_sensitivities(model, x0, u)
+        assert (rollout(model, x0, u).values == sens.signal.values).all()
+        X = model.states(x0, u[:T])
         x = np.asarray(x0, dtype=float)
         for t in range(T + 1):
+            assert (X[t] == x).all()
             assert (sens.signal.values[t] == model.output(x, u[t])).all()
             gx, gu = model.output_jacobians(x, u[t])
             assert (sens.gx[t] == gx).all() and (sens.gu[t] == gu).all()
@@ -135,12 +141,16 @@ class TestStackedContract:
                 assert (sens.fx[t] == fx).all() and (sens.fu[t] == fu).all()
                 x = model.step(x, u[t])
 
+    @pytest.mark.parametrize("vectorised", [True, False], ids=["states", "step_only"])
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
-    def test_stacked_functions_called_once_per_rollout(self, factory):
-        # the dynamics work is pinned as a count: only the state update
-        # runs once per timestep
+    def test_stacked_functions_called_once_per_rollout(self, factory, vectorised):
+        # the dynamics work is pinned as a count: a model with states never
+        # calls step; without it, only the state update runs once per
+        # timestep
         inner = factory()
         calls = {"step": 0, "output": 0, "step_jacobians": 0, "output_jacobians": 0}
+        if vectorised:
+            calls["states"] = 0
 
         def counted(name):
             fn = getattr(inner, name)
@@ -158,7 +168,10 @@ class TestStackedContract:
         T = 30
         u = np.random.default_rng(87).uniform(-1, 1, (T + 1, inner.m))
         rollout_with_sensitivities(model, np.zeros(inner.n), u)
-        assert calls == {"step": T, "output": 1, "step_jacobians": 1, "output_jacobians": 1}
+        want = {"step": T, "output": 1, "step_jacobians": 1, "output_jacobians": 1}
+        if vectorised:
+            want.update(step=0, states=1)
+        assert calls == want
 
     @pytest.mark.parametrize(
         "name, bad",
@@ -167,8 +180,9 @@ class TestStackedContract:
             ("step_jacobians", lambda X, U: (np.eye(2), np.zeros((2, 2)))),
             ("output_jacobians", lambda X, U: (np.eye(2), np.zeros((len(X), 2, 3)))),
             ("output", lambda X, U: np.zeros((len(X), 3))),
+            ("states", lambda x0, U: np.zeros((len(U), 2))),
         ],
-        ids=["dfdx", "dfdu", "dgdu", "output"],
+        ids=["dfdx", "dfdu", "dgdu", "output", "states"],
     )
     def test_wrong_shape_names_the_function(self, name, bad):
         good = SystemModel(
@@ -318,6 +332,18 @@ class TestDivergence:
             with pytest.raises(RolloutDivergence, match="state") as err:
                 run(model, [0.0, 0.0, 1e308], u)
             assert err.value.timestep == 1
+
+    def test_vectorised_overflow_is_state_divergence(self):
+        # x1 = 1e308 is still finite and x2 = 2e308 overflows; the
+        # vectorised rollout keeps numpy's overflow warning to itself
+        model = single_integrator_2d()
+        u = np.array([[1e308, 0.0], [1e308, 0.0], [0.0, 0.0]])
+        for run in (rollout, rollout_with_sensitivities):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RolloutDivergence, match="state") as err:
+                    run(model, [0.0, 0.0], u)
+            assert err.value.timestep == 2
 
     def test_sensitivity_rollout_diverges_too(self):
         with np.errstate(over="ignore"), pytest.raises(RolloutDivergence):

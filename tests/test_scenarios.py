@@ -226,6 +226,15 @@ class TestConfigValidation:
         ("control_weight", "heavy"),
         ("obstacle_inflation", "wide"),
         ("control_bounds", ((-1.0, 1.0, 0.0), (-1.0, 1.0))),
+        ("k1", "3"),
+        ("k1", True),
+        ("dt", "0.5"),
+        ("T", "10"),
+        ("restarts", True),
+        ("seed", False),
+        ("x0", "12"),
+        ("x0", (True, 0.0)),
+        ("control_bounds", ((-1.0, "1"), (-1.0, 1.0))),
     ])
     def test_malformed_numbers_name_the_field(self, field, value):
         with pytest.raises(ScenarioError, match=f"^{field}: needs .*, got "):
@@ -240,6 +249,7 @@ class TestConfigValidation:
         ("tolerance", 0.0, "tolerance: must be positive"),
         ("tolerance", -1.0, "tolerance: must be positive"),
         ("hard_clamp", "false", "hard_clamp: needs true or false, got 'false'"),
+        ("k1", "3", "k1: needs a number, got '3'"),
     ])
     def test_values_that_mean_something_else_are_rejected(self, field, value, message):
         with pytest.raises(ScenarioError) as info:
@@ -427,6 +437,8 @@ class TestBuildProblem:
         config = builtin_scenario("tunnel")
         with pytest.raises(ScenarioError, match="^seed: needs a whole number, got 1.5"):
             build_problem(config, seed=1.5)
+        with pytest.raises(ScenarioError, match="^seed: needs a whole number, got True"):
+            build_problem(config, seed=True)
         problem = build_problem(config, seed=7.0)
         assert problem.seed == 7 and type(problem.seed) is int
 
@@ -487,6 +499,8 @@ class TestBench:
     def test_trial_count_must_be_whole(self):
         with pytest.raises(ScenarioError, match="^trials: needs a whole number, got 1.7"):
             run_bench(builtin_scenario("two_target"), trials=1.7)
+        with pytest.raises(ScenarioError, match="^trials: needs a whole number, got True"):
+            run_bench(builtin_scenario("two_target"), trials=True)
 
     def test_at_least_one_trial_required(self):
         with pytest.raises(ScenarioError, match="at least 1"):
