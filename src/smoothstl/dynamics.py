@@ -71,9 +71,10 @@ class SystemModel:
                    enter state updates (T, m) in, the states (T+1, n) with
                    X[0] = x0 out; must agree with repeated step calls
 
-    A result without the leading time axis, such as a constant Jacobian
-    of shape (n, n), holds at every timestep. Any other shape raises a
-    ValueError that names the function.
+    A result of output or a Jacobian function without the leading time
+    axis, such as a constant Jacobian of shape (n, n), holds at every
+    timestep. Any other shape, and a states result other than (T+1, n),
+    raises a ValueError that names the function.
     """
 
     n: int

@@ -119,59 +119,59 @@ class TestJacobians:
 
 
 class TestStackedContract:
-    @pytest.mark.parametrize("T", [0, 1, 12, 300])
-    @pytest.mark.parametrize("dt", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
-    def test_stacked_calls_equal_single_point_calls(self, factory, dt, T):
-        model = factory(dt=dt)
+    def test_stacked_calls_equal_single_point_calls(self, factory):
         rng = np.random.default_rng(86)
-        x0 = rng.uniform(-5, 5, model.n)
-        u = rng.uniform(-5, 5, (T + 1, model.m))
-        sens = rollout_with_sensitivities(model, x0, u)
-        assert (rollout(model, x0, u).values == sens.signal.values).all()
-        X = model.states(x0, u[:T])
-        x = np.asarray(x0, dtype=float)
-        for t in range(T + 1):
-            assert (X[t] == x).all()
-            assert (sens.signal.values[t] == model.output(x, u[t])).all()
-            gx, gu = model.output_jacobians(x, u[t])
-            assert (sens.gx[t] == gx).all() and (sens.gu[t] == gu).all()
-            if t < T:
-                fx, fu = model.step_jacobians(x, u[t])
-                assert (sens.fx[t] == fx).all() and (sens.fu[t] == fu).all()
-                x = model.step(x, u[t])
+        for dt in (0.3, 0.7, 1.0):
+            model = factory(dt=dt)
+            for T in (0, 1, 12, 300):
+                x0 = rng.uniform(-5, 5, model.n)
+                u = rng.uniform(-5, 5, (T + 1, model.m))
+                sens = rollout_with_sensitivities(model, x0, u)
+                assert (rollout(model, x0, u).values == sens.signal.values).all()
+                X = model.states(x0, u[:T])
+                x = np.asarray(x0, dtype=float)
+                for t in range(T + 1):
+                    assert (X[t] == x).all()
+                    assert (sens.signal.values[t] == model.output(x, u[t])).all()
+                    gx, gu = model.output_jacobians(x, u[t])
+                    assert (sens.gx[t] == gx).all() and (sens.gu[t] == gu).all()
+                    if t < T:
+                        fx, fu = model.step_jacobians(x, u[t])
+                        assert (sens.fx[t] == fx).all() and (sens.fu[t] == fu).all()
+                        x = model.step(x, u[t])
 
-    @pytest.mark.parametrize("vectorised", [True, False], ids=["states", "step_only"])
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
-    def test_stacked_functions_called_once_per_rollout(self, factory, vectorised):
+    def test_stacked_functions_called_once_per_rollout(self, factory):
         # the dynamics work is pinned as a count: a model with states never
         # calls step; without it, only the state update runs once per
         # timestep
         inner = factory()
-        calls = {"step": 0, "output": 0, "step_jacobians": 0, "output_jacobians": 0}
-        if vectorised:
-            calls["states"] = 0
-
-        def counted(name):
-            fn = getattr(inner, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        model = SystemModel(
-            n=inner.n, m=inner.m, p=inner.p,
-            **{name: counted(name) for name in calls},
-        )
         T = 30
         u = np.random.default_rng(87).uniform(-1, 1, (T + 1, inner.m))
-        rollout_with_sensitivities(model, np.zeros(inner.n), u)
-        want = {"step": T, "output": 1, "step_jacobians": 1, "output_jacobians": 1}
-        if vectorised:
-            want.update(step=0, states=1)
-        assert calls == want
+        for vectorised in (True, False):
+            calls = {"step": 0, "output": 0, "step_jacobians": 0, "output_jacobians": 0}
+            if vectorised:
+                calls["states"] = 0
+
+            def counted(name, calls=calls):
+                fn = getattr(inner, name)
+
+                def wrapper(*args):
+                    calls[name] += 1
+                    return fn(*args)
+
+                return wrapper
+
+            model = SystemModel(
+                n=inner.n, m=inner.m, p=inner.p,
+                **{name: counted(name) for name in calls},
+            )
+            rollout_with_sensitivities(model, np.zeros(inner.n), u)
+            want = {"step": T, "output": 1, "step_jacobians": 1, "output_jacobians": 1}
+            if vectorised:
+                want.update(step=0, states=1)
+            assert calls == want
 
     @pytest.mark.parametrize(
         "name, bad",
