@@ -15,6 +15,13 @@ rollout_with_sensitivities stores the step and output Jacobians alongside
 the trajectory; its control_gradient method back-propagates a robustness
 gradient d rho / d y through the dynamics with one backward sweep of the
 standard costate recursion, giving d rho / d u at the cost of a rollout.
+The sweep is the adjoint of the state recursion, and it is vectorised in
+the same way: a model that supplies `costates`, as both builtins do, runs
+it in one call (their step Jacobians are unit upper triangular, so each
+costate is a reverse running sum), and a model without it falls back to
+a Python loop over the timesteps. The builtins therefore run no per-step
+loop at all. A non-finite costate or control gradient is reported as
+divergence too.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .formula import _number
 from .robustness import Signal, _read_series_csv, _write_series_csv
 
 __all__ = [
@@ -55,9 +63,11 @@ class SystemModel:
 
     step defines the dynamics one timestep at a time. states, when given,
     computes the same trajectory in one call and replaces the per-step
-    loop over step. The output and Jacobian functions are called once per
-    rollout on the whole trajectory, with the states X (N, n) and the
-    controls U (N, m) stacked along a leading time axis:
+    loop over step; costates, when given, does the same for the backward
+    sweep of SensitivityRollout.control_gradient. The output and Jacobian
+    functions are called once per rollout on the whole trajectory, with
+    the states X (N, n) and the controls U (N, m) stacked along a leading
+    time axis:
 
     @param n: state dimension
     @param m: control dimension
@@ -70,11 +80,17 @@ class SystemModel:
     @param states: optional (x0, U) -> X, x0 (n,) and the T controls that
                    enter state updates (T, m) in, the states (T+1, n) with
                    X[0] = x0 out; must agree with repeated step calls
+    @param costates: optional (F, G) -> L, the adjoint of states: the step
+                   Jacobians F (K-1, n, n) and the direct terms G (K, n)
+                   in, K >= 1, the costates L (K, n) out, with
+                   L[K-1] = G[K-1] and L[i] = G[i] + F[i]' L[i+1]; must
+                   agree with that recursion run one step at a time
 
     A result of output or a Jacobian function without the leading time
     axis, such as a constant Jacobian of shape (n, n), holds at every
-    timestep. Any other shape, and a states result other than (T+1, n),
-    raises a ValueError that names the function.
+    timestep. Any other shape, a states result other than (T+1, n), and a
+    costates result other than (K, n), raises a ValueError that names the
+    function.
     """
 
     n: int
@@ -85,6 +101,7 @@ class SystemModel:
     step_jacobians: Callable
     output_jacobians: Callable
     states: Callable | None = None
+    costates: Callable | None = None
     name: str = field(default="", compare=False)
     dt: float = field(default=1.0, compare=False)
 
@@ -179,13 +196,14 @@ class SensitivityRollout:
     """Trajectory plus the Jacobians needed for back-propagation, stacked
     over time: fx (T, n, n), fu (T, n, m), gx (T+1, p, n), gu (T+1, p, m).
     Jacobians that a model returns as constants are read-only broadcast
-    views."""
+    views. costates is the model's own costate sweep, or None."""
 
     signal: Signal
     fx: np.ndarray
     fu: np.ndarray
     gx: np.ndarray
     gu: np.ndarray
+    costates: Callable | None = None
 
     def control_gradient(self, dsignal):
         """Chain d rho / d y back through the dynamics to d rho / d u.
@@ -194,8 +212,13 @@ class SensitivityRollout:
         backwards in time: the costate carries the influence of the state
         on all later outputs. Each control picks up its direct output
         effect gu_t' dy_t plus its effect on the next state fu_t' lam_{t+1}.
-        Only the recursion itself loops; the direct terms and the control
-        terms are one batched product each.
+        The direct terms and the control terms are one batched product
+        each. The recursion itself is one call of the model's costates
+        when it has one, and otherwise a Python loop over the timesteps.
+
+        Raises RolloutDivergence at the first non-finite costate the
+        backward sweep meets, naming "costate", and otherwise at the first
+        non-finite row of the result, naming "control gradient".
         """
         dsignal = np.asarray(dsignal, dtype=float)
         if dsignal.shape != self.signal.values.shape:
@@ -204,15 +227,32 @@ class SensitivityRollout:
             )
         T = dsignal.shape[0] - 1
         row = dsignal[:, None, :]
-        lam = (row @ self.gx)[:, 0, :]
-        du = (row @ self.gu)[:, 0, :]
-        # lam[t] for t >= 1 becomes the costate; lam[0] is never needed.
-        # Zipped reversed views and np.dot keep the per-step overhead low.
-        dot = np.dot
-        steps = zip(lam[T - 1 : 0 : -1], lam[T:1:-1], self.fx[T - 1 : 0 : -1])
-        for lam_t, lam_next, fx_t in steps:
-            lam_t += dot(lam_next, fx_t)
-        du[:T] += (lam[1:, None, :] @ self.fu)[:, 0, :]
+        # past the first non-finite costate the values are never returned
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = (row @ self.gx)[:, 0, :]
+            du = (row @ self.gu)[:, 0, :]
+            # lam[t] for t >= 1 becomes the costate; lam[0] is never needed
+            if self.costates is not None and T > 0:
+                L = np.asarray(self.costates(self.fx[1:], lam[1:]), dtype=float)
+                if L.shape != lam[1:].shape:
+                    raise ValueError(
+                        f"costates has shape {L.shape}, expected {lam[1:].shape}"
+                    )
+                lam[1:] = L
+            else:
+                # zipped reversed views and np.dot keep the per-step
+                # overhead low
+                dot = np.dot
+                steps = zip(lam[T - 1 : 0 : -1], lam[T:1:-1], self.fx[T - 1 : 0 : -1])
+                for lam_t, lam_next, fx_t in steps:
+                    lam_t += dot(lam_next, fx_t)
+            du[:T] += (lam[1:, None, :] @ self.fu)[:, 0, :]
+        bad = _first_bad_row(lam[:0:-1])
+        if bad is not None:
+            raise RolloutDivergence(T - bad, "costate")
+        bad = _first_bad_row(du)
+        if bad is not None:
+            raise RolloutDivergence(bad, "control gradient")
         return du
 
 
@@ -229,7 +269,18 @@ def rollout_with_sensitivities(model, x0, u):
         fu=_stacked(fu, T, (n, m), "step_jacobians df/du"),
         gx=_stacked(gx, T + 1, (p, n), "output_jacobians dg/dx"),
         gu=_stacked(gu, T + 1, (p, m), "output_jacobians dg/du"),
+        costates=model.costates,
     )
+
+
+def _check_dt(dt):
+    try:
+        dt = _number(dt)
+    except TypeError:
+        raise ValueError(f"dt must be a number, got {dt!r}") from None
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    return dt
 
 
 def single_integrator_2d(dt=1.0):
@@ -239,7 +290,7 @@ def single_integrator_2d(dt=1.0):
     the control in the output lets formulas bound it like any other
     quantity.
     """
-    dt = float(dt)
+    dt = _check_dt(dt)
     eye2 = np.eye(2)
     zero2 = np.zeros((2, 2))
     gx = np.vstack([eye2, zero2])
@@ -254,6 +305,10 @@ def single_integrator_2d(dt=1.0):
         # the same additions as step, in the same order
         return np.add.accumulate(np.vstack([x0, dt * U]), axis=0)
 
+    def costates(F, G):
+        # F is the identity, so each costate is a reverse running sum
+        return np.add.accumulate(G[::-1], axis=0)[::-1]
+
     def output(x, u):
         return np.concatenate([x, u], axis=-1)
 
@@ -267,7 +322,7 @@ def single_integrator_2d(dt=1.0):
         n=2, m=2, p=4,
         step=step, output=output,
         step_jacobians=step_jacobians, output_jacobians=output_jacobians,
-        states=states, name="single_integrator_2d", dt=dt,
+        states=states, costates=costates, name="single_integrator_2d", dt=dt,
     )
 
 
@@ -277,7 +332,7 @@ def differential_drive(dt=1.0):
     State (px, py, heading), control (speed, turn rate), output
     (px, py, speed, turn rate). Heading accumulates without wrapping.
     """
-    dt = float(dt)
+    dt = _check_dt(dt)
     gx = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     gu = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -295,6 +350,24 @@ def differential_drive(dt=1.0):
         px = np.add.accumulate(np.concatenate([[px0], dv * np.cos(th[:-1])]))
         py = np.add.accumulate(np.concatenate([[py0], dv * np.sin(th[:-1])]))
         return np.column_stack([px, py, th])
+
+    def costates(F, G):
+        # F[i] is the identity plus the heading couplings F[i][:2, 2], so
+        # the position costates are reverse running sums and feed the
+        # heading costate through c[i] = F[i][:, 2]' (L0, L1, 0)[i+1]. The
+        # heading costate is then a running sum of G[i, 2] and c[i],
+        # interleaved so that each is added in the loop's order. A batched
+        # matmul rounds c as np.dot does; a * L0 + b * L1 need not, since
+        # np.dot may fuse the multiply-add.
+        L = np.empty_like(G)
+        L[:, :2] = np.add.accumulate(G[::-1, :2], axis=0)[::-1]
+        P = L[1:].copy()
+        P[:, 2] = 0.0
+        terms = np.empty(2 * len(G) - 1)
+        terms[0::2] = G[:, 2]
+        terms[1::2] = (P[:, None, :] @ F)[:, 0, 2]
+        L[:, 2] = np.add.accumulate(terms[::-1])[::-1][0::2]
+        return L
 
     def output(x, u):
         return np.concatenate([x[..., :2], u], axis=-1)
@@ -320,7 +393,7 @@ def differential_drive(dt=1.0):
         n=3, m=2, p=4,
         step=step, output=output,
         step_jacobians=step_jacobians, output_jacobians=output_jacobians,
-        states=states, name="differential_drive", dt=dt,
+        states=states, costates=costates, name="differential_drive", dt=dt,
     )
 
 

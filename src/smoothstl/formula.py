@@ -15,6 +15,7 @@ connectives in the source text.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
@@ -48,6 +49,19 @@ __all__ = [
 
 class FormulaError(ValueError):
     """Raised for structurally invalid formulas, predicates or regions."""
+
+
+def _number(value, to=float):
+    """to(value) for a real number. A bool or a string is refused even
+    where to() would take it: float("3") and int(True) both succeed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    return to(value)
+
+
+def _pair(value):
+    lo, hi = value
+    return _number(lo), _number(hi)
 
 
 def _check_finite_scalar(x, what):
@@ -495,9 +509,10 @@ class RegionTable:
         checked = {}
         for dim, bounds in faces.items():
             try:
+                if isinstance(dim, bool):
+                    raise TypeError(f"not a dimension: {dim!r}")
                 d = int(dim) if isinstance(dim, str) else operator.index(dim)
-                lo, hi = bounds
-                lo, hi = float(lo), float(hi)
+                lo, hi = _pair(bounds)
             except (TypeError, ValueError):
                 raise FormulaError(
                     f"region {name!r}: malformed bounds: dimension {dim!r} needs an "

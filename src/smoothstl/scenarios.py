@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import builtin_model
-from .formula import FormulaError, RegionTable, horizon, to_nnf
+from .formula import FormulaError, RegionTable, _number, _pair, horizon, to_nnf
 from .optimizer import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
@@ -79,21 +78,8 @@ def _convert(key, value, to, what):
         raise ScenarioError(f"{key}: needs {what}, got {value!r}") from None
 
 
-def _number(value, to=float):
-    """to(value) for a real number. A bool or a string is refused even
-    where to() would take it: float("3") and int(True) both succeed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"not a number: {value!r}")
-    return to(value)
-
-
 def _whole_number(value):
     return _number(value, _whole)
-
-
-def _pair(value):
-    lo, hi = value
-    return _number(lo), _number(hi)
 
 
 def _pairs(value):
@@ -162,10 +148,6 @@ class ScenarioConfig:
         for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt", "tolerance"):
             convert(key, _number, "a number")
 
-        try:
-            model = builtin_model(self.model, self.dt)
-        except ValueError as exc:
-            raise bad("model", exc) from None
         if not isinstance(self.regions, RegionTable):
             try:
                 object.__setattr__(self, "regions", RegionTable(self.regions))
@@ -188,6 +170,11 @@ class ScenarioConfig:
             raise bad("obstacle_inflation", "must be nonnegative")
         if self.tolerance <= 0:
             raise bad("tolerance", "must be positive")
+        # after the dt checks, so that a bad dt is blamed on dt
+        try:
+            model = builtin_model(self.model, self.dt)
+        except ValueError as exc:
+            raise bad("model", exc) from None
         # a string such as "false" is truthy and would turn clamping on
         if self.hard_clamp not in (True, False):
             raise bad("hard_clamp", f"needs true or false, got {self.hard_clamp!r}")

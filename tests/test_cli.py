@@ -175,6 +175,17 @@ class TestEval:
         assert out == ""
         assert err.startswith("error while reading inputs: regions must map region names")
 
+    def test_regions_file_with_quoted_bounds_exits_two(self, capsys, tmp_path, mono_csv):
+        regions = tmp_path / "regions.json"
+        regions.write_text(json.dumps({"band": {"0": ["0.4", "2.5"]}}))
+        code, out, err = run(
+            capsys, "eval", "--spec", "F[0,2] band", "--signal", mono_csv,
+            "--regions", str(regions),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error while reading inputs: region 'band': malformed bounds")
+
     def test_infinite_sharpness_exits_two(self, capsys, mono_csv):
         code, out, err = run(
             capsys, "eval", "--spec", "F[0,2] (y0 >= 0)", "--signal", mono_csv,

@@ -1,5 +1,6 @@
 """Dynamics tests: rollouts, Jacobians, and the costate backward sweep."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -122,13 +123,23 @@ class TestStackedContract:
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
     def test_stacked_calls_equal_single_point_calls(self, factory):
         rng = np.random.default_rng(86)
+        phi = parse("G[0,2] (y0 >= 0 or -y1 >= -1)", p=4)
         for dt in (0.3, 0.7, 1.0):
             model = factory(dt=dt)
-            for T in (0, 1, 12, 300):
+            for T in (0, 1, 2, 12, 300):
                 x0 = rng.uniform(-5, 5, model.n)
                 u = rng.uniform(-5, 5, (T + 1, model.m))
                 sens = rollout_with_sensitivities(model, x0, u)
                 assert (rollout(model, x0, u).values == sens.signal.values).all()
+                # the costates hook against the per-step sweep, bit for bit
+                loop = dataclasses.replace(sens, costates=None)
+                dsignals = [rng.uniform(-5, 5, sens.signal.values.shape)]
+                if T >= 2:
+                    grad = eval_with_gradient(phi, sens.signal, config=SemanticsConfig.ef(3, 3))
+                    dsignals.append(grad.dsignal)
+                for dsignal in dsignals:
+                    got = sens.control_gradient(dsignal)
+                    assert got.tobytes() == loop.control_gradient(dsignal).tobytes()
                 X = model.states(x0, u[:T])
                 x = np.asarray(x0, dtype=float)
                 for t in range(T + 1):
@@ -143,16 +154,16 @@ class TestStackedContract:
 
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
     def test_stacked_functions_called_once_per_rollout(self, factory):
-        # the dynamics work is pinned as a count: a model with states never
-        # calls step; without it, only the state update runs once per
-        # timestep
+        # the dynamics work is pinned as a count: a model with states and
+        # costates never calls step and sweeps its costates in one call;
+        # without them, only the state update runs once per timestep
         inner = factory()
         T = 30
         u = np.random.default_rng(87).uniform(-1, 1, (T + 1, inner.m))
         for vectorised in (True, False):
             calls = {"step": 0, "output": 0, "step_jacobians": 0, "output_jacobians": 0}
             if vectorised:
-                calls["states"] = 0
+                calls.update(states=0, costates=0)
 
             def counted(name, calls=calls):
                 fn = getattr(inner, name)
@@ -167,10 +178,13 @@ class TestStackedContract:
                 n=inner.n, m=inner.m, p=inner.p,
                 **{name: counted(name) for name in calls},
             )
-            rollout_with_sensitivities(model, np.zeros(inner.n), u)
+            sens = rollout_with_sensitivities(model, np.zeros(inner.n), u)
+            sens.control_gradient(np.ones((T + 1, inner.p)))
             want = {"step": T, "output": 1, "step_jacobians": 1, "output_jacobians": 1}
             if vectorised:
-                want.update(step=0, states=1)
+                want.update(step=0, states=1, costates=1)
+            else:
+                assert sens.costates is None
             assert calls == want
 
     @pytest.mark.parametrize(
@@ -181,8 +195,9 @@ class TestStackedContract:
             ("output_jacobians", lambda X, U: (np.eye(2), np.zeros((len(X), 2, 3)))),
             ("output", lambda X, U: np.zeros((len(X), 3))),
             ("states", lambda x0, U: np.zeros((len(U), 2))),
+            ("costates", lambda F, G: np.zeros((len(G) + 1, 2))),
         ],
-        ids=["dfdx", "dfdu", "dgdu", "output", "states"],
+        ids=["dfdx", "dfdu", "dgdu", "output", "states", "costates"],
     )
     def test_wrong_shape_names_the_function(self, name, bad):
         good = SystemModel(
@@ -194,7 +209,8 @@ class TestStackedContract:
         )
         model = SystemModel(**{**vars(good), name: bad})
         with pytest.raises(ValueError, match=name):
-            rollout_with_sensitivities(model, [0.0, 0.0], np.zeros((4, 1)))
+            sens = rollout_with_sensitivities(model, [0.0, 0.0], np.zeros((4, 1)))
+            sens.control_gradient(np.zeros((4, 2)))
 
 
 class TestControlGradient:
@@ -345,6 +361,33 @@ class TestDivergence:
                     run(model, [0.0, 0.0], u)
             assert err.value.timestep == 2
 
+    def test_non_finite_costate_is_divergence(self):
+        # speeds of 1e300 keep the states finite, but the heading coupling
+        # times a sensitivity of 1e10 overflows the costate at t = 2, the
+        # first one the backward sweep computes; with or without the
+        # model's costates, no overflow warning escapes
+        model = differential_drive()
+        u = np.array([[1e300, 1.0]] * 4)
+        sens = rollout_with_sensitivities(model, [0.0, 0.0, 0.0], u)
+        for swept in (sens, dataclasses.replace(sens, costates=None)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RolloutDivergence, match="costate") as err:
+                    swept.control_gradient(np.full((4, 4), 1e10))
+            assert err.value.timestep == 2
+        # finite costates whose control term overflows
+        model = SystemModel(
+            n=1, m=1, p=1,
+            step=lambda x, u: x + u,
+            output=lambda X, U: X,
+            step_jacobians=lambda X, U: (np.eye(1), np.array([[1e200]])),
+            output_jacobians=lambda X, U: (np.eye(1), np.zeros((1, 1))),
+        )
+        sens = rollout_with_sensitivities(model, [0.0], np.zeros((3, 1)))
+        with pytest.raises(RolloutDivergence, match="control gradient") as err:
+            sens.control_gradient(np.full((3, 1), 1e200))
+        assert err.value.timestep == 0
+
     def test_sensitivity_rollout_diverges_too(self):
         with np.errstate(over="ignore"), pytest.raises(RolloutDivergence):
             rollout_with_sensitivities(self.blow_up_model(), [1.0], np.zeros((4, 1)))
@@ -374,6 +417,15 @@ class TestValidation:
         assert builtin_model("differential_drive", dt=0.25).dt == 0.25
         with pytest.raises(ValueError, match="unknown model"):
             builtin_model("bicycle")
+
+
+    @pytest.mark.parametrize("dt", ["0.5", True, None, -1.0, 0.0, float("nan"), float("inf")])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        for make in (single_integrator_2d, differential_drive):
+            with pytest.raises(ValueError, match="dt"):
+                make(dt=dt)
+        with pytest.raises(ValueError, match="dt"):
+            builtin_model("differential_drive", dt=dt)
 
 
 class TestControlsCsv:

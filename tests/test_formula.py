@@ -338,7 +338,7 @@ class TestRegionTable:
             RegionTable.from_json_dict({"obs": {"0": 3.5}})
         # a region that is not an object, a pair that is too short, a bound
         # that is not a number: each error names the region
-        for faces in (5, [1, 2], {"0": [1]}, {"0": ["a", 2]}):
+        for faces in (5, [1, 2], {"0": [1]}, {"0": ["a", 2]}, {"0": ["1", "2"]}, {"0": [True, 2]}):
             with pytest.raises(FormulaError, match="region 'obs': malformed bounds"):
                 RegionTable.from_json_dict({"obs": faces})
         with pytest.raises(FormulaError, match="regions must map region names"):
@@ -357,3 +357,5 @@ class TestRegionTable:
     def test_dimension_that_is_not_an_integer(self):
         with pytest.raises(FormulaError, match="region 'obs': malformed bounds: dimension 'x'"):
             RegionTable({"obs": {"x": (1, 2)}})
+        with pytest.raises(FormulaError, match="region 'obs': malformed bounds: dimension True"):
+            RegionTable({"obs": {True: (1, 2)}})
