@@ -9,7 +9,8 @@ state recursion when the model supplies `states`, as both builtins do:
 their plants are chains of integrators, so each state is a cumulative
 sum. A model with only `step` falls back to a Python loop over the
 timesteps. Either way, divergence is reported at the first non-finite
-sample.
+sample. The same code rolls out a stack of control sequences at once, as
+synthesis does with its restarts; each row gets its own result and error.
 
 rollout_with_sensitivities stores the step and output Jacobians alongside
 the trajectory; its control_gradient method back-propagates a robustness
@@ -64,10 +65,10 @@ class SystemModel:
     step defines the dynamics one timestep at a time. states, when given,
     computes the same trajectory in one call and replaces the per-step
     loop over step; costates, when given, does the same for the backward
-    sweep of SensitivityRollout.control_gradient. The output and Jacobian
-    functions are called once per rollout on the whole trajectory, with
-    the states X (N, n) and the controls U (N, m) stacked along a leading
-    time axis:
+    sweep of SensitivityRollout.control_gradient. Both take leading batch
+    axes, one per rollout of a stack. The output and Jacobian functions are
+    called once per rollout, or stack, on the samples X (N, n) and U (N, m)
+    of every timestep (and every rollout) laid along a leading axis:
 
     @param n: state dimension
     @param m: control dimension
@@ -106,38 +107,16 @@ class SystemModel:
     dt: float = field(default=1.0, compare=False)
 
 
-def _check_rollout_args(model, x0, u):
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 must have shape ({model.n},), got {x0.shape}")
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 must be finite")
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[1] != model.m:
-        raise ValueError(f"u must have shape (T+1, {model.m}), got {u.shape}")
-    if u.shape[0] < 1:
-        raise ValueError("u needs at least one row")
-    if not np.isfinite(u).all():
-        raise ValueError("u must be finite")
-    return x0, u
-
-
-def _stacked(value, steps, shape, what):
-    """value as a (steps, *shape) array; a value of shape `shape` holds at
-    every step."""
+def _stacked(value, lead, shape, what):
+    """value, computed on the flattened stack, as a (*lead, *shape) array; a
+    value of shape `shape` holds at every step."""
     value = np.asarray(value, dtype=float)
+    steps = math.prod(lead)
     if value.shape == (steps, *shape):
-        return value
+        return value.reshape(*lead, *shape)
     if value.shape == shape:
-        return np.broadcast_to(value, (steps, *shape))
-    raise ValueError(
-        f"{what} has shape {value.shape}, expected {(steps, *shape)} or {shape}"
-    )
-
-
-def _first_bad_row(a):
-    finite = np.isfinite(a).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
+        return np.broadcast_to(value, (*lead, *shape))
+    raise ValueError(f"{what} has shape {value.shape}, expected {(steps, *shape)} or {shape}")
 
 
 def _step_loop(step, x0, U):
@@ -158,37 +137,104 @@ def _step_loop(step, x0, U):
     return X
 
 
-def _simulate(model, x0, u):
-    """States (T+1, n) and outputs (T+1, p) of a checked rollout.
+def _simulate(model, x0, u, stack=False):
+    """States X (R, T+1, n), controls U (R, T+1, m) and outputs Y (R, T+1, p)
+    of the rollouts from x0 of a stack u of R control sequences, and each
+    row's RolloutDivergence or None. Without stack, u is one sequence
+    (T+1, m), a stack of one, whose divergence is raised.
 
-    Raises RolloutDivergence at the first non-finite sample in the order a
+    A row diverges at its first non-finite sample in the order a
     step-by-step rollout meets them: the output at t, then the state at
     t+1. Outputs are only computed from finite states.
     """
-    x0, u = _check_rollout_args(model, x0, u)
-    T = u.shape[0] - 1
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape != (model.n,):
+        raise ValueError(f"x0 must have shape ({model.n},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
+    U = np.asarray(u, dtype=float)
+    if U.ndim != 2 + stack or U.shape[-1] != model.m:
+        raise ValueError(f"u must have shape ({'R, ' * stack}T+1, {model.m}), got {U.shape}")
+    if U.shape[-2] < 1:
+        raise ValueError("u needs at least one row")
+    if not np.isfinite(U).all():
+        raise ValueError("u must be finite")
+    U = U if stack else U[None]
+    R, N, _ = U.shape
     if model.states is not None:
         # past the first non-finite state the values are never read
         with np.errstate(over="ignore", invalid="ignore"):
-            X = np.asarray(model.states(x0, u[:T]), dtype=float)
-        if X.shape != (T + 1, model.n):
-            raise ValueError(f"states has shape {X.shape}, expected {(T + 1, model.n)}")
+            X = np.asarray(model.states(np.repeat(x0[None], R, 0), U[:, :-1]), dtype=float)
+        if X.shape != (R, N, model.n):
+            raise ValueError(f"states has shape {X.shape}, expected {(R, N, model.n)}")
     else:
-        X = _step_loop(model.step, x0, u[:T])
-    bad_state = _first_bad_row(X)
-    stop = T + 1 if bad_state is None else bad_state
-    Y = _stacked(model.output(X[:stop], u[:stop]), stop, (model.p,), "output")
-    bad_output = _first_bad_row(Y)
-    if bad_output is not None:
-        raise RolloutDivergence(bad_output, "output")
-    if bad_state is not None:
-        raise RolloutDivergence(bad_state, "state")
-    return X, u, Y
+        X = np.stack([_step_loop(model.step, x0, row[:-1]) for row in U])
+    # the states up to each row's first non-finite one
+    kept = np.logical_and.accumulate(np.isfinite(X).all(axis=-1), axis=-1)
+    Y = np.full((R, N, model.p), np.nan)
+    Y[kept] = _stacked(model.output(X[kept], U[kept]), (int(kept.sum()),), (model.p,), "output")
+    finite = np.isfinite(Y).all(axis=-1)
+    errors = [None] * R
+    for r in np.flatnonzero(~finite.all(axis=-1)):
+        t = int(np.argmin(finite[r]))
+        errors[r] = RolloutDivergence(t, "output" if kept[r, t] else "state")
+    if errors[0] is not None and not stack:
+        raise errors[0]
+    return X, U, Y, errors
+
+
+def _jacobians(model, X, U):
+    """fx, fu, gx and gu (see SensitivityRollout) along each of R finite
+    rollouts, from one call of each function on the flattened stack."""
+    (R, N, n), m, p = X.shape, model.m, model.p
+    fx, fu = model.step_jacobians(X[:, :-1].reshape(-1, n), U[:, :-1].reshape(-1, m))
+    gx, gu = model.output_jacobians(X.reshape(-1, n), U.reshape(-1, m))
+    return (
+        _stacked(fx, (R, N - 1), (n, n), "step_jacobians df/dx"),
+        _stacked(fu, (R, N - 1), (n, m), "step_jacobians df/du"),
+        _stacked(gx, (R, N), (p, n), "output_jacobians dg/dx"),
+        _stacked(gu, (R, N), (p, m), "output_jacobians dg/du"),
+    )
+
+
+def _sweep(jacobians, costates, dY):
+    """SensitivityRollout.control_gradient of R rollouts at once, for d rho /
+    d y of each in dY; returns du and each row's RolloutDivergence or None."""
+    fx, fu, gx, gu = jacobians
+    T = dY.shape[-2] - 1
+    row = dY[..., None, :]
+    # past the first non-finite costate the values are never returned
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = (row @ gx)[..., 0, :]
+        du = (row @ gu)[..., 0, :]
+        # lam[:, t] for t >= 1 becomes the costate; lam[:, 0] is never needed
+        if costates is not None and T > 0:
+            L = np.asarray(costates(fx[:, 1:], lam[:, 1:]), dtype=float)
+            if L.shape != lam[:, 1:].shape:
+                raise ValueError(f"costates has shape {L.shape}, expected {lam[:, 1:].shape}")
+            lam[:, 1:] = L
+        else:
+            # zipped reversed views and np.dot keep the per-step overhead low
+            dot = np.dot
+            for lam_r, fx_r in zip(lam, fx):
+                steps = zip(lam_r[T - 1 : 0 : -1], lam_r[T:1:-1], fx_r[T - 1 : 0 : -1])
+                for lam_t, lam_next, fx_t in steps:
+                    lam_t += dot(lam_next, fx_t)
+        du[:, :T] += (lam[:, 1:, None, :] @ fu)[..., 0, :]
+    swept = np.isfinite(lam[:, :0:-1]).all(axis=-1)  # in the order the sweep meets them
+    finite = np.isfinite(du).all(axis=-1)
+    errors = [None] * len(du)
+    for r in np.flatnonzero(~(swept.all(axis=-1) & finite.all(axis=-1))):
+        if not swept[r].all():
+            errors[r] = RolloutDivergence(T - int(np.argmin(swept[r])), "costate")
+        else:
+            errors[r] = RolloutDivergence(int(np.argmin(finite[r])), "control gradient")
+    return du, errors
 
 
 def rollout(model, x0, u):
     """Drive the model from x0 with controls u; returns the output Signal."""
-    return Signal(_simulate(model, x0, u)[2])
+    return Signal(_simulate(model, x0, u)[2][0])
 
 
 @dataclass
@@ -225,52 +271,18 @@ class SensitivityRollout:
             raise ValueError(
                 f"dsignal must have shape {self.signal.values.shape}, got {dsignal.shape}"
             )
-        T = dsignal.shape[0] - 1
-        row = dsignal[:, None, :]
-        # past the first non-finite costate the values are never returned
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam = (row @ self.gx)[:, 0, :]
-            du = (row @ self.gu)[:, 0, :]
-            # lam[t] for t >= 1 becomes the costate; lam[0] is never needed
-            if self.costates is not None and T > 0:
-                L = np.asarray(self.costates(self.fx[1:], lam[1:]), dtype=float)
-                if L.shape != lam[1:].shape:
-                    raise ValueError(
-                        f"costates has shape {L.shape}, expected {lam[1:].shape}"
-                    )
-                lam[1:] = L
-            else:
-                # zipped reversed views and np.dot keep the per-step
-                # overhead low
-                dot = np.dot
-                steps = zip(lam[T - 1 : 0 : -1], lam[T:1:-1], self.fx[T - 1 : 0 : -1])
-                for lam_t, lam_next, fx_t in steps:
-                    lam_t += dot(lam_next, fx_t)
-            du[:T] += (lam[1:, None, :] @ self.fu)[:, 0, :]
-        bad = _first_bad_row(lam[:0:-1])
-        if bad is not None:
-            raise RolloutDivergence(T - bad, "costate")
-        bad = _first_bad_row(du)
-        if bad is not None:
-            raise RolloutDivergence(bad, "control gradient")
-        return du
+        jacobians = (self.fx[None], self.fu[None], self.gx[None], self.gu[None])
+        du, (error,) = _sweep(jacobians, self.costates, dsignal[None])
+        if error is not None:
+            raise error
+        return du[0]
 
 
 def rollout_with_sensitivities(model, x0, u):
     """Like rollout, but also records every Jacobian along the trajectory."""
-    X, u, Y = _simulate(model, x0, u)
-    T = u.shape[0] - 1
-    n, m, p = model.n, model.m, model.p
-    fx, fu = model.step_jacobians(X[:T], u[:T])
-    gx, gu = model.output_jacobians(X, u)
-    return SensitivityRollout(
-        signal=Signal(Y),
-        fx=_stacked(fx, T, (n, n), "step_jacobians df/dx"),
-        fu=_stacked(fu, T, (n, m), "step_jacobians df/du"),
-        gx=_stacked(gx, T + 1, (p, n), "output_jacobians dg/dx"),
-        gu=_stacked(gu, T + 1, (p, m), "output_jacobians dg/du"),
-        costates=model.costates,
-    )
+    X, U, Y, _ = _simulate(model, x0, u)
+    fx, fu, gx, gu = (a[0] for a in _jacobians(model, X, U))
+    return SensitivityRollout(Signal(Y[0]), fx, fu, gx, gu, costates=model.costates)
 
 
 def _check_dt(dt):
@@ -303,11 +315,11 @@ def single_integrator_2d(dt=1.0):
 
     def states(x0, U):
         # the same additions as step, in the same order
-        return np.add.accumulate(np.vstack([x0, dt * U]), axis=0)
+        return np.add.accumulate(np.concatenate([x0[..., None, :], dt * U], axis=-2), axis=-2)
 
     def costates(F, G):
         # F is the identity, so each costate is a reverse running sum
-        return np.add.accumulate(G[::-1], axis=0)[::-1]
+        return np.add.accumulate(G[..., ::-1, :], axis=-2)[..., ::-1, :]
 
     def output(x, u):
         return np.concatenate([x, u], axis=-1)
@@ -344,12 +356,14 @@ def differential_drive(dt=1.0):
     def states(x0, U):
         # the same operations as step, in the same order: each coordinate
         # is a running sum of its increments
-        px0, py0, th0 = x0.tolist()
-        dv = dt * U[:, 0]
-        th = np.add.accumulate(np.concatenate([[th0], dt * U[:, 1]]))
-        px = np.add.accumulate(np.concatenate([[px0], dv * np.cos(th[:-1])]))
-        py = np.add.accumulate(np.concatenate([[py0], dv * np.sin(th[:-1])]))
-        return np.column_stack([px, py, th])
+        def running(first, steps):
+            return np.add.accumulate(np.concatenate([first, steps], axis=-1), axis=-1)
+
+        dv = dt * U[..., 0]
+        th = running(x0[..., 2:], dt * U[..., 1])
+        px = running(x0[..., :1], dv * np.cos(th[..., :-1]))
+        py = running(x0[..., 1:2], dv * np.sin(th[..., :-1]))
+        return np.stack([px, py, th], axis=-1)
 
     def costates(F, G):
         # F[i] is the identity plus the heading couplings F[i][:2, 2], so
@@ -360,13 +374,13 @@ def differential_drive(dt=1.0):
         # matmul rounds c as np.dot does; a * L0 + b * L1 need not, since
         # np.dot may fuse the multiply-add.
         L = np.empty_like(G)
-        L[:, :2] = np.add.accumulate(G[::-1, :2], axis=0)[::-1]
-        P = L[1:].copy()
-        P[:, 2] = 0.0
-        terms = np.empty(2 * len(G) - 1)
-        terms[0::2] = G[:, 2]
-        terms[1::2] = (P[:, None, :] @ F)[:, 0, 2]
-        L[:, 2] = np.add.accumulate(terms[::-1])[::-1][0::2]
+        L[..., :2] = np.add.accumulate(G[..., ::-1, :2], axis=-2)[..., ::-1, :]
+        P = L[..., 1:, :].copy()
+        P[..., 2] = 0.0
+        terms = np.empty(G.shape[:-2] + (2 * G.shape[-2] - 1,))
+        terms[..., 0::2] = G[..., 2]
+        terms[..., 1::2] = (P[..., None, :] @ F)[..., 0, 2]
+        L[..., 2] = np.add.accumulate(terms[..., ::-1], axis=-1)[..., ::-1][..., 0::2]
         return L
 
     def output(x, u):

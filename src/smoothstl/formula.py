@@ -65,7 +65,10 @@ def _pair(value):
 
 
 def _check_finite_scalar(x, what):
-    x = float(x)
+    try:
+        x = _number(x)
+    except TypeError:
+        raise FormulaError(f"{what} must be a number, got {x!r}") from None
     if not math.isfinite(x):
         raise FormulaError(f"{what} must be finite, got {x!r}")
     return x

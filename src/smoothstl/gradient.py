@@ -47,7 +47,7 @@ import numpy as np
 from .robustness import (
     SemanticsError,
     _as_vector,
-    _forward,
+    _evaluate,
     _one_segment,
     _read_series_csv,
     _sharpness,
@@ -109,10 +109,9 @@ def eval_with_gradient(phi, signal, t=0, config=None, classic_until=False):
     """
     if config is None or config.kind != "ef":
         raise SemanticsError("eval_with_gradient needs ef semantics")
-    plan, signal, Y, vals, weights = _forward(phi, signal, t, config, classic_until, keep=True)
-    dsignal = np.zeros_like(signal.values)
-    dsignal[int(t) : int(t) + Y.shape[0]] = plan.backward(Y, weights)
-    return RobustnessGradient(value=float(vals[plan.root]), dsignal=dsignal)
+    values = as_signal(signal).values
+    value, dsignal = _evaluate(phi, values, t, config, classic_until, gradient=True)
+    return RobustnessGradient(value=float(value), dsignal=dsignal)
 
 
 def finite_difference_gradient(phi, signal, t=0, config=None, h=1e-5, classic_until=False):

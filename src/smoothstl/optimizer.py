@@ -11,9 +11,11 @@ iteration budget runs out.
 
 Restart 0 always starts from u = 0; the remaining restarts start from
 seeded uniform noise (over the control bounds when given, otherwise over
-[-1, 1] per entry). The reported result is the restart with the highest
-exact robustness, with ties broken by objective value and then by restart
-index.
+[-1, 1] per entry). The restarts climb in lockstep: each round evaluates
+the next point every unfinished ascent asks for in one objective call on
+their stack, and each ascent gets the values it would get on its own. The
+reported result is the restart with the highest exact robustness, with
+ties broken by objective value and then by restart index.
 
 Everything here is deterministic for a fixed seed: same problem, same
 seed, bit-identical result.
@@ -27,10 +29,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import RolloutDivergence, rollout, rollout_with_sensitivities
+from .dynamics import RolloutDivergence, _jacobians, _simulate, _sweep, rollout
 from .formula import horizon, is_nnf
-from .gradient import eval_with_gradient
-from .robustness import EXACT, SemanticsConfig, _whole, evaluate
+from .robustness import EXACT, SemanticsConfig, _evaluate, _whole, evaluate
 
 __all__ = [
     "SynthesisFailure",
@@ -135,22 +136,42 @@ class SynthesisProblem:
 
 
 def objective(problem, u):
-    """J(u) and dJ/du for one control sequence of shape (T+1, m)."""
-    u = np.asarray(u, dtype=float)
-    sens = rollout_with_sensitivities(problem.model, problem.x0, u)
-    grad = eval_with_gradient(
-        problem.phi, sens.signal, 0, problem.config, problem.classic_until
-    )
-    du = sens.control_gradient(grad.dsignal)
-    w = problem.control_weight
-    J = grad.value - w * float(np.sum(u * u))
-    dJ = du - 2.0 * w * u
-    return J, dJ
+    """J(u) and dJ/du for one control sequence of shape (T+1, m).
+
+    A stack of R sequences (R, T+1, m) gives, in one pass, a list of R
+    outcomes, each the row's (J, dJ) or RolloutDivergence, bit for bit
+    what the row gives on its own. A row that diverges in the rollout
+    skips the robustness evaluation. An effort term that overflows is a
+    divergence at the row of u where the running sum of squares does.
+    """
+    model = problem.model
+    stack = np.ndim(u) == 3
+    X, U, Y, outcomes = _simulate(model, problem.x0, u, stack)
+    live = [r for r, error in enumerate(outcomes) if error is None]
+    if len(live) < len(U):
+        X, Y, U = X[live], Y[live], U[live]
+    if live:
+        rho, dY = _evaluate(problem.phi, Y, 0, problem.config, problem.classic_until, True)
+        du, errors = _sweep(_jacobians(model, X, U), model.costates, dY)
+        w = problem.control_weight
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = U * U
+            effort = squares.reshape(len(U), -1).sum(axis=-1)
+            J, dJ = rho - w * effort, du - 2.0 * w * U
+            for i, r in enumerate(live):
+                if errors[i] is None and not math.isfinite(effort[i]):
+                    running = np.add.accumulate(squares[i].sum(axis=-1))[:-1]
+                    errors[i] = RolloutDivergence(int(np.isfinite(running).sum()), "control effort")
+                outcomes[r] = (float(J[i]), dJ[i]) if errors[i] is None else errors[i]
+    if not stack and isinstance(outcomes[0], RolloutDivergence):
+        raise outcomes[0]
+    return outcomes if stack else outcomes[0]
 
 
 @dataclass
 class RestartRecord:
-    """Outcome of one local ascent."""
+    """Outcome of one local ascent. wall_ms is its share of the rounds it
+    took part in, each round's wall time split equally among its ascents."""
 
     index: int
     rho_exact: float
@@ -211,21 +232,15 @@ def _clamp(u, bounds):
 def _lbfgs_direction(g, pairs):
     """Ascent direction from the two-loop recursion; pairs hold flattened
     (s, gdiff) with gdiff = g_old - g_new, the gradient-change convention
-    for a maximization."""
+    for a maximization, and their 1 / s.gdiff and s.gdiff / gdiff.gdiff."""
     q = -g.ravel()
     alphas = []
-    rhos = []
-    for s, y in reversed(pairs):
-        rho = 1.0 / float(np.dot(y, s))
-        alpha = rho * float(np.dot(s, q))
-        q = q - alpha * y
-        alphas.append(alpha)
-        rhos.append(rho)
+    for s, y, rho, _ in reversed(pairs):
+        alphas.append(rho * float(np.dot(s, q)))
+        q -= alphas[-1] * y
     if pairs:
-        s, y = pairs[-1]
-        gamma = float(np.dot(s, y)) / float(np.dot(y, y))
-        q *= gamma
-    for (s, y), alpha, rho in zip(pairs, reversed(alphas), reversed(rhos)):
+        q *= pairs[-1][3]
+    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
         beta = rho * float(np.dot(y, q))
         q += s * (alpha - beta)
     return (-q).reshape(g.shape)
@@ -234,15 +249,16 @@ def _lbfgs_direction(g, pairs):
 def _ascend(problem, u0):
     """Maximize J from u0; returns (u, J, trace, iterations, converged).
 
-    A divergence of the rollout at the start marks the ascent failed
-    (None), one inside the line search just rejects that step length.
+    It yields each point to evaluate and is sent (J, g) or a divergence: at
+    the start that marks the ascent failed (None), in the line search it
+    rejects the step length.
     """
     bounds = problem.control_bounds if problem.hard_clamp else None
     u = _clamp(np.asarray(u0, dtype=float), bounds)
-    try:
-        J, g = objective(problem, u)
-    except RolloutDivergence:
+    outcome = yield u
+    if isinstance(outcome, RolloutDivergence):
         return None
+    J, g = outcome
     if not (math.isfinite(J) and np.isfinite(g).all()):
         return None
     trace = [J]
@@ -265,11 +281,11 @@ def _ascend(problem, u0):
         for _ in range(_MAX_BACKTRACKS):
             cand = _clamp(u + alpha * d, bounds)
             gain = float(np.sum(g * (cand - u)))
-            try:
-                Jc, gc = objective(problem, cand)
-            except RolloutDivergence:
+            outcome = yield cand
+            if isinstance(outcome, RolloutDivergence):
                 alpha *= 0.5
                 continue
+            Jc, gc = outcome
             if math.isfinite(Jc) and np.isfinite(gc).all() and Jc >= J + _ARMIJO_C1 * max(gain, 0.0) and Jc >= J:
                 accepted = (cand, Jc, gc)
                 break
@@ -279,8 +295,9 @@ def _ascend(problem, u0):
         cand, Jc, gc = accepted
         s = (cand - u).ravel()
         ydiff = (g - gc).ravel()
-        if float(np.dot(s, ydiff)) > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(ydiff)):
-            pairs.append((s, ydiff))
+        sy = float(np.dot(s, ydiff))
+        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(ydiff)):
+            pairs.append((s, ydiff, 1.0 / sy, sy / float(np.dot(ydiff, ydiff))))
             if len(pairs) > _LBFGS_MEMORY:
                 pairs.pop(0)
         step = float(np.abs(cand - u).max())
@@ -307,43 +324,51 @@ def _initial_controls(problem):
     return inits
 
 
-def _run_restart(problem, index, u0):
-    """One ascent from u0, scored exactly and smoothly at problem's
-    sharpness; returns (record, (u, y, trace)), or (record, None) when it
-    diverged."""
-    start = time.perf_counter()
-    outcome = _ascend(problem, u0)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    if outcome is None:
-        record = RestartRecord(
-            index=index, rho_exact=-math.inf, rho_smooth=-math.inf,
-            objective=-math.inf, iterations=0, converged=False,
-            wall_ms=wall_ms, failed=True,
-        )
-        return record, None
-    u, J, trace, iterations, converged = outcome
-    y = rollout(problem.model, problem.x0, u)
-    rho_exact = evaluate(problem.phi, y, 0, EXACT, problem.classic_until)
-    rho_smooth = evaluate(problem.phi, y, 0, problem.config, problem.classic_until)
-    record = RestartRecord(
-        index=index, rho_exact=rho_exact, rho_smooth=rho_smooth,
-        objective=J, iterations=iterations, converged=converged, wall_ms=wall_ms,
-    )
-    return record, (u, y, trace)
+def _run_restarts(problem, starts, first=0):
+    """Ascents from each start in lockstep, scored exactly and smoothly at
+    problem's sharpness; returns one (record, (u, y, trace)) per start,
+    numbered from first, with None for the payload of one that diverged."""
+    ascents = [_ascend(problem, u0) for u0 in starts]
+    asks = [next(ascent) for ascent in ascents]
+    done, wall_ms = {}, [0.0] * len(starts)
+    live = list(range(len(starts)))
+    while live:
+        start = time.perf_counter()
+        for i, outcome in zip(live, objective(problem, np.stack([asks[i] for i in live]))):
+            try:
+                asks[i] = ascents[i].send(outcome)
+            except StopIteration as stop:
+                done[i] = stop.value
+        share = (time.perf_counter() - start) * 1e3 / len(live)
+        for i in live:
+            wall_ms[i] += share
+        live = [i for i in live if i not in done]
+    outcomes = []
+    for i, ms in enumerate(wall_ms):
+        if done[i] is None:
+            failed = RestartRecord(first + i, -math.inf, -math.inf, -math.inf, 0, False, ms, True)
+            outcomes.append((failed, None))
+            continue
+        u, J, trace, iterations, converged = done[i]
+        y = rollout(problem.model, problem.x0, u)
+        rho_exact = evaluate(problem.phi, y, 0, EXACT, problem.classic_until)
+        rho_smooth = evaluate(problem.phi, y, 0, problem.config, problem.classic_until)
+        record = RestartRecord(first + i, rho_exact, rho_smooth, J, iterations, converged, ms)
+        outcomes.append((record, (u, y, trace)))
+    return outcomes
 
 
 def synthesize(problem):
     """Search for controls maximizing exact satisfaction margin.
 
-    Runs the baseline plus problem.restarts seeded ascents, one after the
-    other, then reports the restart with the highest exact robustness;
-    ties fall to the higher objective, then the lower restart index.
+    Runs the baseline plus problem.restarts seeded ascents in lockstep,
+    then reports the restart with the highest exact robustness; ties fall
+    to the higher objective, then the lower restart index.
     Raises SynthesisFailure when every restart diverges, so a non-finite
     answer is never returned silently.
     """
     start = time.perf_counter()
-    inits = _initial_controls(problem)
-    outcomes = [_run_restart(problem, i, u0) for i, u0 in enumerate(inits)]
+    outcomes = _run_restarts(problem, _initial_controls(problem))
     records = [rec for rec, _ in outcomes]
     candidates = [(rec, payload) for rec, payload in outcomes if not rec.failed]
     if not candidates:
@@ -401,7 +426,7 @@ def k_continuation(problem, k_schedule):
     trace = list(first.objective_trace)
     for k in ks[1:]:
         u_init = stages[-1].u_star
-        record, payload = _run_restart(replace(problem, k1=k, k2=k), len(stages), u_init)
+        ((record, payload),) = _run_restarts(replace(problem, k1=k, k2=k), [u_init], len(stages))
         if record.failed:
             raise SynthesisFailure(f"continuation stage k={k} diverged from its warm start")
         u, y, stage_trace = payload

@@ -265,8 +265,10 @@ def count_operator_evals():
 # layouts. Flat: a 1-D array cut into nonempty segments that begin at
 # starts, with seg mapping every entry to its segment. Dense: an (L, n)
 # array whose n columns are segments of length L, reduced along axis 0;
-# starts is None and seg is Ellipsis, so that v[seg] lines per-segment
-# values v up with the entries in both layouts. The soft ones work in
+# starts is None and seg is Ellipsis. Either may carry a leading stack
+# axis, one row per signal, and a row is reduced in the same order as on
+# its own, so its result is the same bit for bit; _take(v, seg) lines
+# per-segment values v up with the entries. The soft ones work in
 # shifted form, so exponent arguments are at most zero and, being capped at
 # _EXP_CUTOFF, never overflow; the under-approximation survives in floating
 # point because each correction is a sum of one-signed quantities.
@@ -277,41 +279,52 @@ _EXP_CUTOFF = 800.0  # exp(-x) is exactly 0.0 in float64 for every x above this
 _MAX, _MIN, _SCAN_MAX, _SCAN_MIN = range(4)
 
 
+def _take(v, idx):
+    """v[..., idx]: plain indexing of one row, np.take (3x faster than
+    v[:, idx]) of a stack. A dense block's seg, ..., adds a row axis."""
+    if v.ndim == 1:
+        return v[idx]
+    return v[:, None] if idx is ... else np.take(v, idx, axis=-1)
+
+
+def _reduce(ufunc, a, starts):
+    return ufunc.reduce(a, axis=-2) if starts is None else ufunc.reduceat(a, starts, axis=-1)
+
+
 def _exact_min(a, starts, seg, k, keep):
-    return (np.minimum.reduce(a) if starts is None else np.minimum.reduceat(a, starts)), None
+    return _reduce(np.minimum, a, starts), None
 
 
 def _exact_max(a, starts, seg, k, keep):
-    return (np.maximum.reduce(a) if starts is None else np.maximum.reduceat(a, starts)), None
+    return _reduce(np.maximum, a, starts), None
 
 
 def _soft_min(a, starts, seg, k, keep):
-    m = np.minimum.reduce(a) if starts is None else np.minimum.reduceat(a, starts)
-    e = np.exp(-k * np.minimum(a - m[seg], _EXP_CUTOFF / k))
-    s = np.add.reduce(e) if starts is None else np.add.reduceat(e, starts)
-    return m - np.log(s) / k, (e / s[seg] if keep else None)
+    m = _reduce(np.minimum, a, starts)
+    e = np.exp(-k * np.minimum(a - _take(m, seg), _EXP_CUTOFF / k))
+    s = _reduce(np.add, e, starts)
+    return m - np.log(s) / k, (e / _take(s, seg) if keep else None)
 
 
 def _boltzmann(a, starts, seg, k):
     """Segment maxima m, gaps d = a - m and the weights exp(k d), normalised
     per segment. A weight that underflows is exactly 0: the gaps are floored
     where exp would give 0 anyway, so k d stays finite."""
-    m = np.maximum.reduce(a) if starts is None else np.maximum.reduceat(a, starts)
-    d = a - m[seg]
+    m = _reduce(np.maximum, a, starts)
+    d = a - _take(m, seg)
     if k > 0:
         d = np.maximum(d, -_EXP_CUTOFF / k)
     w = np.exp(k * d)
-    w /= (np.add.reduce(w) if starts is None else np.add.reduceat(w, starts))[seg]
+    w /= _take(_reduce(np.add, w, starts), seg)
     return m, d, w
 
 
 def _soft_max(a, starts, seg, k, keep):
     m, d, w = _boltzmann(a, starts, seg, k)
-    wd = w * d
-    out = m + (np.add.reduce(wd) if starts is None else np.add.reduceat(wd, starts))
+    out = m + _reduce(np.add, w * d, starts)
     if not keep:
         return out, None
-    gap = a - out[seg]
+    gap = a - _take(out, seg)
     if k > 0:
         # only entries with zero weight reach the floor; their products stay 0
         gap = np.maximum(gap, -_EXP_CUTOFF / k)
@@ -323,14 +336,15 @@ def _lse_max(a, starts, seg, k, keep):
     return -out, None
 
 
-# Scans. Each reduces every prefix of the columns of a (W, n) array: row j
-# of its output, returned flattened, reduces rows 0..j. starts and seg are
-# None. With keep, the second value is a function that maps the output's
-# adjoints, shaped like a, to the adjoints of a's entries. Scans double:
-# after the pass with stride h = 1, 2, 4, ..., row j covers rows j-2h+1..j,
-# so a scan takes about log2(W) whole-block numpy calls per quantity, where
-# a walk down the rows would take W calls of about a microsecond each
-# whatever their width. The soft ones keep the running extreme m and, per
+# Scans. Each reduces every prefix of the columns of a (W, n) array, or of
+# each block of a stack (R, W, n): row j of its output, returned flattened
+# per block, reduces rows 0..j. starts and seg are None. With keep, the
+# second value is a function that maps the output's adjoints, shaped like
+# a, to the adjoints of a's entries. Scans double: after the pass with
+# stride h = 1, 2, 4, ..., row j covers rows j-2h+1..j, so a scan takes
+# about log2(W) whole-block numpy calls per quantity, where a walk down the
+# rows would take W calls of about a microsecond each whatever their
+# width. The soft ones keep the running extreme m and, per
 # row, sums in the shifted form of the reducers above, taken relative to
 # that row's m; a sum moved from row i to a later row j is rescaled by
 # r = exp(-k |m_j - m_i|), so every exponent stays at most zero and every
@@ -338,16 +352,21 @@ def _lse_max(a, starts, seg, k, keep):
 
 
 def _running(ufunc, a):
-    """ufunc.accumulate(a) along axis 0 for an idempotent ufunc (minimum
+    """ufunc.accumulate(a) along axis -2 for an idempotent ufunc (minimum
     or maximum). On the (11, 401) block of a long until this takes half the
     time of accumulate itself, which walks the array column by column."""
     out = a.copy()
     h = 1
-    while h < len(out):
+    while h < out.shape[-2]:
         # not out=: numpy's overlap check on that costs more than the copy
-        out[h:] = ufunc(out[h:], out[:-h])
+        out[..., h:, :] = ufunc(out[..., h:, :], out[..., :-h, :])
         h *= 2
     return out
+
+
+def _flatten(x):
+    """The (..., W, n) blocks of x, each flattened."""
+    return x.reshape(x.shape[:-2] + (-1,))
 
 
 def _strides(m, k, rising):
@@ -355,25 +374,26 @@ def _strides(m, k, rising):
     far the running extreme m moves from row i to row i + h, made of steps
     capped at _EXP_CUTOFF / k where k > 0, and r = exp(-k rise), formed as
     products of the one-row factors."""
-    rise = m[1:] - m[:-1] if rising else m[:-1] - m[1:]
+    rise = m[..., 1:, :] - m[..., :-1, :] if rising else m[..., :-1, :] - m[..., 1:, :]
     if k > 0:
         rise = np.minimum(rise, _EXP_CUTOFF / k)
     r = np.exp(-k * rise)
     levels, h = [(1, rise, r)], 2
-    while h < len(m):
+    while h < m.shape[-2]:
         _, rise, r = levels[-1]
         half = h // 2
-        levels.append((h, rise[half:] + rise[:-half], r[half:] * r[:-half]))
+        hi, lo = np.s_[..., half:, :], np.s_[..., :-half, :]
+        levels.append((h, rise[hi] + rise[lo], r[hi] * r[lo]))
         h *= 2
     return levels
 
 
 def _scan_exact_min(a, starts, seg, k, keep):
-    return _running(np.minimum, a).ravel(), None
+    return _flatten(_running(np.minimum, a)), None
 
 
 def _scan_exact_max(a, starts, seg, k, keep):
-    return _running(np.maximum, a).ravel(), None
+    return _flatten(_running(np.maximum, a)), None
 
 
 def _scan_soft_min(a, starts, seg, k, keep):
@@ -385,8 +405,8 @@ def _scan_soft_min(a, starts, seg, k, keep):
     levels = _strides(m, k, rising=False)
     s = e.copy()
     for h, _, r in levels:
-        s[h:] += r * s[:-h]
-    out = (m - np.log(s) / k).ravel()
+        s[..., h:, :] += r * s[..., :-h, :]
+    out = _flatten(m - np.log(s) / k)
     if not keep:
         return out, None
 
@@ -395,7 +415,7 @@ def _scan_soft_min(a, starts, seg, k, keep):
         # so it gets e_i times the rescaled sum of adjoint_j / S_j over j >= i
         b = adjoint / s
         for h, _, r in levels:
-            b[:-h] += r * b[h:]
+            b[..., :-h, :] += r * b[..., h:, :]
         return e * b
 
     return out, back
@@ -415,10 +435,10 @@ def _scan_soft_max(a, starts, seg, k, keep):
     levels = _strides(m, k, rising=True)
     z, p = e.copy(), e * d
     for h, rise, r in levels:
-        p[h:] += r * (p[:-h] - rise * z[:-h])
-        z[h:] += r * z[:-h]
+        p[..., h:, :] += r * (p[..., :-h, :] - rise * z[..., :-h, :])
+        z[..., h:, :] += r * z[..., :-h, :]
     gap = p / z  # the value minus the running maximum, at most zero
-    out = (m + gap).ravel()
+    out = _flatten(m + gap)
     if not keep:
         return out, None
 
@@ -429,8 +449,8 @@ def _scan_soft_max(a, starts, seg, k, keep):
         q = adjoint / z
         A, D = q.copy(), -q * gap
         for h, rise, r in levels:
-            D[:-h] += r * (D[h:] - rise * A[h:])
-            A[:-h] += r * A[h:]
+            D[..., :-h, :] += r * (D[..., h:, :] - rise * A[..., h:, :])
+            A[..., :-h, :] += r * A[..., h:, :]
         return e * ((1.0 + k * d) * A + k * D)
 
     return out, back
@@ -639,7 +659,7 @@ class _Plan:
     results of until and release) in the order the groups run; every
     semantics runs the same groups, in order. The root's reduction is the
     only one at the greatest depth, so it runs last and its result keeps
-    the last slot.
+    the last slot. A run on a stack of R windows fills vals (R, size).
     """
 
     def __init__(self, phi, classic_until):
@@ -699,6 +719,7 @@ class _Plan:
         self.rows = np.concatenate([ts for ts, _, _ in spans])
         self.cols = np.concatenate([np.full(ts.size, column[id(p)]) for ts, p, _ in spans])
         self.signs = np.concatenate([np.full(ts.size, sign) for ts, _, sign in spans])
+        self.leaves = self.rows * self.n_preds + self.cols
         self.callables = [
             (j, p, np.unique(self.rows[self.cols == j]))
             for j, p in enumerate(preds)
@@ -760,55 +781,67 @@ class _Plan:
         return outer_out + n_t
 
     def margins(self, Y):
-        """Predicate margins at the rows of Y, one column per predicate.
-        Columns of callable predicates are filled only at the rows read."""
+        """Predicate margins at the rows of a window Y, or of a stack of them,
+        one column per predicate; callable ones only at the rows read."""
         linear = Y @ self.coeffs.T - self.offsets
         if not self.callables:
             return linear
-        S = np.empty((Y.shape[0], self.n_preds))
-        S[:, : self.n_linear] = linear
+        S = np.empty(Y.shape[:-1] + (self.n_preds,))
+        S[..., : self.n_linear] = linear
         for col, pred, rows in self.callables:
-            vals = np.array([pred.value(Y[r]) for r in rows], dtype=float)
+            at = Y[..., rows, :]
+            vals = np.array([pred.value(y) for y in at.reshape(-1, at.shape[-1])], dtype=float)
             if not np.isfinite(vals).all():
                 raise SemanticsError("callable predicate produced a non-finite margin")
-            S[rows, col] = vals
+            S[..., rows, col] = vals.reshape(at.shape[:-1])
         return S
 
     def run(self, Y, reducers, keep):
-        """Fill vals for the window Y; with keep, also each reduction's weights."""
-        vals = np.empty(self.size)
-        vals[: self.n_leaf] = self.margins(Y)[self.rows, self.cols] * self.signs
+        """Fill vals (a row per window of a stack Y); with keep, also weights."""
+        vals = np.empty(Y.shape[:-2] + (self.size,))
+        vals[..., : self.n_leaf] = _take(_flatten(self.margins(Y)), self.leaves) * self.signs
         weights = []
         for op, idx, starts, seg, out, stop in self.groups:
             fn, k = reducers[op]
-            vals[out:stop], w = fn(vals[idx], starts, seg, k, keep)
+            vals[..., out:stop], w = fn(_take(vals, idx), starts, seg, k, keep)
             weights.append(w)
         return vals, weights
 
     def backward(self, Y, weights):
-        """Gradient of the root value in the window Y, from the weights a
-        smooth run with keep returned."""
-        adjoint = np.zeros(self.size)
-        adjoint[self.root] = 1.0
+        """Gradient of the root value in the window Y, or in each window of
+        a stack, from the weights a smooth run with keep returned."""
+        lead = Y.shape[:-2]
+        adjoint = np.zeros(lead + (self.size,))
+        adjoint[..., self.root] = 1.0
+        flat = adjoint.reshape(-1)  # np.add.at is about 3x slower on a 2-D index
         for (_, idx, _, seg, out, stop), w in zip(reversed(self.groups), reversed(weights)):
+            part = adjoint[..., out:stop]
             if seg is None:  # a scan; w maps its output adjoints to its entries'
-                np.add.at(adjoint, idx.ravel(), w(adjoint[out:stop].reshape(idx.shape)).ravel())
-            elif seg is ...:  # dense; a 2-D index makes add.at about 3x slower
-                np.add.at(adjoint, idx.ravel(), (w * adjoint[out:stop]).ravel())
+                part = w(part.reshape(lead + idx.shape))
             else:
-                np.add.at(adjoint, idx, w * adjoint[out:stop][seg])
+                part = w * _take(part, seg)
+            np.add.at(flat, _flat_index(idx, self.size, lead), part.reshape(-1))
         # leaf adjoints, summed per (row, predicate), then pushed to the samples
-        rows, cols = Y.shape[0], self.n_preds
+        rows, cols = Y.shape[-2], self.n_preds
         G = np.bincount(
-            self.rows * cols + self.cols,
-            weights=adjoint[: self.n_leaf] * self.signs,
-            minlength=rows * cols,
-        ).reshape(rows, cols)
-        dY = G[:, : self.n_linear] @ self.coeffs
+            _flat_index(self.leaves, rows * cols, lead),
+            weights=(adjoint[..., : self.n_leaf] * self.signs).reshape(-1),
+            minlength=math.prod(lead) * rows * cols,
+        ).reshape(lead + (rows, cols))
+        dY = G[..., : self.n_linear] @ self.coeffs
         for col, pred, at in self.callables:
-            for r in at[G[at, col] != 0.0]:
-                dY[r] += G[r, col] * pred.gradient(Y[r])
+            at, Gs = _flat_index(at, rows, lead), G.reshape(-1, cols)
+            dYs, Ys = dY.reshape(-1, dY.shape[-1]), Y.reshape(-1, Y.shape[-1])
+            for r in at[Gs[at, col] != 0.0]:
+                dYs[r] += Gs[r, col] * pred.gradient(Ys[r])
         return dY
+
+
+def _flat_index(idx, width, lead):
+    """idx in each row of a flattened stack of shape lead + (width,)."""
+    if not lead:
+        return idx.reshape(-1)
+    return (idx.reshape(-1) + width * np.arange(math.prod(lead))[:, None]).reshape(-1)
 
 
 _PLAN_SLOTS = 32
@@ -843,41 +876,48 @@ _REDUCERS = {
 }
 
 
-def _forward(phi, signal, t, config, classic_until, keep=False):
-    """Validate the arguments and run phi's plan at time t.
+def _evaluate(phi, values, t, config, classic_until, gradient=False):
+    """Validate the arguments and run phi's plan at time t on the samples
+    (T+1, p) of a signal, or on each signal of a finite stack (R, T+1, p).
 
-    Returns (plan, signal, Y, vals, weights), where Y is the window of
-    samples t .. t + horizon(phi) the plan read.
+    Returns the value, or R values, and with gradient set the gradient in
+    the samples, else None; each row of a stack is bit for bit its signal's
+    own. A stack counts R forwards; one of one runs unstacked (faster).
     """
     if not isinstance(config, SemanticsConfig):
         raise SemanticsError("config must be a SemanticsConfig")
-    signal = as_signal(signal)
     if type(t) is not int:
         t = _whole(t, "evaluation time t", SemanticsError)
     if t < 0:
         raise SemanticsError(f"evaluation time must be nonnegative, got {t}")
     plan = _plan(phi, classic_until)
-    need = t + plan.horizon
-    if need > signal.T:
+    need, last = t + plan.horizon, values.shape[-2] - 1
+    if need > last:
         raise SemanticsError(
             f"signal too short: evaluation at t={t} needs samples through "
-            f"t={need} but the signal ends at t={signal.T}"
+            f"t={need} but the signal ends at t={last}"
         )
     smooth = config.kind != "exact"
     if smooth and not plan.nnf:
         raise SemanticsError(
             "smooth semantics requires negation normal form; apply to_nnf first"
         )
-    if plan.dims != {signal.p}:
-        bad = min(plan.dims - {signal.p})
-        raise SemanticsError(
-            f"predicate expects {bad} signal dimensions, signal has {signal.p}"
-        )
-    Y = signal.values[t : need + 1]
-    vals, weights = plan.run(Y, _REDUCERS[config.kind](config), keep)
+    p = values.shape[-1]
+    if plan.dims != {p}:
+        bad = min(plan.dims - {p})
+        raise SemanticsError(f"predicate expects {bad} signal dimensions, signal has {p}")
+    Y = values[..., t : need + 1, :]
+    if len(Y) == 1 and Y.ndim == 3:
+        Y = Y[0]
+    vals, weights = plan.run(Y, _REDUCERS[config.kind](config), gradient)
     if smooth:
-        _tick(plan.applications, plan.scalars, forwards=1)
-    return plan, signal, Y, vals, weights
+        n = vals.size // plan.size
+        _tick(plan.applications * n, plan.scalars * n, forwards=n)
+    if not gradient:
+        return vals[..., plan.root], None
+    dsignal = np.zeros_like(values)
+    dsignal[..., t : t + Y.shape[-2], :] = plan.backward(Y, weights)
+    return vals[..., plan.root], dsignal
 
 
 def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):
@@ -896,8 +936,7 @@ def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):
     means the formula is satisfied; positive ef robustness implies
     positive exact robustness, while lse offers no such guarantee.
     """
-    plan, _, _, vals, _ = _forward(phi, signal, t, config, classic_until)
-    return float(vals[plan.root])
+    return float(_evaluate(phi, as_signal(signal).values, t, config, classic_until)[0])
 
 
 # ---------------------------------------------------------------------------

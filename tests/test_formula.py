@@ -59,6 +59,10 @@ class TestLinearPredicate:
             LinearPredicate((1.0,), float("nan"))
         with pytest.raises(FormulaError, match="finite"):
             LinearPredicate((float("inf"),), 0.0)
+        # float() would take each of these
+        for coeffs, offset in ((("1", 1.0), 0.5), ((1.0, True), 0.5), ((1.0,), "0.5")):
+            with pytest.raises(FormulaError, match="must be a number, got"):
+                LinearPredicate(coeffs, offset)
 
     def test_label_is_cosmetic(self):
         a = LinearPredicate((1.0,), 0.0, label="a")

@@ -6,14 +6,15 @@ can achieve an exact margin of at most half the box width, and a straight
 run at the box center achieves it. The optimizer must land in that range.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothstl.dynamics import SystemModel, rollout, single_integrator_2d
-from smoothstl.formula import Not, RegionTable, to_nnf
+from smoothstl.dynamics import RolloutDivergence, SystemModel, rollout, single_integrator_2d
+from smoothstl.formula import CallablePredicate, Not, Pred, RegionTable, conj, to_nnf
 from smoothstl.optimizer import (
     DEFAULT_RESTARTS,
     SynthesisFailure,
@@ -24,7 +25,52 @@ from smoothstl.optimizer import (
     synthesize,
 )
 from smoothstl.parser import parse
-from smoothstl.robustness import EXACT, SemanticsConfig, SemanticsError, evaluate
+from smoothstl.robustness import (
+    EXACT,
+    SemanticsConfig,
+    SemanticsError,
+    count_operator_evals,
+    evaluate,
+)
+from smoothstl.scenarios import build_problem, builtin_scenario
+
+
+MONITOR_SPEC = (
+    "G[0,400] ((F[0,20] (y0 >= 1) or G[0,5] (-y1 >= -0.5))"
+    " and ((y1 >= -2) U[0,10] (y0 - y1 >= 0.5)))"
+)
+
+
+def scaled_disc(r):
+    """Callable margin of a disc of radius r about the origin of the
+    position, over the single integrator's 4-D output."""
+    return CallablePredicate(
+        fn=lambda y: r - float(y[:2] @ y[:2]) / r,
+        dim=4,
+        jacobian=lambda y: np.concatenate([-2.0 * y[:2] / r, [0.0, 0.0]]),
+        label="disc",
+    )
+
+
+def stack_cases():
+    """Parameters (problem, stack of controls) for the batched objective: both
+    builtin models, a long monitoring formula whose plan has dense blocks
+    and an until scan, and a callable predicate. Row 1 of the two_target
+    stack diverges in the rollout and row 3 in the effort term."""
+    rng = np.random.default_rng(92)
+    cases = []
+    for name in ("two_target", "table2_diffdrive"):
+        problem = build_problem(builtin_scenario(name))
+        cases.append((name, problem, rng.uniform(-2, 2, (5, problem.T + 1, problem.model.m))))
+    cases[0][2][1, 2:4] = 1e308
+    cases[0][2][3, 4] = 1e200
+    monitor = replace(
+        reach_problem(), phi=to_nnf(parse(MONITOR_SPEC, p=4)), T=420, control_bounds=None
+    )
+    cases.append(("monitor", monitor, rng.normal(0.0, 0.3, (3, 421, 2))))
+    disc = conj(Pred(scaled_disc(2.0)).eventually(1, 3), reach_problem().phi)
+    cases.append(("callable", reach_problem(phi=disc), rng.uniform(-1, 1, (4, 5, 2))))
+    return [pytest.param(problem, U, id=name) for name, problem, U in cases]
 
 
 def reach_problem(**kwargs):
@@ -133,6 +179,47 @@ class TestObjective:
         rho = evaluate(problem.phi, y, config=problem.config)
         assert_allclose(J, rho - 0.25 * float(np.sum(u * u)), rtol=1e-12)
 
+    @pytest.mark.parametrize("problem, U", stack_cases())
+    def test_stack_equals_rows_bit_for_bit(self, problem, U):
+        def same(got, want):
+            if isinstance(want, RolloutDivergence):
+                return type(got) is RolloutDivergence and str(got) == str(want)
+            return got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+        rows = []
+        for u in U:
+            try:
+                rows.append(objective(problem, u))
+            except RolloutDivergence as err:
+                rows.append(err)
+        errors = [str(row) for row in rows if isinstance(row, RolloutDivergence)]
+        if len(U) == 5 and problem.model.n == 2:  # two_target
+            assert errors == [
+                "non-finite state at timestep 4", "non-finite control effort at timestep 4"
+            ]
+        with count_operator_evals() as counter:
+            stacked = objective(problem, U)
+        # a row that diverges in the rollout is not evaluated
+        assert counter.forwards == len(U) - sum("state" in error for error in errors)
+        assert all(same(got, want) for got, want in zip(stacked, rows, strict=True))
+        perm = np.random.default_rng(93).permutation(len(U))
+        shuffled = objective(problem, U[perm])
+        assert all(same(got, rows[i]) for got, i in zip(shuffled, perm, strict=True))
+
+    def test_effort_overflow_is_divergence(self):
+        # the rollout, robustness and costates stay finite; the squares of
+        # row 4 overflow first
+        problem = build_problem(builtin_scenario("two_target"))
+        u = np.zeros((problem.T + 1, 2))
+        u[4:] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RolloutDivergence, match="control effort") as err:
+                objective(problem, u)
+            (stacked,) = objective(problem, u[None])
+        assert err.value.timestep == 4
+        assert str(stacked) == str(err.value)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(91)
         problem = reach_problem(control_weight=0.1, k1=2.0, k2=2.0)
@@ -168,6 +255,9 @@ class TestSynthesize:
         assert result.rho_smooth == evaluate(problem.phi, result.y_star, config=problem.config)
         assert result.satisfied == (result.rho_exact > 0)
         assert result.wall_time > 0
+        # each restart's share of the lockstep rounds it took part in
+        assert all(r.wall_ms > 0 for r in result.restart_records)
+        assert sum(r.wall_ms for r in result.restart_records) <= result.wall_time * 1e3
 
     def test_trace_is_nondecreasing(self):
         result = synthesize(reach_problem())
@@ -235,6 +325,31 @@ class TestSynthesize:
         )
         with np.errstate(over="ignore"), pytest.raises(SynthesisFailure, match="diverged"):
             synthesize(problem)
+
+    def test_divergent_restarts_fail_alone(self):
+        # the state is multiplied by 1e160 u, so the zero baseline stays
+        # finite and every random start overflows by t = 2
+        scaling = SystemModel(
+            n=1, m=1, p=1,
+            step=lambda x, u: x * u * 1e160,
+            output=lambda x, u: x,
+            step_jacobians=lambda x, u: (u[:, :, None] * 1e160, x[:, :, None] * 1e160),
+            output_jacobians=lambda x, u: (np.eye(1), np.zeros((1, 1))),
+            name="scaling",
+        )
+        problem = SynthesisProblem(
+            model=scaling, x0=(1.0,), phi=parse("G[0,3] y0 >= -1", p=1),
+            T=3, k1=2.0, k2=2.0, restarts=3, max_iters=10,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = synthesize(problem)
+            alone = synthesize(replace(problem, restarts=0))
+        assert [r.failed for r in result.restart_records] == [False, True, True, True]
+        assert result.restart_index == 0
+        assert replace(result.restart_records[0], wall_ms=0.0) == replace(
+            alone.restart_records[0], wall_ms=0.0
+        )
+        assert (result.u_star == alone.u_star).all()
 
 
 class TestKContinuation:
