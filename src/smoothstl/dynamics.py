@@ -160,32 +160,36 @@ def _simulate(model, x0, u, stack=False):
     if not np.isfinite(U).all():
         raise ValueError("u must be finite")
     U = U if stack else U[None]
-    R, N, _ = U.shape
+    (R, N, _), p = U.shape, model.p
     if model.states is not None:
         # past the first non-finite state the values are never read
         with np.errstate(over="ignore", invalid="ignore"):
-            X = np.asarray(model.states(np.repeat(x0[None], R, 0), U[:, :-1]), dtype=float)
+            X = np.asarray(model.states(x0[None].repeat(R, 0), U[:, :-1]), dtype=float)
         if X.shape != (R, N, model.n):
             raise ValueError(f"states has shape {X.shape}, expected {(R, N, model.n)}")
     else:
         X = np.stack([_step_loop(model.step, x0, row[:-1]) for row in U])
     # the states up to each row's first non-finite one
     kept = np.logical_and.accumulate(np.isfinite(X).all(axis=-1), axis=-1)
-    Y = np.full((R, N, model.p), np.nan)
-    Y[kept] = _stacked(model.output(X[kept], U[kept]), (int(kept.sum()),), (model.p,), "output")
-    finite = np.isfinite(Y).all(axis=-1)
+    if kept.all():
+        flat = model.output(X.reshape(R * N, -1), U.reshape(R * N, -1))
+        Y = _stacked(flat, (R, N), (p,), "output")
+    else:
+        Y = np.full((R, N, p), np.nan)
+        Y[kept] = _stacked(model.output(X[kept], U[kept]), (int(kept.sum()),), (p,), "output")
     errors = [None] * R
-    for r in np.flatnonzero(~finite.all(axis=-1)):
-        t = int(np.argmin(finite[r]))
-        errors[r] = RolloutDivergence(t, "output" if kept[r, t] else "state")
+    if not np.isfinite(Y).all():
+        finite = np.isfinite(Y).all(axis=-1)
+        for r in np.flatnonzero(~finite.all(axis=-1)):
+            t = int(np.argmin(finite[r]))
+            errors[r] = RolloutDivergence(t, "output" if kept[r, t] else "state")
     if errors[0] is not None and not stack:
         raise errors[0]
     return X, U, Y, errors
 
 
 def _jacobians(model, X, U):
-    """fx, fu, gx and gu (see SensitivityRollout) along each of R finite
-    rollouts, from one call of each function on the flattened stack."""
+    """fx, fu, gx and gu of R finite rollouts, from one call each on the stack."""
     (R, N, n), m, p = X.shape, model.m, model.p
     fx, fu = model.step_jacobians(X[:, :-1].reshape(-1, n), U[:, :-1].reshape(-1, m))
     gx, gu = model.output_jacobians(X.reshape(-1, n), U.reshape(-1, m))
@@ -198,8 +202,7 @@ def _jacobians(model, X, U):
 
 
 def _sweep(jacobians, costates, dY):
-    """SensitivityRollout.control_gradient of R rollouts at once, for d rho /
-    d y of each in dY; returns du and each row's RolloutDivergence or None."""
+    """control_gradient of R rollouts: du and each row's divergence or None."""
     fx, fu, gx, gu = jacobians
     T = dY.shape[-2] - 1
     row = dY[..., None, :]
@@ -221,9 +224,11 @@ def _sweep(jacobians, costates, dY):
                 for lam_t, lam_next, fx_t in steps:
                     lam_t += dot(lam_next, fx_t)
         du[:, :T] += (lam[:, 1:, None, :] @ fu)[..., 0, :]
+    errors = [None] * len(du)
+    if np.isfinite(lam[:, 1:]).all() and np.isfinite(du).all():
+        return du, errors
     swept = np.isfinite(lam[:, :0:-1]).all(axis=-1)  # in the order the sweep meets them
     finite = np.isfinite(du).all(axis=-1)
-    errors = [None] * len(du)
     for r in np.flatnonzero(~(swept.all(axis=-1) & finite.all(axis=-1))):
         if not swept[r].all():
             errors[r] = RolloutDivergence(T - int(np.argmin(swept[r])), "costate")

@@ -109,8 +109,7 @@ def eval_with_gradient(phi, signal, t=0, config=None, classic_until=False):
     """
     if config is None or config.kind != "ef":
         raise SemanticsError("eval_with_gradient needs ef semantics")
-    values = as_signal(signal).values
-    value, dsignal = _evaluate(phi, values, t, config, classic_until, gradient=True)
+    value, dsignal = _evaluate(phi, as_signal(signal).values, t, config, classic_until, True)
     return RobustnessGradient(value=float(value), dsignal=dsignal)
 
 

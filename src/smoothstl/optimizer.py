@@ -144,15 +144,14 @@ def objective(problem, u):
     skips the robustness evaluation. An effort term that overflows is a
     divergence at the row of u where the running sum of squares does.
     """
-    model = problem.model
     stack = np.ndim(u) == 3
-    X, U, Y, outcomes = _simulate(model, problem.x0, u, stack)
+    X, U, Y, outcomes = _simulate(problem.model, problem.x0, u, stack)
     live = [r for r, error in enumerate(outcomes) if error is None]
     if len(live) < len(U):
         X, Y, U = X[live], Y[live], U[live]
     if live:
         rho, dY = _evaluate(problem.phi, Y, 0, problem.config, problem.classic_until, True)
-        du, errors = _sweep(_jacobians(model, X, U), model.costates, dY)
+        du, errors = _sweep(_jacobians(problem.model, X, U), problem.model.costates, dY)
         w = problem.control_weight
         with np.errstate(over="ignore", invalid="ignore"):
             squares = U * U
@@ -330,8 +329,7 @@ def _run_restarts(problem, starts, first=0):
     numbered from first, with None for the payload of one that diverged."""
     ascents = [_ascend(problem, u0) for u0 in starts]
     asks = [next(ascent) for ascent in ascents]
-    done, wall_ms = {}, [0.0] * len(starts)
-    live = list(range(len(starts)))
+    done, wall_ms, live = {}, [0.0] * len(starts), list(range(len(starts)))
     while live:
         start = time.perf_counter()
         for i, outcome in zip(live, objective(problem, np.stack([asks[i] for i in live]))):

@@ -265,13 +265,12 @@ def count_operator_evals():
 # layouts. Flat: a 1-D array cut into nonempty segments that begin at
 # starts, with seg mapping every entry to its segment. Dense: an (L, n)
 # array whose n columns are segments of length L, reduced along axis 0;
-# starts is None and seg is Ellipsis. Either may carry a leading stack
-# axis, one row per signal, and a row is reduced in the same order as on
-# its own, so its result is the same bit for bit; _take(v, seg) lines
-# per-segment values v up with the entries. The soft ones work in
-# shifted form, so exponent arguments are at most zero and, being capped at
-# _EXP_CUTOFF, never overflow; the under-approximation survives in floating
-# point because each correction is a sum of one-signed quantities.
+# starts is None and seg is Ellipsis. Either may carry a leading axis of
+# rows, one per signal, each reduced bit for bit as it is alone; _take(v,
+# seg) lines per-segment values v up with the entries. The soft ones work
+# in shifted form, so exponent arguments are at most zero and, being capped
+# at _EXP_CUTOFF, never overflow; the under-approximation survives in
+# floating point because each correction is a sum of one-signed quantities.
 
 _EXP_CUTOFF = 800.0  # exp(-x) is exactly 0.0 in float64 for every x above this
 
@@ -284,7 +283,7 @@ def _take(v, idx):
     v[:, idx]) of a stack. A dense block's seg, ..., adds a row axis."""
     if v.ndim == 1:
         return v[idx]
-    return v[:, None] if idx is ... else np.take(v, idx, axis=-1)
+    return v[:, None] if idx is ... else v.take(idx, axis=-1)
 
 
 def _reduce(ufunc, a, starts):
@@ -337,18 +336,17 @@ def _lse_max(a, starts, seg, k, keep):
 
 
 # Scans. Each reduces every prefix of the columns of a (W, n) array, or of
-# each block of a stack (R, W, n): row j of its output, returned flattened
-# per block, reduces rows 0..j. starts and seg are None. With keep, the
-# second value is a function that maps the output's adjoints, shaped like
-# a, to the adjoints of a's entries. Scans double: after the pass with
-# stride h = 1, 2, 4, ..., row j covers rows j-2h+1..j, so a scan takes
-# about log2(W) whole-block numpy calls per quantity, where a walk down the
-# rows would take W calls of about a microsecond each whatever their
-# width. The soft ones keep the running extreme m and, per
-# row, sums in the shifted form of the reducers above, taken relative to
-# that row's m; a sum moved from row i to a later row j is rescaled by
-# r = exp(-k |m_j - m_i|), so every exponent stays at most zero and every
-# sum is one-signed, as above.
+# each such block of a stack: row j of its output, flattened per block,
+# reduces rows 0..j. starts and seg are None. With keep, the second value
+# is a function that maps the output's adjoints, shaped like a, to the
+# adjoints of a's entries. Scans double: after the pass with stride
+# h = 1, 2, 4, ..., row j covers rows j-2h+1..j, so a scan takes about
+# log2(W) whole-block numpy calls per quantity, where a walk down the rows
+# would take W calls of about a microsecond each whatever their width. The
+# soft ones keep the running extreme m and, per row, sums in the shifted
+# form of the reducers above, taken relative to that row's m; a sum moved
+# from row i to a later row j is rescaled by r = exp(-k |m_j - m_i|), so
+# every exponent stays at most zero and every sum is one-signed, as above.
 
 
 def _running(ufunc, a):
