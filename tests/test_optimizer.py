@@ -53,24 +53,27 @@ def scaled_disc(r):
 
 
 def stack_cases():
-    """Parameters (problem, stack of controls) for the batched objective: both
-    builtin models, a long monitoring formula whose plan has dense blocks
-    and an until scan, and a callable predicate. Row 1 of the two_target
-    stack diverges in the rollout and row 3 in the effort term."""
+    """Parameters (problem, stack of controls, the rows' divergences) for
+    the batched objective: both builtin models, a long monitoring formula
+    whose plan has dense blocks and an until scan, and a callable
+    predicate. Row 1 of the two_target stack diverges in the rollout and
+    row 3 in the effort term."""
     rng = np.random.default_rng(92)
     cases = []
     for name in ("two_target", "table2_diffdrive"):
         problem = build_problem(builtin_scenario(name))
-        cases.append((name, problem, rng.uniform(-2, 2, (5, problem.T + 1, problem.model.m))))
+        U = rng.uniform(-2, 2, (5, problem.T + 1, problem.model.m))
+        cases.append((name, problem, U, []))
     cases[0][2][1, 2:4] = 1e308
     cases[0][2][3, 4] = 1e200
+    cases[0][3].extend(["state at timestep 4", "control effort at timestep 4"])
     monitor = replace(
         reach_problem(), phi=to_nnf(parse(MONITOR_SPEC, p=4)), T=420, control_bounds=None
     )
-    cases.append(("monitor", monitor, rng.normal(0.0, 0.3, (3, 421, 2))))
+    cases.append(("monitor", monitor, rng.normal(0.0, 0.3, (3, 421, 2)), []))
     disc = conj(Pred(scaled_disc(2.0)).eventually(1, 3), reach_problem().phi)
-    cases.append(("callable", reach_problem(phi=disc), rng.uniform(-1, 1, (4, 5, 2))))
-    return [pytest.param(problem, U, id=name) for name, problem, U in cases]
+    cases.append(("callable", reach_problem(phi=disc), rng.uniform(-1, 1, (4, 5, 2)), []))
+    return [pytest.param(*case, id=name) for name, *case in cases]
 
 
 def reach_problem(**kwargs):
@@ -179,8 +182,8 @@ class TestObjective:
         rho = evaluate(problem.phi, y, config=problem.config)
         assert_allclose(J, rho - 0.25 * float(np.sum(u * u)), rtol=1e-12)
 
-    @pytest.mark.parametrize("problem, U", stack_cases())
-    def test_stack_equals_rows_bit_for_bit(self, problem, U):
+    @pytest.mark.parametrize("problem, U, diverged", stack_cases())
+    def test_stack_equals_rows_bit_for_bit(self, problem, U, diverged):
         def same(got, want):
             if isinstance(want, RolloutDivergence):
                 return type(got) is RolloutDivergence and str(got) == str(want)
@@ -193,14 +196,11 @@ class TestObjective:
             except RolloutDivergence as err:
                 rows.append(err)
         errors = [str(row) for row in rows if isinstance(row, RolloutDivergence)]
-        if len(U) == 5 and problem.model.n == 2:  # two_target
-            assert errors == [
-                "non-finite state at timestep 4", "non-finite control effort at timestep 4"
-            ]
+        assert errors == [f"non-finite {what}" for what in diverged]
         with count_operator_evals() as counter:
             stacked = objective(problem, U)
         # a row that diverges in the rollout is not evaluated
-        assert counter.forwards == len(U) - sum("state" in error for error in errors)
+        assert counter.forwards == len(U) - sum("state" in what for what in diverged)
         assert all(same(got, want) for got, want in zip(stacked, rows, strict=True))
         perm = np.random.default_rng(93).permutation(len(U))
         shuffled = objective(problem, U[perm])
