@@ -12,6 +12,8 @@ trajectory synthesis. The command line (python -m smoothstl) fronts the
 same operations.
 """
 
+import types
+
 from .formula import (
     Always,
     And,
@@ -96,76 +98,9 @@ from .svgplot import scene_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Always",
-    "And",
-    "BUILTIN_SCENARIOS",
-    "CallablePredicate",
-    "EXACT",
-    "Eventually",
-    "FormulaError",
-    "Interval",
-    "LinearPredicate",
-    "Not",
-    "OperatorCounter",
-    "Or",
-    "ParseError",
-    "Pred",
-    "RegionTable",
-    "Release",
-    "RobustnessGradient",
-    "RolloutDivergence",
-    "ScenarioConfig",
-    "ScenarioError",
-    "SemanticsConfig",
-    "SemanticsError",
-    "Signal",
-    "SynthesisFailure",
-    "SynthesisProblem",
-    "SynthesisResult",
-    "SystemModel",
-    "Until",
-    "as_signal",
-    "build_problem",
-    "builtin_model",
-    "builtin_scenario",
-    "conj",
-    "count_operator_evals",
-    "differential_drive",
-    "disj",
-    "eval_with_gradient",
-    "evaluate",
-    "finite_difference_gradient",
-    "format_formula",
-    "grad_smooth_max",
-    "grad_smooth_min",
-    "horizon",
-    "is_nnf",
-    "k_continuation",
-    "load_controls_csv",
-    "load_gradient_csv",
-    "load_scenario",
-    "load_signal_csv",
-    "lse_max",
-    "max_error_bound",
-    "min_error_bound",
-    "node_count",
-    "objective",
-    "parse",
-    "rollout",
-    "rollout_with_sensitivities",
-    "run_bench",
-    "run_scaling",
-    "sample_x0",
-    "save_controls_csv",
-    "save_gradient_csv",
-    "save_scenario",
-    "save_signal_csv",
-    "scene_svg",
-    "single_integrator_2d",
-    "smooth_max",
-    "smooth_min",
-    "synthesize",
-    "to_nnf",
-    "__version__",
-]
+# every name imported above except the submodules, and the version
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+) + ["__version__"]

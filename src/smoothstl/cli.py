@@ -21,6 +21,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+from . import __version__
 from .formula import RegionTable, format_formula, to_nnf
 from .gradient import eval_with_gradient, save_gradient_csv
 from .dynamics import save_controls_csv
@@ -354,7 +355,7 @@ def build_parser():
         prog="smoothstl",
         description="Temporal-logic robustness evaluation and trajectory synthesis.",
     )
-    ap.add_argument("--version", action="version", version="%(prog)s 0.1.0")
+    ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="robustness of a stored signal")

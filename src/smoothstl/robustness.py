@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -271,8 +271,20 @@ def count_operator_evals():
 # in shifted form, so exponent arguments are at most zero and, being capped
 # at _EXP_CUTOFF, never overflow; the under-approximation survives in
 # floating point because each correction is a sum of one-signed quantities.
+# Margins spread beyond the float range overflow a shifted difference a - m
+# to an infinity; every such difference is capped (_cap) before use, so the
+# values stay finite and sound, and _Plan.run turns the warning off.
 
 _EXP_CUTOFF = 800.0  # exp(-x) is exactly 0.0 in float64 for every x above this
+_HUGE = float(np.finfo(float).max)
+
+
+def _cap(k):
+    """The largest |a - m| a soft reducer at sharpness k tells apart: past
+    _EXP_CUTOFF / k every weight exp(-k |a - m|) is exactly 0, and at
+    k = 0, where every weight is 1, the largest float, so k |a - m| and a
+    weighted average of capped differences are finite."""
+    return min(_EXP_CUTOFF / k, _HUGE) if k > 0 else _HUGE
 
 # the kinds of reduction a plan runs, in the order it runs them at one depth
 _MAX, _MIN, _SCAN_MAX, _SCAN_MIN = range(4)
@@ -310,9 +322,7 @@ def _boltzmann(a, starts, seg, k):
     per segment. A weight that underflows is exactly 0: the gaps are floored
     where exp would give 0 anyway, so k d stays finite."""
     m = _reduce(np.maximum, a, starts)
-    d = a - _take(m, seg)
-    if k > 0:
-        d = np.maximum(d, -_EXP_CUTOFF / k)
+    d = np.maximum(a - _take(m, seg), -_cap(k))
     w = np.exp(k * d)
     w /= _take(_reduce(np.add, w, starts), seg)
     return m, d, w
@@ -323,10 +333,8 @@ def _soft_max(a, starts, seg, k, keep):
     out = m + _reduce(np.add, w * d, starts)
     if not keep:
         return out, None
-    gap = a - _take(out, seg)
-    if k > 0:
-        # only entries with zero weight reach the floor; their products stay 0
-        gap = np.maximum(gap, -_EXP_CUTOFF / k)
+    # only zero-weight entries reach the floor, or overflowed ones at k = 0
+    gap = np.maximum(a - _take(out, seg), -_cap(k))
     return out, w * (1.0 + k * gap)
 
 
@@ -370,11 +378,10 @@ def _flatten(x):
 def _strides(m, k, rising):
     """(h, rise, r) per stride h = 1, 2, 4, ... below len(m): rise[i] is how
     far the running extreme m moves from row i to row i + h, made of steps
-    capped at _EXP_CUTOFF / k where k > 0, and r = exp(-k rise), formed as
-    products of the one-row factors."""
+    capped at _cap(k), and r = exp(-k rise), formed as products of the
+    one-row factors."""
     rise = m[..., 1:, :] - m[..., :-1, :] if rising else m[..., :-1, :] - m[..., 1:, :]
-    if k > 0:
-        rise = np.minimum(rise, _EXP_CUTOFF / k)
+    rise = np.minimum(rise, _cap(k))
     r = np.exp(-k * rise)
     levels, h = [(1, rise, r)], 2
     while h < m.shape[-2]:
@@ -425,10 +432,7 @@ def _scan_soft_max(a, starts, seg, k, keep):
     Moving sums from row i to row j, where the running maximum is higher
     by rise, rescales both and lowers every gap in P by rise."""
     m = _running(np.maximum, a)
-    d = a - m
-    if k > 0:
-        # as in _boltzmann: floored only where the weight is 0 anyway
-        d = np.maximum(d, -_EXP_CUTOFF / k)
+    d = np.maximum(a - m, -_cap(k))  # as in _boltzmann
     e = np.exp(k * d)
     levels = _strides(m, k, rising=True)
     z, p = e.copy(), e * d
@@ -436,7 +440,8 @@ def _scan_soft_max(a, starts, seg, k, keep):
         p[..., h:, :] += r * (p[..., :-h, :] - rise * z[..., :-h, :])
         z[..., h:, :] += r * z[..., :-h, :]
     gap = p / z  # the value minus the running maximum, at most zero
-    out = _flatten(m + gap)
+    # at k = 0 the sums of capped rises and gaps can still overflow
+    out = _flatten(np.maximum(m + gap, -_HUGE))
     if not keep:
         return out, None
 
@@ -444,10 +449,13 @@ def _scan_soft_max(a, starts, seg, k, keep):
         # entry i's derivative in value j >= i is w_ij (1 + k (a_i - value_j))
         # with w_ij = e_i exp(-k (m_j - m_i)) / Z_j and a_i - value_j =
         # d_i - (m_j - m_i) - gap_j; A and D sum the two parts over j >= i
+        # (D carries a factor k, so at k = 0, where gap may be infinite, it
+        # is left out)
         q = adjoint / z
-        A, D = q.copy(), -q * gap
+        A, D = q.copy(), (-q * gap if k > 0 else 0.0)
         for h, rise, r in levels:
-            D[..., :-h, :] += r * (D[..., h:, :] - rise * A[..., h:, :])
+            if k > 0:
+                D[..., :-h, :] += r * (D[..., h:, :] - rise * A[..., h:, :])
             A[..., :-h, :] += r * A[..., h:, :]
         return e * ((1.0 + k * d) * A + k * D)
 
@@ -462,7 +470,8 @@ def _scan_lse_max(a, starts, seg, k, keep):
 def _one_segment(reducer, a, k, keep=False):
     """Run a reducer over the whole vector a as a single segment."""
     zeros = np.zeros(a.size, dtype=np.intp)
-    out, weights = reducer(a, zeros[:1], zeros, k, keep)
+    with np.errstate(over="ignore"):  # see _Plan.run
+        out, weights = reducer(a, zeros[:1], zeros, k, keep)
     return weights if keep else float(out[0])
 
 
@@ -649,6 +658,9 @@ def _group(reductions, n_leaf, size):
     return grouped
 
 
+_WARN = nullcontext()  # the exact reducers never overflow
+
+
 class _Plan:
     """A formula compiled for one until convention; see the module notes.
 
@@ -794,15 +806,18 @@ class _Plan:
             S[..., rows, col] = vals.reshape(at.shape[:-1])
         return S
 
-    def run(self, Y, reducers, keep):
-        """Fill vals (a row per window of a stack Y); with keep, also weights."""
+    def run(self, Y, reducers, keep, smooth):
+        """Fill vals (a row per window of a stack Y); with keep, also weights.
+        The smooth reducers cap every shifted difference that overflows, so
+        their overflow warnings are off (one errstate a run)."""
         vals = np.empty(Y.shape[:-2] + (self.size,))
         vals[..., : self.n_leaf] = _take(_flatten(self.margins(Y)), self.leaves) * self.signs
         weights = []
-        for op, idx, starts, seg, out, stop in self.groups:
-            fn, k = reducers[op]
-            vals[..., out:stop], w = fn(_take(vals, idx), starts, seg, k, keep)
-            weights.append(w)
+        with np.errstate(over="ignore") if smooth else _WARN:
+            for op, idx, starts, seg, out, stop in self.groups:
+                fn, k = reducers[op]
+                vals[..., out:stop], w = fn(_take(vals, idx), starts, seg, k, keep)
+                weights.append(w)
         return vals, weights
 
     def backward(self, Y, weights):
@@ -907,7 +922,7 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
     Y = values[..., t : need + 1, :]
     if len(Y) == 1 and Y.ndim == 3:
         Y = Y[0]
-    vals, weights = plan.run(Y, _REDUCERS[config.kind](config), gradient)
+    vals, weights = plan.run(Y, _REDUCERS[config.kind](config), gradient, smooth)
     if smooth:
         n = vals.size // plan.size
         _tick(plan.applications * n, plan.scalars * n, forwards=n)
@@ -941,16 +956,20 @@ def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):
 # CSV files
 
 
-def _read_table(path, error, check_header):
-    """Header and (line number, cells) rows of a CSV file. check_header
-    raises on a header it does not accept; blank lines are skipped, and
-    every other row must have as many cells as the header."""
+def _read_series_csv(path, prefix, error):
+    """(T+1, p) array from a file with header t,{prefix}0,..., whose t
+    column runs 0, 1, 2, ...; errors name the file and the row. Blank
+    lines are skipped, and every row length is checked before any number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise error(f"{path}: empty file")
-        check_header(header)
+        if header[:1] != ["t"] or len(header) < 2:
+            raise error(f"{path}: expected header t,{prefix}0,... got {header!r}")
+        for j, name in enumerate(header[1:]):
+            if name != f"{prefix}{j}":
+                raise error(f"{path}: column {j + 1} should be {prefix}{j}, got {name!r}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -960,21 +979,6 @@ def _read_table(path, error, check_header):
                     f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
                 )
             rows.append((lineno, row))
-    return header, rows
-
-
-def _read_series_csv(path, prefix, error):
-    """(T+1, p) array from a file with header t,{prefix}0,..., whose t
-    column runs 0, 1, 2, ...; errors name the file and the row."""
-
-    def check_header(header):
-        if header[0] != "t" or len(header) < 2:
-            raise error(f"{path}: expected header t,{prefix}0,... got {header!r}")
-        for j, name in enumerate(header[1:]):
-            if name != f"{prefix}{j}":
-                raise error(f"{path}: column {j + 1} should be {prefix}{j}, got {name!r}")
-
-    header, rows = _read_table(path, error, check_header)
     if not rows:
         raise error(f"{path}: no rows")
     out = np.empty((len(rows), len(header) - 1))

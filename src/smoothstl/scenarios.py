@@ -39,7 +39,7 @@ from .optimizer import (
     synthesize,
 )
 from .parser import ParseError, parse
-from .robustness import EXACT, _read_table, _whole, count_operator_evals, evaluate
+from .robustness import EXACT, _whole, count_operator_evals, evaluate
 
 __all__ = [
     "ScenarioError",
@@ -58,11 +58,9 @@ __all__ = [
     "run_bench",
     "aggregate_bench",
     "save_bench_csv",
-    "load_bench_csv",
     "ScalingRecord",
     "run_scaling",
     "save_scaling_csv",
-    "load_scaling_csv",
 ]
 
 
@@ -634,42 +632,6 @@ def save_bench_csv(records, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_rows(path, rows, record):
-    """record(cells) for every row; a cell that is not a number names the
-    file and the row."""
-    out = []
-    for lineno, cells in rows:
-        try:
-            out.append(record(cells))
-        except ValueError:
-            raise ScenarioError(f"{path}: row {lineno} has a malformed number") from None
-    return out
-
-
-def load_bench_csv(path):
-    def check_header(header):
-        n = sum(1 for h in header if h.startswith("x0_"))
-        if len(header) != 2 + n + 5 or header[0] != "trial":
-            raise ScenarioError(f"{path} does not look like a bench CSV")
-
-    header, rows = _read_table(path, ScenarioError, check_header)
-    n = len(header) - 7
-
-    def record(cells):
-        return BenchRecord(
-            trial=int(cells[0]),
-            seed=int(cells[1]),
-            x0=tuple(float(c) for c in cells[2 : 2 + n]),
-            rho_exact=float(cells[2 + n]),
-            rho_smooth=float(cells[3 + n]),
-            satisfied=bool(int(cells[4 + n])),
-            iterations=int(cells[5 + n]),
-            wall_ms=float(cells[6 + n]),
-        )
-
-    return _parse_rows(path, rows, record)
-
-
 # ---------------------------------------------------------------------------
 # scaling sweeps
 
@@ -750,29 +712,12 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
     return records
 
 
-_SCALING_HEADER = ["sweep", "value", "wall_ms", "op_count", "forwards", "iterations", "rho_exact"]
-
-
 def save_scaling_csv(records, path):
     """Header: sweep,value,wall_ms,op_count,forwards,iterations,rho_exact."""
-    lines = [",".join(_SCALING_HEADER)]
+    lines = ["sweep,value,wall_ms,op_count,forwards,iterations,rho_exact"]
     for r in records:
         lines.append(
             f"{r.sweep},{r.value},{r.wall_ms!r},{r.op_count!r},"
             f"{r.forwards},{r.iterations},{r.rho_exact!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_scaling_csv(path):
-    def check_header(header):
-        if header != _SCALING_HEADER:
-            raise ScenarioError(f"{path} does not look like a scaling CSV")
-
-    def record(cells):
-        sweep, value, wall_ms, op_count, forwards, iterations, rho = cells
-        return ScalingRecord(sweep, int(value), float(wall_ms), float(op_count),
-                             int(forwards), int(iterations), float(rho))
-
-    _, rows = _read_table(path, ScenarioError, check_header)
-    return _parse_rows(path, rows, record)

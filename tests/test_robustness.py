@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from conftest import rand_formula, rand_signal
 from oracle import ef_ops, lse_ops, naive_exact, naive_soft
 from smoothstl.formula import LinearPredicate, Not, Pred, conj, to_nnf
+from smoothstl.gradient import eval_with_gradient, grad_smooth_max
 from smoothstl.parser import parse
 from smoothstl.robustness import (
     EXACT,
@@ -32,6 +33,7 @@ from smoothstl.robustness import (
     smooth_max,
     smooth_min,
 )
+from smoothstl.scenarios import build_problem, builtin_scenario
 
 
 class TestSignal:
@@ -174,6 +176,54 @@ class TestSoftOperators:
             smooth_max([1.0], -1.0)
         with pytest.raises(ValueError, match="k must be positive"):
             lse_max([1.0], 0.0)
+
+
+class TestOverflow:
+    """Margins spread beyond the float range overflow the soft reducers'
+    shifted differences a - m. No warning may escape (the suite turns
+    RuntimeWarning into an error), and every value stays finite and, for
+    ef, no larger than the exact one. k = 0 is the mean, which used to
+    give NaN; a subnormal k caps the differences at the largest float."""
+
+    SPREAD = [1e308, -1e308]
+
+    @pytest.mark.parametrize("k", [2.0, 1e-310])
+    def test_soft_min_and_lse_max(self, k):
+        assert -math.inf < smooth_min(self.SPREAD, k) <= -1e308
+        assert 1e308 <= lse_max(self.SPREAD, k) < math.inf
+
+    @pytest.mark.parametrize("k", [0.0, 1e-310, 2.0])
+    def test_soft_max_and_its_weights(self, k):
+        value = smooth_max(self.SPREAD, k)
+        assert -math.inf < value <= 1e308
+        weights = grad_smooth_max(self.SPREAD, k)
+        assert np.isfinite(weights).all()
+        if k == 0.0:
+            assert weights.tolist() == [0.5, 0.5]
+
+    def check(self, phi, y, classic_until=False):
+        exact = evaluate(phi, y, 0, EXACT, classic_until)
+        for cfg in (SemanticsConfig.ef(2.0, 2.0), SemanticsConfig.ef(2.0, 0.0)):
+            value = evaluate(phi, y, 0, cfg, classic_until)
+            assert -math.inf < value <= exact
+            grad = eval_with_gradient(phi, y, 0, cfg, classic_until)
+            assert grad.value == value
+            assert np.isfinite(grad.dsignal).all()
+        assert math.isfinite(evaluate(phi, y, 0, SemanticsConfig.lse(2.0), classic_until))
+
+    def test_builtin_with_a_huge_coordinate(self):
+        problem = build_problem(builtin_scenario("two_target"))
+        y = np.zeros((problem.T + 1, 4))
+        y[2, 2:] = 1e308
+        self.check(problem.phi, y)
+
+    @pytest.mark.parametrize("op", ["U", "R"])
+    @pytest.mark.parametrize("classic_until", [False, True])
+    def test_until_and_release_over_alternating_extremes(self, op, classic_until):
+        phi = parse(f"(y0 >= 0) {op}[1,5] (-y0 >= 0)", p=1)
+        y = np.array([1e308, -1e308] * 6)[:, None]
+        self.check(phi, y, classic_until)
+        self.check(phi, -y, classic_until)  # the held extreme jumps across the range
 
 
 class TestErrorBounds:
@@ -422,6 +472,21 @@ class TestSignalCsv:
         path = tmp_path / "gap.csv"
         path.write_text("t,y0\n0,1.0\n2,2.0\n")
         with pytest.raises(SemanticsError, match="without gaps"):
+            load_signal_csv(path)
+
+    def test_blank_first_line_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\nt,y0\n0,1.0\n")
+        with pytest.raises(SemanticsError, match="expected header"):
+            load_signal_csv(path)
+
+    def test_row_lengths_are_checked_before_numbers(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y0\n0,one\n1,1.0,2.0\n")
+        with pytest.raises(SemanticsError, match="row 3 has 3 fields, expected 2"):
+            load_signal_csv(path)
+        path.write_text("t,y0\n0,1.0\n1,two\n")
+        with pytest.raises(SemanticsError, match="row 3 has a malformed number"):
             load_signal_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
