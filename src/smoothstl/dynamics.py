@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formula import _number
+from .formula import _convert, _number
 from .robustness import Signal, _read_series_csv, _write_series_csv
 
 __all__ = [
@@ -291,12 +291,11 @@ def rollout_with_sensitivities(model, x0, u):
 
 
 def _check_dt(dt):
-    try:
-        dt = _number(dt)
-    except TypeError:
-        raise ValueError(f"dt must be a number, got {dt!r}") from None
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    dt = _convert("dt", dt, _number, "a number")
+    if not math.isfinite(dt):
+        raise ValueError("dt: must be finite")
+    if dt <= 0:
+        raise ValueError("dt: sampling period must be positive")
     return dt
 
 
@@ -428,7 +427,7 @@ def builtin_model(name, dt=1.0):
         factory = _BUILTIN_MODELS[name]
     except KeyError:
         known = ", ".join(sorted(_BUILTIN_MODELS))
-        raise ValueError(f"unknown model {name!r}; available: {known}") from None
+        raise ValueError(f"model: unknown model {name!r}; available: {known}") from None
     return factory(dt=dt)
 
 

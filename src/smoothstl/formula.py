@@ -64,6 +64,18 @@ def _pair(value):
     return _number(lo), _number(hi)
 
 
+def _pairs(value):
+    return tuple(_pair(pair) for pair in value)
+
+
+def _convert(key, value, to, what, error=ValueError):
+    """to(value), or error("key: needs what, got value") if that fails."""
+    try:
+        return to(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{key}: needs {what}, got {value!r}") from None
+
+
 def _check_finite_scalar(x, what):
     try:
         x = _number(x)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import RolloutDivergence, _jacobians, _simulate, _sweep, rollout
-from .formula import horizon, is_nnf
+from .formula import _convert, _number, _pairs, horizon, is_nnf
 from .robustness import EXACT, SemanticsConfig, _evaluate, _whole, evaluate
 
 __all__ = [
@@ -65,10 +65,12 @@ class SynthesisProblem:
     """One synthesis instance: model, start state, formula and knobs.
 
     @param model:          SystemModel to drive
-    @param x0:             initial state, length model.n
+    @param x0:             initial state, model.n finite numbers
     @param phi:            formula in negation normal form
-    @param T:              trajectory length minus one (controls are (T+1, m))
-    @param k1, k2:         finite sharpness of the smooth semantics
+    @param T:              trajectory length minus one (controls are (T+1, m));
+                           phi may look at most T steps ahead
+    @param k1, k2:         finite sharpness of the smooth semantics, k1 > 0
+                           and k2 >= 0
     @param control_weight: effort penalty coefficient w >= 0
     @param control_bounds: optional per-dimension (lo, hi) pairs, length m;
                            used to sample restart initializations and, when
@@ -77,6 +79,15 @@ class SynthesisProblem:
     @param restarts:       number of seeded random restarts (the u = 0
                            baseline always runs in addition, as restart 0)
     @param seed:           RNG seed for the restart initializations
+    @param max_iters:      iteration budget of each ascent, at least 1
+    @param tolerance:      positive bound on the gradient's infinity norm
+                           that stops an ascent
+    @param classic_until:  classic until/release convention (see evaluate)
+
+    Every knob is checked and normalised on construction; a bad value
+    raises ValueError("key: why"), such as "tolerance: must be positive".
+    A bool or a string is no number. Scenario files and build_problem
+    overrides pass through these same checks.
     """
 
     model: object
@@ -95,40 +106,47 @@ class SynthesisProblem:
     classic_until: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in np.asarray(self.x0).reshape(-1)))
-        if len(self.x0) != self.model.n:
-            raise ValueError(f"x0 must have length {self.model.n}, got {len(self.x0)}")
+        def convert(key, to, what):
+            value = _convert(key, getattr(self, key), to, what)
+            object.__setattr__(self, key, value)
+            return value
+
+        x0 = convert("x0", lambda v: tuple(map(_number, v)), "a list of numbers")
+        if len(x0) != self.model.n:
+            raise ValueError(f"x0: needs {self.model.n} entries, got {len(x0)}")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0: must be finite")
         if not is_nnf(self.phi):
-            raise ValueError("phi must be in negation normal form; apply to_nnf first")
+            raise ValueError("phi: must be in negation normal form; apply to_nnf first")
         for key in ("T", "restarts", "seed", "max_iters"):
-            object.__setattr__(self, key, _whole(getattr(self, key), key))
-        ahead = horizon(self.phi)
-        if ahead > self.T:
-            raise ValueError(f"formula looks {ahead} steps ahead but the horizon is T={self.T}")
-        if not 0 <= float(self.control_weight) < math.inf:
-            raise ValueError("control_weight must be nonnegative and finite")
-        object.__setattr__(self, "control_weight", float(self.control_weight))
+            convert(key, _whole, "a whole number")
+        for key in ("k1", "k2", "control_weight", "tolerance"):
+            if not math.isfinite(convert(key, _number, "a number")):
+                raise ValueError(f"{key}: must be finite")
+        # a string such as "false" is truthy and would turn the flag on
+        for key in ("hard_clamp", "classic_until"):
+            if getattr(self, key) not in (True, False):
+                raise ValueError(f"{key}: needs true or false, got {getattr(self, key)!r}")
         if self.control_bounds is not None:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in self.control_bounds)
+            bounds = convert("control_bounds", _pairs, "(lo, hi) pairs of numbers")
             if len(bounds) != self.model.m:
-                raise ValueError(f"control_bounds needs {self.model.m} (lo, hi) pairs")
-            for lo, hi in bounds:
-                if not lo < hi:
-                    raise ValueError(f"control bound ({lo}, {hi}) is empty")
+                raise ValueError(f"control_bounds: needs {self.model.m} (lo, hi) pairs")
             if not np.isfinite(bounds).all():
-                raise ValueError("control_bounds must be finite")
-            object.__setattr__(self, "control_bounds", bounds)
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not 0 < float(self.tolerance) < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        # SemanticsConfig rejects a non-finite or out-of-range sharpness
-        config = SemanticsConfig.ef(self.k1, self.k2)
-        object.__setattr__(self, "k1", config.k1)
-        object.__setattr__(self, "k2", config.k2)
+                raise ValueError("control_bounds: must be finite")
+            if any(not lo < hi for lo, hi in bounds):
+                raise ValueError("control_bounds: every pair needs lo < hi")
+        ahead = horizon(self.phi)
+        for key, ok, why in (
+            ("T", ahead <= self.T, f"formula looks {ahead} steps ahead but T is {self.T}"),
+            ("restarts", self.restarts >= 0, "must be nonnegative"),
+            ("max_iters", self.max_iters >= 1, "must be positive"),
+            ("k1", self.k1 > 0, "sharpness must be positive"),
+            ("k2", self.k2 >= 0, "sharpness must be nonnegative"),
+            ("control_weight", self.control_weight >= 0, "must be nonnegative"),
+            ("tolerance", self.tolerance > 0, "must be positive"),
+        ):
+            if not ok:
+                raise ValueError(f"{key}: {why}")
 
     @property
     def config(self):
@@ -402,7 +420,7 @@ def k_continuation(problem, k_schedule):
     final sharpness; its restart_index and restart_records describe the
     first stage. A one-element schedule is exactly synthesize().
     """
-    ks = [float(k) for k in k_schedule]
+    ks = [_convert("k_schedule", k, _number, "numbers") for k in k_schedule]
     if not ks:
         raise ValueError("k_schedule must be nonempty")
     if not all(0 < k < math.inf for k in ks):

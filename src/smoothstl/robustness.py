@@ -90,6 +90,8 @@ from .formula import (
     Pred,
     Release,
     Until,
+    _convert,
+    _number,
     horizon,
     is_nnf,
     to_nnf,
@@ -167,9 +169,9 @@ def as_signal(signal):
 
 def _whole(value, name="value", error=ValueError):
     """value as an int, if it is a whole number: 2.0 passes, and 2.5 never
-    truncates to 2."""
+    truncates to 2. A bool or a string is no number (see _number)."""
     try:
-        number = int(value)
+        number = _number(value, int)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value:
@@ -179,7 +181,7 @@ def _whole(value, name="value", error=ValueError):
 
 def _sharpness(value, name, allow_zero, error=ValueError):
     """value as a float, if it is finite and positive (or zero when allowed)."""
-    k = float(value)
+    k = _convert(name, value, _number, "a number", error)
     if not (math.isfinite(k) and (k >= 0 if allow_zero else k > 0)):
         need, bound = ("nonnegative", ">=") if allow_zero else ("positive", ">")
         raise error(f"{name} must be {need} and finite ({name} {bound} 0), got {k}")
@@ -279,6 +281,12 @@ _EXP_CUTOFF = 800.0  # exp(-x) is exactly 0.0 in float64 for every x above this
 _HUGE = float(np.finfo(float).max)
 
 
+# Below this sharpness the soft minimum's correction log(s)/k (log(s) < 50)
+# can pass half an ulp of the largest float, so m - log(s)/k can overflow;
+# only there do the soft minimums clamp their values at -_HUGE.
+_TINY_K = 1e-290
+
+
 def _cap(k):
     """The largest |a - m| a soft reducer at sharpness k tells apart: past
     _EXP_CUTOFF / k every weight exp(-k |a - m|) is exactly 0, and at
@@ -314,7 +322,10 @@ def _soft_min(a, starts, seg, k, keep):
     m = _reduce(np.minimum, a, starts)
     e = np.exp(-k * np.minimum(a - _take(m, seg), _EXP_CUTOFF / k))
     s = _reduce(np.add, e, starts)
-    return m - np.log(s) / k, (e / _take(s, seg) if keep else None)
+    out = m - np.log(s) / k
+    if k < _TINY_K:
+        out = np.maximum(out, -_HUGE)
+    return out, (e / _take(s, seg) if keep else None)
 
 
 def _boltzmann(a, starts, seg, k):
@@ -412,6 +423,8 @@ def _scan_soft_min(a, starts, seg, k, keep):
     for h, _, r in levels:
         s[..., h:, :] += r * s[..., :-h, :]
     out = _flatten(m - np.log(s) / k)
+    if k < _TINY_K:
+        out = np.maximum(out, -_HUGE)
     if not keep:
         return out, None
 

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import builtin_model
-from .formula import FormulaError, RegionTable, _number, _pair, horizon, to_nnf
+from .dynamics import _check_dt, builtin_model
+from .formula import FormulaError, RegionTable, _convert, _number, _pair, _pairs, to_nnf
 from .optimizer import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
@@ -68,22 +68,6 @@ class ScenarioError(ValueError):
     """Raised for malformed scenario configs; names the offending key."""
 
 
-def _convert(key, value, to, what):
-    """to(value), or a ScenarioError naming key if that fails."""
-    try:
-        return to(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{key}: needs {what}, got {value!r}") from None
-
-
-def _whole_number(value):
-    return _number(value, _whole)
-
-
-def _pairs(value):
-    return tuple(_pair(pair) for pair in value)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -110,8 +94,10 @@ class ScenarioConfig:
                            the corner clipping that time discretization allows
 
     Validation happens on construction: the spec must parse against the
-    declared regions and fit inside the horizon, and exactly one of x0 and
-    x0_box must be given.
+    declared regions, and exactly one of x0 and x0_box must be given. The
+    synthesis knobs go to SynthesisProblem, whose checks they pass and
+    whose normalised values they keep; its errors come back as
+    ScenarioErrors with the same "key: why" message.
     """
 
     name: str
@@ -135,95 +121,64 @@ class ScenarioConfig:
     hard_clamp: bool = False
 
     def __post_init__(self):
-        def bad(key, why):
-            return ScenarioError(f"{key}: {why}")
-
         def convert(key, to, what):
-            object.__setattr__(self, key, _convert(key, getattr(self, key), to, what))
-
-        for key in ("T", "restarts", "max_iters", "seed"):
-            convert(key, _whole_number, "a whole number")
-        for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt", "tolerance"):
-            convert(key, _number, "a number")
+            value = _convert(key, getattr(self, key), to, what, ScenarioError)
+            object.__setattr__(self, key, value)
 
         if not isinstance(self.regions, RegionTable):
             try:
                 object.__setattr__(self, "regions", RegionTable(self.regions))
             except FormulaError as exc:
-                raise bad("regions", exc) from None
-        if self.T < 1:
-            raise bad("T", "horizon must be at least 1")
-        for key in ("k1", "k2", "control_weight", "obstacle_inflation", "dt", "tolerance"):
-            if not math.isfinite(getattr(self, key)):
-                raise bad(key, "must be finite")
-        if self.dt <= 0:
-            raise bad("dt", "sampling period must be positive")
-        if self.k1 <= 0:
-            raise bad("k1", "sharpness must be positive")
-        if self.k2 < 0:
-            raise bad("k2", "sharpness must be nonnegative")
-        if self.control_weight < 0:
-            raise bad("control_weight", "must be nonnegative")
+                raise ScenarioError(f"regions: {exc}") from None
+        convert("obstacle_inflation", _number, "a number")
+        if not math.isfinite(self.obstacle_inflation):
+            raise ScenarioError("obstacle_inflation: must be finite")
         if self.obstacle_inflation < 0:
-            raise bad("obstacle_inflation", "must be nonnegative")
-        if self.tolerance <= 0:
-            raise bad("tolerance", "must be positive")
-        # after the dt checks, so that a bad dt is blamed on dt
+            raise ScenarioError("obstacle_inflation: must be nonnegative")
         try:
-            model = builtin_model(self.model, self.dt)
+            # dt first, so that a bad dt is blamed on dt
+            model = builtin_model(self.model, _check_dt(self.dt))
         except ValueError as exc:
-            raise bad("model", exc) from None
-        # a string such as "false" is truthy and would turn clamping on
-        if self.hard_clamp not in (True, False):
-            raise bad("hard_clamp", f"needs true or false, got {self.hard_clamp!r}")
-        if self.control_bounds is not None:
-            convert("control_bounds", _pairs, "(lo, hi) pairs of numbers")
-            if len(self.control_bounds) != model.m:
-                raise bad("control_bounds", f"needs {model.m} (lo, hi) pairs")
-            if any(not lo < hi for lo, hi in self.control_bounds):
-                raise bad("control_bounds", "every pair needs lo < hi")
+            raise ScenarioError(str(exc)) from None
+        object.__setattr__(self, "dt", model.dt)
 
         if (self.x0 is None) == (self.x0_box is None):
-            raise bad("x0", "exactly one of x0 and x0_box must be set")
-        if self.x0 is not None:
-            convert("x0", lambda v: tuple(_number(x) for x in v), "a list of numbers")
-            if len(self.x0) != model.n:
-                raise bad("x0", f"needs {model.n} entries for {self.model}")
-        else:
+            raise ScenarioError("x0: exactly one of x0 and x0_box must be set")
+        if self.x0_box is not None:
             convert("x0_box", _pairs, "(lo, hi) pairs of numbers")
             # the box covers position only; heading has its own range
             want = 2 if self.model == "differential_drive" else model.n
             if len(self.x0_box) != want:
-                raise bad("x0_box", f"needs {want} (lo, hi) pairs for {self.model}")
+                raise ScenarioError(f"x0_box: needs {want} (lo, hi) pairs for {self.model}")
             if any(not lo <= hi for lo, hi in self.x0_box):
-                raise bad("x0_box", "every pair needs lo <= hi")
+                raise ScenarioError("x0_box: every pair needs lo <= hi")
         if self.theta0_range is not None:
             if self.model != "differential_drive":
-                raise bad("theta0_range", "only meaningful for differential_drive")
+                raise ScenarioError("theta0_range: only meaningful for differential_drive")
             convert("theta0_range", _pair, "a (lo, hi) pair of numbers")
             lo, hi = self.theta0_range
             if not lo <= hi:
-                raise bad("theta0_range", "needs lo <= hi")
+                raise ScenarioError("theta0_range: needs lo <= hi")
         elif self.model == "differential_drive" and self.x0_box is not None:
-            raise bad("theta0_range", "required when sampling differential_drive starts")
-        for key in ("control_bounds", "x0", "x0_box", "theta0_range"):
+            raise ScenarioError("theta0_range: required when sampling differential_drive starts")
+        for key in ("x0_box", "theta0_range"):
             value = getattr(self, key)
             if value is not None and not np.isfinite(value).all():
-                raise bad(key, "must be finite")
+                raise ScenarioError(f"{key}: must be finite")
 
-        if self.restarts < 0:
-            raise bad("restarts", "must be nonnegative")
-        if self.max_iters < 1:
-            raise bad("max_iters", "must be positive")
-
+        # a sampled start is drawn per seed; the low corner of its ranges stands in
+        start = self.x0
+        if start is None:
+            ranges = self.x0_box + ((self.theta0_range,) if self.theta0_range else ())
+            start = [lo for lo, _ in ranges]
         try:
-            phi = self.formula()
+            problem = build_problem(self, x0=start)
         except (ParseError, FormulaError) as exc:
-            raise bad("spec", exc) from None
-        if horizon(phi) > self.T:
-            raise bad(
-                "T", f"spec looks {horizon(phi)} steps ahead but T is {self.T}"
-            )
+            raise ScenarioError(f"spec: {exc}") from None
+        for key in _KNOBS + (("x0",) if self.x0 is not None else ()):
+            object.__setattr__(self, key, getattr(problem, key))
+        if self.T < 1:
+            raise ScenarioError("T: horizon must be at least 1")
 
     def system_model(self):
         return builtin_model(self.model, self.dt)
@@ -237,8 +192,12 @@ class ScenarioConfig:
 
     def formula(self):
         """The spec parsed against the (inflated) regions, in NNF."""
-        model = builtin_model(self.model, self.dt)
-        return to_nnf(parse(self.spec, self.effective_regions(), p=model.p))
+        return to_nnf(parse(self.spec, self.effective_regions(), p=self.system_model().p))
+
+
+# the knobs a scenario hands over to SynthesisProblem, which checks them
+_KNOBS = tuple(f.name for f in dataclasses.fields(SynthesisProblem)
+               if f.name in ScenarioConfig.__dataclass_fields__ and f.name not in ("model", "x0"))
 
 
 # JSON layout: one object, one key per field, in field order. regions is
@@ -483,29 +442,24 @@ def build_problem(config, x0=None, seed=None, **overrides):
     """Materialize a SynthesisProblem from a scenario.
 
     Keyword overrides (k1, k2, restarts, max_iters, ...) replace the
-    scenario's values; x0 defaults to the fixed start or, for sampling
-    scenarios, a draw seeded by the seed in effect.
+    scenario's values; an override of None keeps it. x0 defaults to the
+    fixed start or, for sampling scenarios, a draw seeded by the seed in
+    effect. SynthesisProblem checks x0, the seed and every knob, as it
+    does for the scenario itself.
     """
-    seed = config.seed if seed is None else _convert("seed", seed, _whole_number, "a whole number")
-    if x0 is None:
-        x0 = sample_x0(config, _x0_rng(seed))
-    # the knobs both classes declare carry over by name
-    knobs = {f.name for f in dataclasses.fields(SynthesisProblem)}
-    fields = {
-        f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name in knobs
-    }
-    fields.update(
-        model=config.system_model(),
-        x0=tuple(np.asarray(x0, dtype=float).reshape(-1)),
-        phi=config.formula(),
-        seed=seed,
-    )
-    unknown = set(overrides) - set(fields)
+    unknown = set(overrides) - set(_KNOBS)
     if unknown:
         raise ScenarioError(f"unknown override {sorted(unknown)[0]!r}")
-    fields.update({k: v for k, v in overrides.items() if v is not None})
+    knobs = {key: getattr(config, key) for key in _KNOBS}
+    knobs.update((key, value) for key, value in overrides.items() if value is not None)
+    if seed is not None:
+        # checked here too, because the draw needs it
+        knobs["seed"] = _convert("seed", seed, _whole, "a whole number", ScenarioError)
+    if x0 is None:
+        x0 = sample_x0(config, _x0_rng(knobs["seed"]))
+    phi = config.formula()
     try:
-        return SynthesisProblem(**fields)
+        return SynthesisProblem(config.system_model(), x0, phi, **knobs)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
@@ -585,7 +539,7 @@ def run_bench(config, trials, time_budget_s=None):
     new trial starts once it is spent; the trial in progress always
     finishes and at least one trial always runs.
     """
-    trials = _convert("trials", trials, _whole_number, "a whole number")
+    trials = _convert("trials", trials, _whole, "a whole number", ScenarioError)
     if trials < 1:
         raise ScenarioError("trials must be at least 1")
     start = time.perf_counter()
@@ -678,7 +632,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
     base = builtin_scenario("charging") if base is None else base
     records = []
     for n in n_values:
-        n = _convert("n_values", n, _whole_number, "whole numbers")
+        n = _convert("n_values", n, _whole, "whole numbers", ScenarioError)
         cfg = dataclasses.replace(
             base,
             name=f"{base.name}_n{n}",
@@ -689,7 +643,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
         )
         records.append(_measure("N", n, cfg))
     for p in p_values:
-        p = _convert("p_values", p, _whole_number, "whole numbers")
+        p = _convert("p_values", p, _whole, "whole numbers", ScenarioError)
         if p < 1:
             raise ScenarioError(f"station count must be positive, got {p}")
         counts = (p, p, p)

@@ -6,6 +6,7 @@ can achieve an exact margin of at most half the box width, and a straight
 run at the box center achieves it. The optimizer must land in that range.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -28,11 +29,15 @@ from smoothstl.parser import parse
 from smoothstl.robustness import (
     EXACT,
     SemanticsConfig,
-    SemanticsError,
     count_operator_evals,
     evaluate,
 )
-from smoothstl.scenarios import build_problem, builtin_scenario
+from smoothstl.scenarios import (
+    ScenarioError,
+    build_problem,
+    builtin_scenario,
+    scenario_from_json_dict,
+)
 
 
 MONITOR_SPEC = (
@@ -96,9 +101,58 @@ def reach_problem(**kwargs):
     return SynthesisProblem(**defaults)
 
 
+# reach_problem as a scenario file
+REACH_SCENARIO = {
+    "model": "single_integrator_2d",
+    "T": 4,
+    "regions": {"goal": {"0": [2.0, 3.0], "1": [3.0, 4.0]}},
+    "spec": "F[0,4] goal",
+    "x0": [0.0, 0.0],
+    "control_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+}
+
+# (key, bad value, the message every door gives)
+KNOB_ERRORS = [
+    ("hard_clamp", "false", "hard_clamp: needs true or false, got 'false'"),
+    ("restarts", True, "restarts: needs a whole number, got True"),
+    ("k1", "3", "k1: needs a number, got '3'"),
+    ("tolerance", "1e-3", "tolerance: needs a number, got '1e-3'"),
+    ("x0", (math.inf, 0.0), "x0: must be finite"),
+    ("control_bounds", ((-1.0, "1"), (-1.0, 1.0)),
+     "control_bounds: needs (lo, hi) pairs of numbers, got ((-1.0, '1'), (-1.0, 1.0))"),
+    ("x0", (0.0,), "x0: needs 2 entries, got 1"),
+    ("T", 4.5, "T: needs a whole number, got 4.5"),
+    ("T", 3, "T: formula looks 4 steps ahead but T is 3"),
+    ("seed", 1.5, "seed: needs a whole number, got 1.5"),
+    ("max_iters", 0, "max_iters: must be positive"),
+    ("restarts", -1, "restarts: must be nonnegative"),
+    ("k1", 0.0, "k1: sharpness must be positive"),
+    ("k2", math.nan, "k2: must be finite"),
+    ("control_weight", -0.5, "control_weight: must be nonnegative"),
+    ("tolerance", 0.0, "tolerance: must be positive"),
+    ("control_bounds", ((-1.0, 1.0),), "control_bounds: needs 2 (lo, hi) pairs"),
+    ("control_bounds", ((1.0, -1.0), (-1.0, 1.0)), "control_bounds: every pair needs lo < hi"),
+]
+
+
 class TestProblemValidation:
+    @pytest.mark.parametrize("key,value,message", KNOB_ERRORS)
+    def test_every_door_gives_the_same_message(self, key, value, message):
+        config = scenario_from_json_dict(REACH_SCENARIO)
+        fields = vars(build_problem(config))
+        doors = [
+            (ScenarioError, lambda: scenario_from_json_dict({**REACH_SCENARIO, key: value})),
+            (ScenarioError, lambda: build_problem(config, **{key: value})),
+            (ValueError, lambda: SynthesisProblem(**{**fields, key: value})),
+        ]
+        for error, door in doors:
+            with pytest.raises(ValueError) as info:
+                door()
+            assert type(info.value) is error
+            assert str(info.value) == message
+
     def test_x0_length(self):
-        with pytest.raises(ValueError, match="x0 must have length 2"):
+        with pytest.raises(ValueError, match="^x0: needs 2 entries"):
             reach_problem(x0=(0.0,))
 
     def test_requires_nnf(self):
@@ -112,9 +166,9 @@ class TestProblemValidation:
             reach_problem(phi=parse("F[0,9] y0 >= 2", p=4))
 
     def test_control_bounds_checked(self):
-        with pytest.raises(ValueError, match="2 \\(lo, hi\\) pairs"):
+        with pytest.raises(ValueError, match="^control_bounds: needs 2 \\(lo, hi\\) pairs"):
             reach_problem(control_bounds=((-1.0, 1.0),))
-        with pytest.raises(ValueError, match="is empty"):
+        with pytest.raises(ValueError, match="^control_bounds: every pair needs lo < hi"):
             reach_problem(control_bounds=((1.0, 1.0), (-1.0, 1.0)))
 
     def test_scalar_knobs_checked(self):
@@ -131,8 +185,14 @@ class TestProblemValidation:
         ("T", 10.7), ("restarts", 2.5), ("max_iters", 3.9), ("seed", 1.5), ("seed", "one"),
     ])
     def test_counts_must_be_whole_numbers(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be a whole number, got {value!r}"):
+        with pytest.raises(ValueError, match=f"^{key}: needs a whole number, got {value!r}"):
             reach_problem(**{key: value})
+
+    @pytest.mark.parametrize("key", ["hard_clamp", "classic_until"])
+    def test_flags_must_be_true_or_false(self, key):
+        with pytest.raises(ValueError, match=f"^{key}: needs true or false, got 'false'"):
+            reach_problem(**{key: "false"})
+        assert getattr(reach_problem(**{key: True}), key) is True
 
     def test_whole_floats_become_ints(self):
         problem = reach_problem(T=4.0, restarts=2.0, max_iters=3.0, seed=1.0)
@@ -141,23 +201,23 @@ class TestProblemValidation:
         assert all(type(v) is int for v in knobs)
 
     def test_infinite_control_weight_is_rejected(self):
-        with pytest.raises(ValueError, match="^control_weight must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="^control_weight: must be finite"):
             reach_problem(control_weight=float("inf"))
 
     def test_infinite_tolerance_is_rejected(self):
         # it would stop every ascent at its start
-        with pytest.raises(ValueError, match="^tolerance must be positive and finite"):
+        with pytest.raises(ValueError, match="^tolerance: must be finite"):
             reach_problem(tolerance=float("inf"))
 
     @pytest.mark.parametrize("pair", [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf)])
     def test_control_bounds_must_be_finite(self, pair):
-        with pytest.raises(ValueError, match="^control_bounds must be finite"):
+        with pytest.raises(ValueError, match="^control_bounds: must be finite"):
             reach_problem(control_bounds=(pair, (-1.0, 1.0)))
 
     def test_sharpness_must_be_finite(self):
-        with pytest.raises(SemanticsError, match="k1 must be positive and finite"):
+        with pytest.raises(ValueError, match="^k1: must be finite"):
             reach_problem(k1=float("inf"))
-        with pytest.raises(SemanticsError, match="k2 must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="^k2: must be finite"):
             reach_problem(k2=float("nan"))
 
     def test_config_property(self):
@@ -363,6 +423,14 @@ class TestKContinuation:
             k_continuation(problem, [1.0, 1.0])
         with pytest.raises(ValueError, match="positive and finite"):
             k_continuation(problem, [1.0, float("inf")])
+
+    def test_schedule_entries_are_numbers(self):
+        # float(True) is 1.0, so [True, 2] used to run stages at k = 1 and 2
+        problem = reach_problem()
+        with pytest.raises(ValueError, match="^k_schedule: needs numbers, got True"):
+            k_continuation(problem, [True, 2])
+        with pytest.raises(ValueError, match="^k_schedule: needs numbers, got '3'"):
+            k_continuation(problem, [1, "3"])
 
     def test_singleton_schedule_is_plain_synthesis(self):
         problem = reach_problem(k1=5.0, k2=5.0, max_iters=60)

@@ -77,6 +77,15 @@ class TestSemanticsConfig:
         with pytest.raises(SemanticsError, match="no sharpness"):
             SemanticsConfig("exact", k1=2.0)
 
+    def test_bools_and_strings_are_not_sharpness(self):
+        # float("2") and float(True) would both succeed
+        with pytest.raises(SemanticsError, match="^k1: needs a number, got '2'"):
+            SemanticsConfig.ef("2", True)
+        with pytest.raises(SemanticsError, match="^k2: needs a number, got True"):
+            SemanticsConfig.ef(2, True)
+        with pytest.raises(SemanticsError, match="^k: needs a number, got '2'"):
+            SemanticsConfig.lse("2")
+
     def test_non_finite_sharpness_rejected(self):
         inf = float("inf")
         with pytest.raises(SemanticsError, match="k1 must be positive and finite"):
@@ -177,6 +186,14 @@ class TestSoftOperators:
         with pytest.raises(ValueError, match="k must be positive"):
             lse_max([1.0], 0.0)
 
+    def test_sharpness_is_not_a_bool_or_a_string(self):
+        with pytest.raises(ValueError, match="^k1: needs a number, got '2'"):
+            smooth_min([1.0, 2.0], "2")
+        with pytest.raises(ValueError, match="^k2: needs a number, got True"):
+            smooth_max([1.0, 2.0], True)
+        with pytest.raises(ValueError, match="^k: needs a number, got '2'"):
+            lse_max([1.0, 2.0], "2")
+
 
 class TestOverflow:
     """Margins spread beyond the float range overflow the soft reducers'
@@ -225,6 +242,26 @@ class TestOverflow:
         self.check(phi, y, classic_until)
         self.check(phi, -y, classic_until)  # the held extreme jumps across the range
 
+    @pytest.mark.parametrize("spec,samples", [
+        ("G[0,1] y0 >= 0", 2),
+        ("(y0 >= 0) U[0,2] (y0 >= 1)", 3),
+        ("(y0 >= 0) R[0,2] (y0 >= 1)", 3),
+    ])
+    @pytest.mark.parametrize("classic_until", [False, True])
+    def test_subnormal_sharpness(self, spec, samples, classic_until):
+        # log(s)/k overflows at k1 = 1e-310, which used to give -inf, and
+        # -inf - -inf inside an until; the soft minimums clamp instead
+        assert -math.inf < smooth_min([0.0, 0.0], 1e-310) <= 0.0
+        phi = parse(spec, p=1)
+        y = np.zeros((samples, 1))
+        exact = evaluate(phi, y, 0, EXACT, classic_until)
+        cfg = SemanticsConfig.ef(1e-310, 1.0)
+        value = evaluate(phi, y, 0, cfg, classic_until)
+        assert -math.inf < value <= exact
+        grad = eval_with_gradient(phi, y, 0, cfg, classic_until)
+        assert grad.value == value
+        assert np.isfinite(grad.dsignal).all()
+
 
 class TestErrorBounds:
     def test_frozen_values(self):
@@ -241,6 +278,14 @@ class TestErrorBounds:
         with pytest.raises(ValueError, match="m must be a whole number, got 2.7"):
             min_error_bound(2.7, 1.0)
         assert min_error_bound(3.0, 1.0) == min_error_bound(3, 1.0)
+
+    def test_min_bound_count_is_not_a_bool_or_a_string(self):
+        with pytest.raises(ValueError, match="^m must be a whole number, got True"):
+            min_error_bound(True, 2.0)
+        with pytest.raises(ValueError, match="^m must be a whole number, got '2'"):
+            min_error_bound("2", 2.0)
+        with pytest.raises(ValueError, match="^k1: needs a number, got True"):
+            min_error_bound(2, True)
 
     def test_max_bound_validation(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -328,6 +373,13 @@ class TestEvaluateExact:
             evaluate(phi, Signal([1.0, 2.0, 3.0]))
         with pytest.raises(SemanticsError, match="nonnegative"):
             evaluate(phi, Signal(np.ones(6)), t=-1)
+
+    def test_evaluation_time_is_not_a_bool_or_a_string(self):
+        # int(True) is 1, so t=True used to evaluate at t = 1
+        phi = parse("y0 >= 0", p=1)
+        for t in (True, "1"):
+            with pytest.raises(SemanticsError, match=f"time t must be a whole number, got {t!r}"):
+                evaluate(phi, Signal([1.0, 2.0]), t=t)
 
     def test_predicate_dimension_checked(self):
         phi = parse("y1 >= 0", p=2)
