@@ -20,9 +20,9 @@ The sweep is the adjoint of the state recursion, and it is vectorised in
 the same way: a model that supplies `costates`, as both builtins do, runs
 it in one call (their step Jacobians are unit upper triangular, so each
 costate is a reverse running sum), and a model without it falls back to
-a Python loop over the timesteps. The builtins therefore run no per-step
-loop at all. A non-finite costate or control gradient is reported as
-divergence too.
+a Python loop over the timesteps. A Jacobian returned as one constant
+matrix, as the builtins' output Jacobians are, multiplies a whole stack
+in one product. A non-finite costate or control gradient is divergence.
 """
 
 from __future__ import annotations
@@ -201,15 +201,22 @@ def _jacobians(model, X, U):
     )
 
 
+def _apply(V, J):
+    """The rows V_t' J_t of a stack V (R, K, k) and Jacobians J (R, K, k, .),
+    in one product when J is one matrix broadcast over the stack."""
+    if J.size and not any(J.strides[:2]):
+        return V @ J[0, 0]
+    return (V[..., None, :] @ J)[..., 0, :]
+
+
 def _sweep(jacobians, costates, dY):
     """control_gradient of R rollouts: du and each row's divergence or None."""
     fx, fu, gx, gu = jacobians
     T = dY.shape[-2] - 1
-    row = dY[..., None, :]
     # past the first non-finite costate the values are never returned
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = (row @ gx)[..., 0, :]
-        du = (row @ gu)[..., 0, :]
+        lam = _apply(dY, gx)
+        du = _apply(dY, gu)
         # lam[:, t] for t >= 1 becomes the costate; lam[:, 0] is never needed
         if costates is not None and T > 0:
             L = np.asarray(costates(fx[:, 1:], lam[:, 1:]), dtype=float)
@@ -223,7 +230,7 @@ def _sweep(jacobians, costates, dY):
                 steps = zip(lam_r[T - 1 : 0 : -1], lam_r[T:1:-1], fx_r[T - 1 : 0 : -1])
                 for lam_t, lam_next, fx_t in steps:
                     lam_t += dot(lam_next, fx_t)
-        du[:, :T] += (lam[:, 1:, None, :] @ fu)[..., 0, :]
+        du[:, :T] += _apply(lam[:, 1:], fu)
     errors = [None] * len(du)
     if np.isfinite(lam[:, 1:]).all() and np.isfinite(du).all():
         return du, errors
@@ -264,8 +271,10 @@ class SensitivityRollout:
         on all later outputs. Each control picks up its direct output
         effect gu_t' dy_t plus its effect on the next state fu_t' lam_{t+1}.
         The direct terms and the control terms are one batched product
-        each. The recursion itself is one call of the model's costates
-        when it has one, and otherwise a Python loop over the timesteps.
+        each, a single one where the Jacobian is a constant view, as in
+        objective, so the two agree bit for bit. The recursion itself is
+        one call of the model's costates when it has one, and otherwise a
+        Python loop over the timesteps.
 
         Raises RolloutDivergence at the first non-finite costate the
         backward sweep meets, naming "costate", and otherwise at the first

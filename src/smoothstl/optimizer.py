@@ -3,8 +3,11 @@
 The objective is J(u) = rho_smooth(y(u)) - w * sum_t u_t . u_t, the smooth
 (ef) robustness of the rolled-out output signal minus an optional control
 effort penalty. Each restart climbs J with a limited-memory quasi-Newton
-ascent: search directions come from the usual two-loop recursion over
-recent (step, gradient-change) pairs, steps are chosen by a backtracking
+ascent: search directions come from the two-loop recursion over recent
+(step, gradient-change) pairs, written over their Gram matrix of inner
+products so that a direction costs four matrix-vector products and a
+short scalar recursion (Byrd, Nocedal and Schnabel 1994; Nocedal and
+Wright, Numerical Optimization, 7.2). Steps are chosen by a backtracking
 line search that only ever accepts a non-decrease of J, and the ascent
 stops when the gradient's infinity norm drops below tolerance or the
 iteration budget runs out.
@@ -31,7 +34,7 @@ import numpy as np
 
 from .dynamics import RolloutDivergence, _jacobians, _simulate, _sweep, rollout
 from .formula import _convert, _number, _pairs, horizon, is_nnf
-from .robustness import EXACT, SemanticsConfig, _evaluate, _whole, evaluate
+from .robustness import EXACT, SemanticsConfig, _evaluate, _NonFiniteMargin, _whole, evaluate
 
 __all__ = [
     "SynthesisFailure",
@@ -159,16 +162,23 @@ def objective(problem, u):
     A stack of R sequences (R, T+1, m) gives, in one pass, a list of R
     outcomes, each the row's (J, dJ) or RolloutDivergence, bit for bit
     what the row gives on its own. A row that diverges in the rollout
-    skips the robustness evaluation. An effort term that overflows is a
-    divergence at the row of u where the running sum of squares does.
+    skips the robustness evaluation. A predicate margin that is not finite
+    is a divergence at its first timestep, and an effort term that
+    overflows one at the row of u where the running sum of squares does.
     """
     stack = np.ndim(u) == 3
     X, U, Y, outcomes = _simulate(problem.model, problem.x0, u, stack)
     live = [r for r, error in enumerate(outcomes) if error is None]
-    if len(live) < len(U):
-        X, Y, U = X[live], Y[live], U[live]
+    while live:
+        try:
+            rho, dY = _evaluate(problem.phi, Y[live], 0, problem.config, problem.classic_until, True)
+            break
+        except _NonFiniteMargin as bad:  # those rows drop out, the rest run again
+            for r, t in zip(live, bad.first):
+                outcomes[r] = None if t is None else RolloutDivergence(t, "predicate margin")
+            live = [r for r in live if outcomes[r] is None]
     if live:
-        rho, dY = _evaluate(problem.phi, Y, 0, problem.config, problem.classic_until, True)
+        X, U = X[live], U[live]
         du, errors = _sweep(_jacobians(problem.model, X, U), problem.model.costates, dY)
         w = problem.control_weight
         with np.errstate(over="ignore", invalid="ignore"):
@@ -239,28 +249,54 @@ class SynthesisResult:
 
 
 def _clamp(u, bounds):
-    if bounds is None:
-        return u
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return np.clip(u, lo, hi)
+    return u if bounds is None else np.clip(u, *np.array(bounds).T)
 
 
-def _lbfgs_direction(g, pairs):
-    """Ascent direction from the two-loop recursion; pairs hold flattened
-    (s, gdiff) with gdiff = g_old - g_new, the gradient-change convention
-    for a maximization, and their 1 / s.gdiff and s.gdiff / gdiff.gdiff."""
-    q = -g.ravel()
-    alphas = []
-    for s, y, rho, _ in reversed(pairs):
-        alphas.append(rho * float(np.dot(s, q)))
-        q -= alphas[-1] * y
-    if pairs:
-        q *= pairs[-1][3]
-    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
-        beta = rho * float(np.dot(y, q))
-        q += s * (alpha - beta)
-    return (-q).reshape(g.shape)
+class _Memory:
+    """The last _LBFGS_MEMORY (s, y) pairs of one ascent, y = g_old - g_new
+    for a maximization: rows of the ring buffers S and Y (order lists the
+    filled rows, oldest first), SY[i][j] = s_i . y_j, 1 / s.y per row and
+    the last pair's scaling s.y / y.y."""
+
+    def __init__(self, size):
+        self.S, self.Y = np.zeros((2, _LBFGS_MEMORY, size))
+        self.SY = [[0.0] * _LBFGS_MEMORY for _ in range(_LBFGS_MEMORY)]
+        self.rho, self.gamma = [0.0] * _LBFGS_MEMORY, 1.0
+        self.order = []
+
+    def add(self, s, y, sy, yy):
+        """Store a pair with s.y = sy and y.y = yy, over the oldest when full."""
+        order = self.order
+        i = order.pop(0) if len(order) == _LBFGS_MEMORY else len(order)
+        order.append(i)
+        k = len(order)
+        self.S[i], self.Y[i] = s, y
+        for j, sy_j, ys_j in zip(range(k), self.S[:k].dot(y).tolist(), self.Y[:k].dot(s).tolist()):
+            self.SY[j][i], self.SY[i][j] = sy_j, ys_j
+        self.rho[i], self.gamma = 1.0 / sy, sy / yy
+
+    def direction(self, g):
+        """Ascent direction H g, H the inverse-Hessian estimate of the pairs
+        (see the module notes); g itself when the memory is empty."""
+        order, SY, rho, k = self.order, self.SY, self.rho, len(self.order)
+        if not k:
+            return g
+        S, Y, g1 = self.S[:k], self.Y[:k], g.ravel()
+        sq, alpha = S.dot(g1).tolist(), [0.0] * k
+        for at in range(k - 1, -1, -1):  # q = g - sum_i alpha_i y_i, newest first
+            j = order[at]
+            a = sq[j]
+            for i in order[at + 1 :]:
+                a -= alpha[i] * SY[j][i]
+            alpha[j] = rho[j] * a
+        q = g1 - np.array(alpha).dot(Y)
+        yq, coef = Y.dot(q).tolist(), [0.0] * k
+        for at, j in enumerate(order):  # r = gamma q + sum_i coef_i s_i, oldest first
+            b = self.gamma * yq[j]
+            for i in order[:at]:
+                b += coef[i] * SY[i][j]
+            coef[j] = alpha[j] - rho[j] * b
+        return (self.gamma * q + np.array(coef).dot(S)).reshape(g.shape)
 
 
 def _ascend(problem, u0):
@@ -279,25 +315,25 @@ def _ascend(problem, u0):
     if not (math.isfinite(J) and np.isfinite(g).all()):
         return None
     trace = [J]
-    pairs = []
+    memory = _Memory(u.size)
     iterations = 0
     converged = False
     for it in range(problem.max_iters):
-        gnorm = float(np.abs(g).max())
+        g1 = g.ravel()
+        gnorm = float(np.abs(g1).max())
         if gnorm < problem.tolerance:
             converged = True
             break
-        d = _lbfgs_direction(g, pairs)
-        slope = float(np.sum(d * g))
-        if not np.isfinite(d).all() or slope <= 0.0:
+        d = memory.direction(g)
+        if not np.isfinite(d).all() or float(d.ravel().dot(g1)) <= 0.0:
             d = g.copy()
-            slope = float(np.sum(g * g))
-            pairs.clear()
+            memory.order.clear()
         alpha = 1.0 if it > 0 else 1.0 / max(1.0, gnorm)
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
             cand = _clamp(u + alpha * d, bounds)
-            gain = float(np.sum(g * (cand - u)))
+            s = (cand - u).ravel()
+            gain = float(g1.dot(s))
             outcome = yield cand
             if isinstance(outcome, RolloutDivergence):
                 alpha *= 0.5
@@ -310,14 +346,11 @@ def _ascend(problem, u0):
         if accepted is None:
             break
         cand, Jc, gc = accepted
-        s = (cand - u).ravel()
-        ydiff = (g - gc).ravel()
-        sy = float(np.dot(s, ydiff))
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(ydiff)):
-            pairs.append((s, ydiff, 1.0 / sy, sy / float(np.dot(ydiff, ydiff))))
-            if len(pairs) > _LBFGS_MEMORY:
-                pairs.pop(0)
-        step = float(np.abs(cand - u).max())
+        y = (g - gc).ravel()  # s is the accepted candidate's step
+        sy, ss, yy = float(s.dot(y)), float(s.dot(s)), float(y.dot(y))
+        if sy > 1e-10 * math.sqrt(ss) * math.sqrt(yy):
+            memory.add(s, y, sy, yy)
+        step = float(np.abs(s).max())
         u, J, g = cand, Jc, gc
         trace.append(J)
         iterations = it + 1
@@ -331,11 +364,8 @@ def _initial_controls(problem):
     shape = (problem.T + 1, problem.model.m)
     inits = [np.zeros(shape)]
     rng = np.random.default_rng(problem.seed)
-    if problem.control_bounds is not None:
-        lo = np.array([b[0] for b in problem.control_bounds])
-        hi = np.array([b[1] for b in problem.control_bounds])
-    else:
-        lo, hi = -1.0, 1.0
+    bounds = problem.control_bounds
+    lo, hi = (-1.0, 1.0) if bounds is None else np.array(bounds).T
     for _ in range(problem.restarts):
         inits.append(rng.uniform(lo, hi, size=shape))
     return inits

@@ -119,6 +119,15 @@ class SemanticsError(ValueError):
     """Raised when a formula/signal/configuration combination is invalid."""
 
 
+class _NonFiniteMargin(SemanticsError):
+    """A predicate margin a formula reads is not finite (an affine one beyond
+    the float range, say); first holds each window's first such row or None."""
+
+    def __init__(self, first):
+        super().__init__("predicate produced a non-finite margin")
+        self.first = first
+
+
 class Signal:
     """A finite discrete-time signal: samples y_0 .. y_T, each of length p.
 
@@ -671,7 +680,7 @@ def _group(reductions, n_leaf, size):
     return grouped
 
 
-_WARN = nullcontext()  # the exact reducers never overflow
+_WARN = nullcontext()  # for what cannot overflow: exact reducers, margins known finite
 
 
 class _Plan:
@@ -748,6 +757,15 @@ class _Plan:
             for j, p in enumerate(preds)
             if j >= self.n_linear
         ]
+        # Affine margins that no finite sample can take past the float range:
+        # each reads one coordinate with a coefficient of at most 1 in size,
+        # and its offset is below half an ulp of the largest float (safe);
+        # or, with coefficients and offsets of moderate size, the samples'
+        # squares sum to a finite number, so none exceeds 1.4e154 (bounded).
+        norms, offsets = np.abs(self.coeffs).sum(axis=-1), np.abs(self.offsets)
+        one = (np.count_nonzero(self.coeffs, axis=-1) <= 1) & (norms <= 1)
+        self.safe = not self.callables and one.all() and (offsets < 2.0**969).all()
+        self.bounded = not self.callables and (norms <= 1e150).all() and (offsets <= 1e300).all()
 
         def slots(node, at):
             return base[id(node)] + np.searchsorted(times[id(node)], at)
@@ -814,19 +832,30 @@ class _Plan:
         for col, pred, rows in self.callables:
             at = Y[..., rows, :]
             vals = np.array([pred.value(y) for y in at.reshape(-1, at.shape[-1])], dtype=float)
-            if not np.isfinite(vals).all():
-                raise SemanticsError("callable predicate produced a non-finite margin")
             S[..., rows, col] = vals.reshape(at.shape[:-1])
         return S
 
     def run(self, Y, reducers, keep, smooth):
         """Fill vals (a row per window of a stack Y); with keep, also weights.
-        The smooth reducers cap every shifted difference that overflows, so
-        their overflow warnings are off (one errstate a run)."""
+        A margin that is not finite raises before any reducer runs. One
+        errstate a run turns off the warnings of what may overflow: the
+        margins of a checked run, and the smooth reducers, which cap every
+        shifted difference that does."""
         vals = np.empty(Y.shape[:-2] + (self.size,))
-        vals[..., : self.n_leaf] = _take(_flatten(self.margins(Y)), self.leaves) * self.signs
+        # np.vdot, unlike an errstate, costs about one reduction (and does
+        # not report an overflow of its own)
+        checked = not (self.safe or self.bounded and math.isfinite(np.vdot(Y, Y)))
+        if checked:
+            quiet = np.errstate(over="ignore", invalid="ignore")
+        else:
+            quiet = np.errstate(over="ignore") if smooth else _WARN
         weights = []
-        with np.errstate(over="ignore") if smooth else _WARN:
+        with quiet:
+            vals[..., : self.n_leaf] = _take(_flatten(self.margins(Y)), self.leaves) * self.signs
+            if checked:
+                finite = np.isfinite(vals[..., : self.n_leaf]).reshape(-1, self.n_leaf)
+                if not finite.all():
+                    raise _NonFiniteMargin([None if f.all() else int(self.rows[~f].min()) for f in finite])
             for op, idx, starts, seg, out, stop in self.groups:
                 fn, k = reducers[op]
                 vals[..., out:stop], w = fn(_take(vals, idx), starts, seg, k, keep)
@@ -916,6 +945,8 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
         t = _whole(t, "evaluation time t", SemanticsError)
     if t < 0:
         raise SemanticsError(f"evaluation time must be nonnegative, got {t}")
+    if classic_until not in (True, False):  # a string such as "false" is truthy
+        raise SemanticsError(f"classic_until: needs true or false, got {classic_until!r}")
     plan = _plan(phi, classic_until)
     need, last = t + plan.horizon, values.shape[-2] - 1
     if need > last:
@@ -958,9 +989,10 @@ def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):
                           history starts at t instead of t plus the window
                           start, with the hold on the left operand
 
-    The signal must reach t + horizon(phi). Positive exact robustness
-    means the formula is satisfied; positive ef robustness implies
-    positive exact robustness, while lse offers no such guarantee.
+    The signal must reach t + horizon(phi), and every predicate margin
+    the formula reads must be finite. Positive exact robustness means the
+    formula is satisfied; positive ef robustness implies positive exact
+    robustness, while lse offers no such guarantee.
     """
     return float(_evaluate(phi, as_signal(signal).values, t, config, classic_until)[0])
 

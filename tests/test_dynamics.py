@@ -19,8 +19,10 @@ from smoothstl.dynamics import (
     single_integrator_2d,
 )
 from smoothstl.gradient import eval_with_gradient
+from smoothstl.optimizer import SynthesisProblem, objective
 from smoothstl.parser import parse
 from smoothstl.robustness import SemanticsConfig
+from smoothstl.scenarios import build_problem, builtin_scenario
 
 
 def functional_fd(model, x0, u, weights, h=1e-6):
@@ -293,6 +295,89 @@ class TestControlGradient:
         sens = rollout_with_sensitivities(model, [0.0, 0.0], np.zeros((3, 2)))
         with pytest.raises(ValueError, match="shape"):
             sens.control_gradient(np.zeros((2, 4)))
+
+
+class TestConstantJacobians:
+    """A Jacobian that holds at every step multiplies a whole stack in one
+    product; objective and control_gradient take the same path, so they
+    agree bit for bit, at any stack height."""
+
+    @pytest.mark.parametrize("name", ["two_target", "table2_diffdrive", "linear"])
+    def test_objective_is_the_control_gradient_bit_for_bit(self, name):
+        rng = np.random.default_rng(95)
+        if name == "linear":
+            # constant Jacobians with general entries, where the rounding
+            # of a product could depend on the path it takes
+            A, B, C, D = (rng.uniform(-1, 1, shape) for shape in ((2, 2), (2, 2), (3, 2), (3, 2)))
+            model = SystemModel(
+                n=2, m=2, p=3,
+                step=lambda x, u: A @ x + B @ u,
+                output=lambda X, U: X @ C.T + U @ D.T,
+                step_jacobians=lambda X, U: (A, B),
+                output_jacobians=lambda X, U: (C, D),
+            )
+            problem = SynthesisProblem(
+                model=model, x0=(0.3, -0.2), phi=parse("G[0,9] (y0 >= -1 or F[0,3] y2 >= 0)", p=3),
+                T=15, k1=3.0, k2=3.0,
+            )
+        else:
+            problem = build_problem(builtin_scenario(name))
+        problem = dataclasses.replace(problem, control_weight=0.05)
+        U = rng.uniform(-2, 2, (3, problem.T + 1, problem.model.m))
+        for rows in (U[:1], U):
+            for u, (_, dJ) in zip(rows, objective(problem, rows), strict=True):
+                self.check(problem, u, dJ)
+
+    @staticmethod
+    def check(problem, u, dJ):
+        sens = rollout_with_sensitivities(problem.model, problem.x0, u)
+        grad = eval_with_gradient(problem.phi, sens.signal, 0, problem.config)
+        want = sens.control_gradient(grad.dsignal) - 2.0 * problem.control_weight * u
+        assert dJ.tobytes() == want.tobytes()
+        assert objective(problem, u)[1].tobytes() == want.tobytes()
+        return sens, grad
+
+    def squared_output_model(self, dgdx=None):
+        """x' = x + u, y = (x^2, u): dg/dx = 2x changes every step."""
+        return SystemModel(
+            n=1, m=1, p=2,
+            step=lambda x, u: x + u,
+            output=lambda X, U: np.concatenate([X * X, U], axis=-1),
+            step_jacobians=lambda X, U: (np.eye(1), np.eye(1)),
+            output_jacobians=dgdx or (
+                lambda X, U: (np.stack([2.0 * X, 0.0 * X], axis=1), np.array([[0.0], [1.0]]))
+            ),
+        )
+
+    def test_per_step_output_jacobians(self):
+        model = self.squared_output_model()
+        problem = SynthesisProblem(
+            model=model, x0=(0.5,), phi=parse("F[0,4] y0 >= 4", p=2), T=4, k1=2.0, k2=2.0,
+            control_weight=0.1,
+        )
+        U = np.random.default_rng(96).uniform(-1, 1, (3, 5, 1))
+        for u, (_, dJ) in zip(U, objective(problem, U), strict=True):
+            sens, grad = self.check(problem, u, dJ)
+            assert sens.gx.shape == (5, 2, 1) and sens.gx.strides[0] != 0
+            # the step-by-step recursion, with the Jacobians of each step
+            lam, want = np.zeros(1), np.zeros((5, 1))
+            for t in range(4, -1, -1):
+                want[t] = sens.gu[t].T @ grad.dsignal[t] + (lam if t < 4 else 0.0)
+                lam = sens.gx[t].T @ grad.dsignal[t] + lam
+            assert_allclose(sens.control_gradient(grad.dsignal), want, rtol=1e-13)
+
+    def test_wrong_output_jacobian_shape_names_it(self):
+        model = self.squared_output_model(lambda X, U: (np.zeros((3, 2, 1)), np.zeros((2, 1))))
+        problem = SynthesisProblem(
+            model=model, x0=(0.5,), phi=parse("F[0,4] y0 >= 4", p=2), T=4, k1=2.0, k2=2.0,
+        )
+        for run in (
+            lambda: rollout_with_sensitivities(model, [0.5], np.zeros((5, 1))),
+            lambda: objective(problem, np.zeros((5, 1))),
+            lambda: objective(problem, np.zeros((2, 5, 1))),
+        ):
+            with pytest.raises(ValueError, match="^output_jacobians dg/dx has shape"):
+                run()
 
 
 class TestDivergence:

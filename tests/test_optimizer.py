@@ -17,10 +17,14 @@ from numpy.testing import assert_allclose
 from smoothstl.dynamics import RolloutDivergence, SystemModel, rollout, single_integrator_2d
 from smoothstl.formula import CallablePredicate, Not, Pred, RegionTable, conj, to_nnf
 from smoothstl.optimizer import (
+    _LBFGS_MEMORY,
     DEFAULT_RESTARTS,
     SynthesisFailure,
     SynthesisProblem,
     SynthesisResult,
+    _initial_controls,
+    _Memory,
+    _run_restarts,
     k_continuation,
     objective,
     synthesize,
@@ -297,6 +301,147 @@ class TestObjective:
                     lo, _ = objective(problem, bumped)
                     fd[t, j] = (hi - lo) / (2 * h)
             assert_allclose(dJ, fd, rtol=1e-4, atol=1e-7)
+
+
+    def test_margin_overflow_is_divergence(self):
+        # 2 * u overflows at timestep 3 of row 1 while its rollout stays
+        # finite; it used to give NaN and an escaping overflow warning
+        problem = reach_problem(phi=parse("F[0,4] 2*y2 >= 0", p=4), control_bounds=None)
+        U = np.zeros((3, 5, 2))
+        U[1, 3, 0] = 1e308
+        U[2] = 0.5
+        with pytest.raises(RolloutDivergence, match="^non-finite predicate margin at timestep 3$"):
+            objective(problem, U[1])
+        with count_operator_evals() as counter:
+            stacked = objective(problem, U)
+        assert counter.forwards == 2
+        assert str(stacked[1]) == "non-finite predicate margin at timestep 3"
+        for r in (0, 2):
+            J, dJ = objective(problem, U[r])
+            assert stacked[r][0] == J and stacked[r][1].tobytes() == dJ.tobytes()
+
+    def test_non_finite_callable_margin_is_divergence(self):
+        # a callable margin undefined beyond y0 = 1 rejects only that row
+        partial = CallablePredicate(
+            fn=lambda y: 1.0 - float(y[0]) if y[0] < 1.0 else math.nan, dim=4,
+            jacobian=lambda y: np.array([-1.0, 0.0, 0.0, 0.0]),
+        )
+        problem = reach_problem(phi=conj(Pred(partial).always(0, 4), reach_problem().phi))
+        U = np.zeros((2, 5, 2))
+        U[1, 1, 0] = 2.0
+        first, second = objective(problem, U)
+        assert first[0] == objective(problem, U[0])[0]
+        assert str(second) == "non-finite predicate margin at timestep 2"
+
+
+def two_loop(g, pairs):
+    """The L-BFGS two-loop recursion over flattened (s, y) pairs, oldest
+    first, y = g_old - g_new: the reference for the Gram form."""
+    q = -g.ravel()
+    alphas = []
+    for s, y in reversed(pairs):
+        alphas.append(np.dot(s, q) / np.dot(s, y))
+        q = q - alphas[-1] * y
+    if pairs:
+        s, y = pairs[-1]
+        q = q * (np.dot(s, y) / np.dot(y, y))
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q = q + s * (alpha - np.dot(y, q) / np.dot(s, y))
+    return (-q).reshape(g.shape)
+
+
+class TestGramDirection:
+    SHAPE = (9, 2)
+
+    def pairs(self, rng, count):
+        """Random pairs with y = A s for one symmetric positive definite A,
+        so that every s . y is positive, as the ascent requires."""
+        n = math.prod(self.SHAPE)
+        M = rng.normal(size=(n, n))
+        A = M @ M.T / n + np.eye(n)
+        return [(s, A @ s) for s in rng.normal(size=(count, n))]
+
+    @staticmethod
+    def remember(memory, pairs):
+        for s, y in pairs:
+            memory.add(s, y, float(np.dot(s, y)), float(np.dot(y, y)))
+        return memory
+
+    def check(self, memory, pairs, rng):
+        """The memory's directions against the two-loop over pairs."""
+        for _ in range(5):
+            g = rng.normal(size=self.SHAPE)
+            got, want = memory.direction(g), two_loop(g, pairs)
+            assert got.shape == g.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_empty_memory_gives_the_gradient(self):
+        g = np.random.default_rng(60).normal(size=self.SHAPE)
+        assert _Memory(g.size).direction(g).tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 4, _LBFGS_MEMORY, 15, 3 * _LBFGS_MEMORY + 2])
+    def test_matches_the_two_loop(self, count):
+        # past _LBFGS_MEMORY pairs the oldest are overwritten in the ring
+        rng = np.random.default_rng(61 + count)
+        pairs = self.pairs(rng, count)
+        memory = self.remember(_Memory(math.prod(self.SHAPE)), pairs)
+        self.check(memory, pairs[-_LBFGS_MEMORY:], rng)
+
+    @pytest.mark.parametrize("before, after", [(6, 3), (15, 4), (15, 12)])
+    def test_cleared_memory_starts_over(self, before, after):
+        rng = np.random.default_rng(62 + before + after)
+        pairs = self.pairs(rng, before + after)
+        memory = self.remember(_Memory(math.prod(self.SHAPE)), pairs[:before])
+        memory.order.clear()  # what the steepest-ascent fallback does
+        g = rng.normal(size=self.SHAPE)
+        assert memory.direction(g).tobytes() == g.tobytes()
+        self.remember(memory, pairs[before:])
+        self.check(memory, pairs[before:][-_LBFGS_MEMORY:], rng)
+
+    def test_forced_fallback_clears_only_its_own_ascent(self, monkeypatch):
+        # The fallback does not fire on the builtins, so it is forced: one
+        # ascent's memory returns a descent direction once it holds three
+        # pairs, so that ascent clears its memory. Every ascent of the
+        # lockstep stack still ends as it does alone.
+        problem = reach_problem(seed=5, restarts=3)
+        starts = _initial_controls(problem)
+        # the memories are made in restart order, in the first round
+        made, forced, target = [], [], [None]
+        init, direction = _Memory.__init__, _Memory.direction
+
+        def track(self, size):
+            init(self, size)
+            made.append(self)
+
+        def forcing(self, g):
+            d = direction(self, g)
+            mine = target[0] is not None and target[0] < len(made) and self is made[target[0]]
+            if mine and len(self.order) == 3 and self not in forced:
+                forced.append(self)
+                return -d
+            assert float(np.sum(d * g)) > 0.0
+            return d
+
+        monkeypatch.setattr(_Memory, "__init__", track)
+        monkeypatch.setattr(_Memory, "direction", forcing)
+
+        def run(starts, first, forced_at):
+            made.clear()
+            forced.clear()
+            target[0] = forced_at
+            outcomes = _run_restarts(problem, starts, first)
+            assert len(forced) == (forced_at is not None)
+            return outcomes
+
+        stacked = run(starts, 0, 2)
+        for i, start in enumerate(starts):
+            ((record, (u, _, trace)),) = run([start], i, 0 if i == 2 else None)
+            got_record, (got_u, _, got_trace) = stacked[i]
+            assert replace(got_record, wall_ms=0.0) == replace(record, wall_ms=0.0)
+            assert got_u.tobytes() == u.tobytes() and got_trace == trace
+        # the clearing changed the ascent it was forced on
+        ((record, _),) = run([starts[2]], 2, None)
+        assert replace(record, wall_ms=0.0) != replace(stacked[2][0], wall_ms=0.0)
 
 
 class TestSynthesize:

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from conftest import rand_formula, rand_signal
 from oracle import ef_ops, lse_ops, naive_exact, naive_soft
 from smoothstl.formula import LinearPredicate, Not, Pred, conj, to_nnf
-from smoothstl.gradient import eval_with_gradient, grad_smooth_max
+from smoothstl.gradient import eval_with_gradient, finite_difference_gradient, grad_smooth_max
 from smoothstl.parser import parse
 from smoothstl.robustness import (
     EXACT,
@@ -261,6 +261,61 @@ class TestOverflow:
         grad = eval_with_gradient(phi, y, 0, cfg, classic_until)
         assert grad.value == value
         assert np.isfinite(grad.dsignal).all()
+
+
+class TestNonFiniteMargins:
+    """An affine margin beyond the float range used to reach the reducers
+    as an infinity: -inf exact and NaN for ef, with the matmul's overflow
+    warning escaping. It is refused like a callable's non-finite margin."""
+
+    PHI = "G[0,2] 2*y0 >= 0"
+
+    @pytest.mark.parametrize("x", [-1e308, 1e308])
+    def test_affine_overflow_is_refused(self, x):
+        phi, y = parse(self.PHI, p=1), [[x], [1.0], [1.0]]
+        for cfg in (EXACT, SemanticsConfig.ef(2.0, 2.0), SemanticsConfig.lse(2.0)):
+            with pytest.raises(SemanticsError, match="^predicate produced a non-finite margin$"):
+                evaluate(phi, y, 0, cfg)
+        with pytest.raises(SemanticsError, match="non-finite margin"):
+            eval_with_gradient(phi, y, 0, SemanticsConfig.ef(2.0, 2.0))
+
+    def test_huge_finite_margins_pass(self):
+        # squares past the float range take the full check, which passes them
+        phi = parse("G[0,2] 2*y0 - 0.5*y1 >= 0", p=2)
+        y = [[1e200, 0.0], [1.0, -1e300], [1.0, 0.0]]
+        assert evaluate(phi, y) == 2.0
+        grad = eval_with_gradient(phi, y, 0, SemanticsConfig.ef(2.0, 2.0))
+        assert np.isfinite(grad.value) and np.isfinite(grad.dsignal).all()
+
+    def test_only_margins_the_formula_reads_count(self):
+        y = [[-1e308], [1.0], [1.0]]
+        assert evaluate(parse("F[1,2] 2*y0 >= 0", p=1), y) == 2.0
+        assert evaluate(parse("G[0,1] 2*y0 >= 0", p=1), y, 1) == 2.0
+        with pytest.raises(SemanticsError, match="non-finite margin"):
+            evaluate(parse("G[0,1] 2*y0 >= 0", p=1), y)
+
+
+class TestUntilConventionFlag:
+    # a string such as "false" is truthy, and used to select the classic until
+    PHI, SIGNAL = "y0 >= 0 U[1,1] y1 >= 0", [[-9.0, 0.0], [5.0, 5.0]]
+
+    @pytest.mark.parametrize("flag", ["false", "true", None, 2])
+    def test_flag_must_be_true_or_false(self, flag):
+        phi, cfg = parse(self.PHI, p=2), SemanticsConfig.ef(2.0, 2.0)
+        message = f"^classic_until: needs true or false, got {flag!r}$"
+        for call in (
+            lambda: evaluate(phi, self.SIGNAL, classic_until=flag),
+            lambda: eval_with_gradient(phi, self.SIGNAL, config=cfg, classic_until=flag),
+            lambda: finite_difference_gradient(phi, self.SIGNAL, config=cfg, classic_until=flag),
+        ):
+            with pytest.raises(SemanticsError, match=message):
+                call()
+
+    def test_true_false_and_their_numbers_still_work(self):
+        phi = parse(self.PHI, p=2)
+        assert evaluate(phi, self.SIGNAL, classic_until=False) == 5.0
+        for flag in (True, 1, np.True_):
+            assert evaluate(phi, self.SIGNAL, classic_until=flag) == -9.0
 
 
 class TestErrorBounds:
