@@ -76,6 +76,16 @@ def _convert(key, value, to, what, error=ValueError):
         raise error(f"{key}: needs {what}, got {value!r}") from None
 
 
+def _check_flag(key, value, error=ValueError):
+    """error("key: needs true or false, got value") unless value is true or
+    false. 1, 0 and np.True_ pass; a string such as "false" is truthy, and
+    an array's truth is ambiguous, so both are refused."""
+    if value is True or value is False:  # the usual case, on every evaluation
+        return
+    if isinstance(value, np.ndarray) or value not in (True, False):
+        raise error(f"{key}: needs true or false, got {value!r}")
+
+
 def _check_finite_scalar(x, what):
     try:
         x = _number(x)
@@ -252,33 +262,31 @@ class Not(_Formula):
     child: "Formula"
 
 
-def _check_connective_children(children, kind):
-    children = tuple(children)
-    if len(children) < 2:
-        raise FormulaError(f"{kind} needs at least two children; use conj()/disj() to build")
-    for c in children:
-        _require_formula(c, f"{kind} child")
-        if type(c).__name__ == kind:
-            raise FormulaError(
-                f"{kind} directly under {kind} is not allowed; child lists stay flattened"
-            )
-    return children
-
-
 @dataclass(frozen=True)
-class And(_Formula):
+class _Connective(_Formula):
+    """An n-ary and/or: at least two children, none of its own kind."""
+
     children: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "children", _check_connective_children(self.children, "And"))
+        kind, children = type(self).__name__, tuple(self.children)
+        if len(children) < 2:
+            raise FormulaError(f"{kind} needs at least two children; use conj()/disj() to build")
+        for c in children:
+            _require_formula(c, f"{kind} child")
+            if type(c) is type(self):
+                raise FormulaError(
+                    f"{kind} directly under {kind} is not allowed; child lists stay flattened"
+                )
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Or(_Formula):
-    children: tuple
+class And(_Connective):
+    pass
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", _check_connective_children(self.children, "Or"))
+
+class Or(_Connective):
+    pass
 
 
 @dataclass(frozen=True)
@@ -310,35 +318,25 @@ class Release(_Formula):
 Formula = Union[Pred, Not, And, Or, Always, Eventually, Until, Release]
 
 
-def _flatten(formulas, node_type):
-    out = []
+def _join(kind, formulas):
+    """The And or Or of the formulas, splicing in the children of those of
+    its own kind; a single formula comes back as it is."""
+    flat = []
     for f in formulas:
-        _require_formula(f)
-        if isinstance(f, node_type):
-            out.extend(f.children)
-        else:
-            out.append(f)
-    return out
+        flat.extend(f.children if isinstance(_require_formula(f), kind) else (f,))
+    if not flat:
+        raise FormulaError(f"{'conjunction' if kind is And else 'disjunction'} of nothing")
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
 
 
 def conj(*formulas):
     """N-ary conjunction; splices nested And children, collapses arity 1."""
-    flat = _flatten(formulas, And)
-    if not flat:
-        raise FormulaError("conjunction of nothing")
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _join(And, formulas)
 
 
 def disj(*formulas):
     """N-ary disjunction; splices nested Or children, collapses arity 1."""
-    flat = _flatten(formulas, Or)
-    if not flat:
-        raise FormulaError("disjunction of nothing")
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _join(Or, formulas)
 
 
 def _operands(phi):
@@ -348,7 +346,7 @@ def _operands(phi):
         return ()
     if isinstance(phi, (Not, Always, Eventually)):
         return (phi.child,)
-    if isinstance(phi, (And, Or)):
+    if isinstance(phi, _Connective):
         return phi.children
     if isinstance(phi, (Until, Release)):
         return (phi.left, phi.right)
@@ -396,10 +394,8 @@ def _nnf(phi, negate):
         return _nnf(phi.child, not negate)
     kind = _DUAL[type(phi)] if negate else type(phi)
     operands = [_nnf(c, negate) for c in operands]
-    if kind is And:
-        return conj(*operands)
-    if kind is Or:
-        return disj(*operands)
+    if issubclass(kind, _Connective):
+        return _join(kind, operands)
     return kind(phi.interval, *operands)
 
 
@@ -425,6 +421,14 @@ _PREC_UNTIL = 3
 _PREC_UNARY = 4
 _PREC_ATOM = 5
 
+# the keyword that spells each kind of node but the predicate; the parser
+# reads the grammar's reserved words back through the inverse
+_KEYWORDS = {
+    Not: "not", And: "and", Or: "or",
+    Always: "G", Eventually: "F", Until: "U", Release: "R",
+}
+_RESERVED_WORDS = {word: kind for kind, word in _KEYWORDS.items()}
+
 
 def format_formula(phi):
     """Render a formula in the textual grammar accepted by parse()."""
@@ -441,25 +445,18 @@ def _fmt(phi, min_prec):
 def _fmt_node(phi):
     if isinstance(phi, Pred):
         return _fmt_predicate(phi.predicate), _PREC_ATOM
-    if isinstance(phi, Not):
-        return "not " + _fmt(phi.child, _PREC_UNARY), _PREC_UNARY
-    if isinstance(phi, And):
-        return " and ".join(_fmt(c, _PREC_UNTIL) for c in phi.children), _PREC_AND
-    if isinstance(phi, Or):
-        return " or ".join(_fmt(c, _PREC_AND) for c in phi.children), _PREC_OR
-    if isinstance(phi, Always):
-        return f"G{phi.interval} " + _fmt(phi.child, _PREC_UNARY), _PREC_UNARY
-    if isinstance(phi, Eventually):
-        return f"F{phi.interval} " + _fmt(phi.child, _PREC_UNARY), _PREC_UNARY
-    if isinstance(phi, Until):
+    word = _KEYWORDS.get(type(phi))
+    if word is None:
+        raise FormulaError(f"not a formula node: {type(phi).__name__}")
+    if isinstance(phi, _Connective):
+        prec = _PREC_AND if isinstance(phi, And) else _PREC_OR
+        return f" {word} ".join(_fmt(c, prec + 1) for c in phi.children), prec
+    if isinstance(phi, (Until, Release)):
         left = _fmt(phi.left, _PREC_UNTIL)
         right = _fmt(phi.right, _PREC_UNARY)
-        return f"{left} U{phi.interval} {right}", _PREC_UNTIL
-    if isinstance(phi, Release):
-        left = _fmt(phi.left, _PREC_UNTIL)
-        right = _fmt(phi.right, _PREC_UNARY)
-        return f"{left} R{phi.interval} {right}", _PREC_UNTIL
-    raise FormulaError(f"not a formula node: {type(phi).__name__}")
+        return f"{left} {word}{phi.interval} {right}", _PREC_UNTIL
+    window = getattr(phi, "interval", "")  # a Not has no window
+    return f"{word}{window} " + _fmt(phi.child, _PREC_UNARY), _PREC_UNARY
 
 
 def _fmt_predicate(pred):
@@ -483,11 +480,9 @@ def _fmt_predicate(pred):
     return "".join(parts) + f" >= {repr(pred.offset)}"
 
 
-_RESERVED_WORDS = {"not", "and", "or", "G", "F", "U", "R"}
-
-
-def _looks_like_signal_var(name):
-    return len(name) > 1 and name[0] == "y" and name[1:].isdigit()
+def _signal_dim(name):
+    """The dimension d that the signal variable yd names, or None."""
+    return int(name[1:]) if name[:1] == "y" and name[1:].isdecimal() else None
 
 
 class RegionTable:
@@ -512,7 +507,7 @@ class RegionTable:
     def _check_region(name, faces):
         if not isinstance(name, str) or not name.isidentifier():
             raise FormulaError(f"region name must be an identifier, got {name!r}")
-        if name in _RESERVED_WORDS or _looks_like_signal_var(name):
+        if name in _RESERVED_WORDS or _signal_dim(name) is not None:
             raise FormulaError(f"region name {name!r} collides with the grammar")
         if not isinstance(faces, Mapping):
             raise FormulaError(
@@ -579,12 +574,11 @@ class RegionTable:
                 raise FormulaError(
                     f"region {name!r} uses dimension {d} but the signal has {p}"
                 )
-            unit = [0.0] * p
-            unit[d] = 1.0
-            faces.append(LinearPredicate(tuple(unit), lo, label=f"{name}: y{d} >= {lo}"))
-            unit = [0.0] * p
-            unit[d] = -1.0
-            faces.append(LinearPredicate(tuple(unit), -hi, label=f"{name}: y{d} <= {hi}"))
+            for sign, bound, op in ((1.0, lo, ">="), (-1.0, hi, "<=")):
+                unit = [0.0] * p
+                unit[d] = sign
+                label = f"{name}: y{d} {op} {bound}"
+                faces.append(LinearPredicate(tuple(unit), sign * bound, label=label))
         return faces
 
     def conjunction(self, name, p):

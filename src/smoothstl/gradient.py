@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formula import _convert, _number
 from .robustness import (
     SemanticsError,
     _as_vector,
@@ -122,7 +123,7 @@ def finite_difference_gradient(phi, signal, t=0, config=None, h=1e-5, classic_un
     signal = as_signal(signal)
     if config is None:
         raise SemanticsError("finite_difference_gradient needs a semantics config")
-    h = float(h)
+    h = _convert("h", h, _number, "a number")
     if not h > 0:
         raise ValueError("h must be positive")
     base = signal.values.copy()

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import RolloutDivergence, _jacobians, _simulate, _sweep, rollout
-from .formula import _convert, _number, _pairs, horizon, is_nnf
+from .formula import _check_flag, _convert, _number, _pairs, horizon, is_nnf
 from .robustness import EXACT, SemanticsConfig, _evaluate, _NonFiniteMargin, _whole, evaluate
 
 __all__ = [
@@ -75,8 +75,9 @@ class SynthesisProblem:
     @param k1, k2:         finite sharpness of the smooth semantics, k1 > 0
                            and k2 >= 0
     @param control_weight: effort penalty coefficient w >= 0
-    @param control_bounds: optional per-dimension (lo, hi) pairs, length m;
-                           used to sample restart initializations and, when
+    @param control_bounds: optional per-dimension (lo, hi) pairs, length m,
+                           with lo < hi and a finite width hi - lo; used to
+                           sample restart initializations and, when
                            hard_clamp is set, to project iterates
     @param hard_clamp:     project iterates onto the bound box
     @param restarts:       number of seeded random restarts (the u = 0
@@ -89,8 +90,10 @@ class SynthesisProblem:
 
     Every knob is checked and normalised on construction; a bad value
     raises ValueError("key: why"), such as "tolerance: must be positive".
-    A bool or a string is no number. Scenario files and build_problem
-    overrides pass through these same checks.
+    A bool or a string is no number. The flags must be true or false:
+    1, 0 and np.True_ pass and are kept as given, while a string or a
+    numpy array is refused. Scenario files and build_problem overrides
+    pass through these same checks.
     """
 
     model: object
@@ -126,10 +129,8 @@ class SynthesisProblem:
         for key in ("k1", "k2", "control_weight", "tolerance"):
             if not math.isfinite(convert(key, _number, "a number")):
                 raise ValueError(f"{key}: must be finite")
-        # a string such as "false" is truthy and would turn the flag on
         for key in ("hard_clamp", "classic_until"):
-            if getattr(self, key) not in (True, False):
-                raise ValueError(f"{key}: needs true or false, got {getattr(self, key)!r}")
+            _check_flag(key, getattr(self, key))
         if self.control_bounds is not None:
             bounds = convert("control_bounds", _pairs, "(lo, hi) pairs of numbers")
             if len(bounds) != self.model.m:
@@ -138,6 +139,8 @@ class SynthesisProblem:
                 raise ValueError("control_bounds: must be finite")
             if any(not lo < hi for lo, hi in bounds):
                 raise ValueError("control_bounds: every pair needs lo < hi")
+            if any(math.isinf(hi - lo) for lo, hi in bounds):
+                raise ValueError("control_bounds: every pair needs a finite width hi - lo")
         ahead = horizon(self.phi)
         for key, ok, why in (
             ("T", ahead <= self.T, f"formula looks {ahead} steps ahead but T is {self.T}"),
@@ -450,7 +453,8 @@ def k_continuation(problem, k_schedule):
     final sharpness; its restart_index and restart_records describe the
     first stage. A one-element schedule is exactly synthesize().
     """
-    ks = [_convert("k_schedule", k, _number, "numbers") for k in k_schedule]
+    ks = _convert("k_schedule", k_schedule, list, "a list of numbers")
+    ks = [_convert("k_schedule", k, _number, "numbers") for k in ks]
     if not ks:
         raise ValueError("k_schedule must be nonempty")
     if not all(0 < k < math.inf for k in ks):

@@ -13,6 +13,10 @@ Grammar, whitespace-insensitive, with '#' comments running to end of line:
     sum       := ['-'] term (('+' | '-') term)*
     term      := number ['*' yvar] | yvar
 
+The keywords are spelled once, in formula._KEYWORDS, which the printer
+writes from; the parser reads them back through its inverse. A y followed
+by digits is a signal variable (formula._signal_dim), never a region name.
+
 Temporal and `not` operators bind to the immediately following formula, so
 `G[0,2] p and q` is `(G[0,2] p) and q`. Until/release chain to the left.
 A bare region name expands to the conjunction of its face inequalities;
@@ -27,18 +31,20 @@ from dataclasses import dataclass
 
 from .formula import (
     Always,
+    And,
     Eventually,
     FormulaError,
     Interval,
     LinearPredicate,
     Not,
+    Or,
     Pred,
     RegionTable,
     Release,
     Until,
     _RESERVED_WORDS,
-    conj,
-    disj,
+    _join,
+    _signal_dim,
 )
 
 __all__ = ["ParseError", "parse"]
@@ -75,7 +81,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_VAR_RE = re.compile(r"^y(\d+)$")
+# the connectives, loosest first
+_CONNECTIVES = (Or, And)
 
 
 def _tokenize(text):
@@ -88,6 +95,8 @@ def _tokenize(text):
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         chunk = m.group()
+        if kind == "IDENT" and _signal_dim(chunk) is not None:
+            kind = "VAR"
         if kind not in ("WS", "COMMENT"):
             tokens.append(_Token(kind, chunk, line, col))
         newlines = chunk.count("\n")
@@ -127,55 +136,43 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def _at_keyword(self, word):
+    def _keyword(self):
+        """The kind of node the next token's keyword spells, or None."""
         tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+        return _RESERVED_WORDS.get(tok.text) if tok.kind == "IDENT" else None
 
     # precedence ladder
 
-    def parse_formula(self):
-        parts = [self.parse_and()]
-        while self._at_keyword("or"):
+    def parse_formula(self, level=0):
+        if level == len(_CONNECTIVES):
+            return self.parse_until()
+        kind = _CONNECTIVES[level]
+        parts = [self.parse_formula(level + 1)]
+        while self._keyword() is kind:
             self.advance()
-            parts.append(self.parse_and())
-        return disj(*parts) if len(parts) > 1 else parts[0]
-
-    def parse_and(self):
-        parts = [self.parse_until()]
-        while self._at_keyword("and"):
-            self.advance()
-            parts.append(self.parse_until())
-        return conj(*parts) if len(parts) > 1 else parts[0]
+            parts.append(self.parse_formula(level + 1))
+        return _join(kind, parts)
 
     def parse_until(self):
         left = self.parse_unary()
-        while self._at_keyword("U") or self._at_keyword("R"):
-            op = self.advance()
-            window = self.parse_window()
-            right = self.parse_unary()
-            node = Until if op.text == "U" else Release
-            left = node(window, left, right)
+        while (kind := self._keyword()) in (Until, Release):
+            self.advance()
+            left = kind(self.parse_window(), left, self.parse_unary())
         return left
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "not":
+        kind = self._keyword()
+        if kind is Not:
             self.advance()
             nxt = self.peek()
-            if (
-                nxt.kind == "IDENT"
-                and nxt.text not in ("not", "G", "F")
-                and not _VAR_RE.match(nxt.text)
-            ):
+            if nxt.kind == "IDENT" and self._keyword() not in (Not, Always, Eventually):
                 # bare `not <region>` expands directly to negated faces
                 self.advance()
                 return self._region(nxt, complement=True)
             return Not(self.parse_unary())
-        if tok.kind == "IDENT" and tok.text in ("G", "F"):
+        if kind in (Always, Eventually):
             self.advance()
-            window = self.parse_window()
-            child = self.parse_unary()
-            return (Always if tok.text == "G" else Eventually)(window, child)
+            return kind(self.parse_window(), self.parse_unary())
         return self.parse_atom()
 
     def parse_atom(self):
@@ -185,11 +182,9 @@ class _Parser:
             inner = self.parse_formula()
             self.expect("RPAREN", "')'")
             return inner
-        if tok.kind in ("NUM", "MINUS"):
+        if tok.kind in ("NUM", "MINUS", "VAR"):
             return self.parse_predicate()
         if tok.kind == "IDENT":
-            if _VAR_RE.match(tok.text):
-                return self.parse_predicate()
             if tok.text in _RESERVED_WORDS:
                 self.fail(f"unexpected keyword {tok.text!r}")
             self.advance()
@@ -205,7 +200,7 @@ class _Parser:
         hi = self._window_bound()
         closing = self.expect("RBRACK", "']'")
         if hi < lo:
-            raise ParseError(f"reversed window [{lo},{hi}]", closing.line, closing.col)
+            self.fail(f"reversed window [{lo},{hi}]", closing)
         return Interval(lo, hi)
 
     def _window_bound(self):
@@ -214,14 +209,12 @@ class _Parser:
             self.fail("window bounds must be nonnegative")
         tok = self.expect("NUM", "a timestep")
         if not tok.text.isdigit():
-            raise ParseError(
-                f"window bounds must be whole timesteps, got {tok.text!r}", tok.line, tok.col
-            )
+            self.fail(f"window bounds must be whole timesteps, got {tok.text!r}", tok)
         return int(tok.text)
 
     def _region(self, tok, complement):
         if self.regions is None or tok.text not in self.regions:
-            raise ParseError(f"unknown region {tok.text!r}", tok.line, tok.col)
+            self.fail(f"unknown region {tok.text!r}", tok)
         try:
             if complement:
                 return self.regions.complement(tok.text, self.p)
@@ -241,8 +234,6 @@ class _Parser:
                 sign = -1.0
             elif tok.kind == "PLUS" and not first:
                 self.advance()
-            elif not first:
-                break
             dim, value = self._term()
             if dim is None:
                 shift += sign * value
@@ -262,25 +253,18 @@ class _Parser:
             value = float(tok.text)
             if self.peek().kind == "STAR":
                 self.advance()
-                var = self.expect("IDENT", "a signal variable like y0")
+                var = self.expect("VAR", "a signal variable like y0")
                 return self._var_dim(var), value
             return None, value
-        if tok.kind == "IDENT" and _VAR_RE.match(tok.text):
+        if tok.kind == "VAR":
             self.advance()
             return self._var_dim(tok), 1.0
         self.fail(f"expected a term, got {tok.text or 'end of input'!r}")
 
     def _var_dim(self, tok):
-        m = _VAR_RE.match(tok.text)
-        if not m:
-            raise ParseError(f"expected a signal variable like y0, got {tok.text!r}", tok.line, tok.col)
-        dim = int(m.group(1))
+        dim = _signal_dim(tok.text)
         if dim >= self.p:
-            raise ParseError(
-                f"signal has {self.p} dimensions, so {tok.text!r} is out of range",
-                tok.line,
-                tok.col,
-            )
+            self.fail(f"signal has {self.p} dimensions, so {tok.text!r} is out of range", tok)
         return dim
 
     def _signed_number(self):
@@ -311,5 +295,5 @@ def parse(text, regions=None, p=2):
     phi = parser.parse_formula()
     tok = parser.peek()
     if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        parser.fail(f"unexpected trailing input {tok.text!r}")
     return phi

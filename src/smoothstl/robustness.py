@@ -90,6 +90,7 @@ from .formula import (
     Pred,
     Release,
     Until,
+    _check_flag,
     _convert,
     _number,
     horizon,
@@ -561,7 +562,10 @@ def min_error_bound(m, k1):
     m = _whole(m, "m")
     if m < 1:
         raise ValueError("m must be at least 1")
-    return math.log(m) / _sharpness(k1, "k1", allow_zero=False)
+    bound = math.log(m) / _sharpness(k1, "k1", allow_zero=False)
+    if math.isinf(bound):  # a finite stand-in would understate the gap
+        raise ValueError(f"k1 is too small for a finite bound over {m} arguments, got {k1}")
+    return bound
 
 
 def max_error_bound(a, k2):
@@ -569,22 +573,31 @@ def max_error_bound(a, k2):
 
     Requires at least two entries, sorted from largest to smallest. The
     bound tightens exponentially in k2 times the gap between the top two
-    entries.
+    entries. It is always finite: past the largest float it is capped.
     """
     a = _as_vector(a)
     if a.size < 2:
         raise ValueError("need at least two entries")
-    if np.any(np.diff(a) > 0):
+    if np.any(a[1:] > a[:-1]):
         raise ValueError("entries must be sorted in descending order")
     k2 = _sharpness(k2, "k2", allow_zero=True)
     m = a.size
-    spread = float(a[0] - a[-1])
-    x = k2 * float(a[0] - a[1])
+    top, low = float(a[0]), float(a[-1])
+    # at k2 = 0 the top two entries' gap, which may overflow, plays no part
+    x = k2 * (top - float(a[1])) if k2 > 0 else 0.0
+    # a spread past the largest float is halved here and the bound doubled
+    # below; a bound past it is capped there
+    scale = 2.0 if math.isinf(top - low) else 1.0
+    spread = top / scale - low / scale
     if x > 700.0:
         # asymptotic form; slightly larger than the exact expression, so
-        # still a valid upper bound, and it cannot overflow
-        return spread * (m - 1) * math.exp(-x)
-    return spread / (math.exp(x) / (m - 1) + 1.0)
+        # still a valid upper bound, and exp cannot overflow
+        bound = spread * (m - 1) * math.exp(-x)
+        if not math.isfinite(bound):  # (m - 1) times the spread overflowed
+            bound = spread * ((m - 1) * math.exp(-x))
+    else:
+        bound = spread / (math.exp(x) / (m - 1) + 1.0)
+    return min(scale * bound, _HUGE)
 
 
 # ---------------------------------------------------------------------------
@@ -945,8 +958,7 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
         t = _whole(t, "evaluation time t", SemanticsError)
     if t < 0:
         raise SemanticsError(f"evaluation time must be nonnegative, got {t}")
-    if classic_until not in (True, False):  # a string such as "false" is truthy
-        raise SemanticsError(f"classic_until: needs true or false, got {classic_until!r}")
+    _check_flag("classic_until", classic_until, SemanticsError)
     plan = _plan(phi, classic_until)
     need, last = t + plan.horizon, values.shape[-2] - 1
     if need > last:
@@ -987,7 +999,9 @@ def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):
     @param classic_until: switch the until operator (and the release dual)
                           to the convention where the held operand's
                           history starts at t instead of t plus the window
-                          start, with the hold on the left operand
+                          start, with the hold on the left operand; true or
+                          false (1, 0 and np.True_ pass), while a string or
+                          a numpy array raises SemanticsError
 
     The signal must reach t + horizon(phi), and every predicate margin
     the formula reads must be finite. Positive exact robustness means the

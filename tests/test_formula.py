@@ -224,7 +224,7 @@ class TestNodeCount:
         assert node_count(a.until(b | c, 0, 1)) == 5
 
 
-@pytest.mark.parametrize("walk", [node_count, is_nnf, to_nnf, horizon])
+@pytest.mark.parametrize("walk", [node_count, is_nnf, to_nnf, horizon, format_formula])
 def test_traversals_reject_a_non_node(walk):
     with pytest.raises(FormulaError, match="^not a formula node: LinearPredicate$"):
         walk(atoms()[0].predicate)
@@ -248,6 +248,14 @@ class TestFormatFormula:
         text = format_formula(conj(disj(a, b), c))
         assert text.startswith("(")
         assert " or " in text and " and " in text
+
+    def test_every_operator_keyword(self):
+        a, b, c, d = atoms()
+        phi = conj(disj(a, Not(b)).always(0, 4), c.eventually(1, 3).until(a.release(d, 0, 2), 2, 5))
+        assert format_formula(phi) == (
+            "G[0,4] (1.0*y0 >= 0.0 or not 1.0*y1 >= 1.0) and "
+            "F[1,3] 1.0*y0 >= 2.0 U[2,5] (1.0*y0 >= 0.0 R[0,2] 1.0*y1 >= 3.0)"
+        )
 
     def test_str_matches_format(self):
         a, b, _, _ = atoms()

@@ -136,6 +136,10 @@ KNOB_ERRORS = [
     ("tolerance", 0.0, "tolerance: must be positive"),
     ("control_bounds", ((-1.0, 1.0),), "control_bounds: needs 2 (lo, hi) pairs"),
     ("control_bounds", ((1.0, -1.0), (-1.0, 1.0)), "control_bounds: every pair needs lo < hi"),
+    ("control_bounds", ((-1e308, 1e308), (-1e308, 1e308)),
+     "control_bounds: every pair needs a finite width hi - lo"),
+    ("hard_clamp", np.array([True, False]),
+     "hard_clamp: needs true or false, got array([ True, False])"),
 ]
 
 

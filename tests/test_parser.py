@@ -9,6 +9,7 @@ from smoothstl.formula import (
     And,
     Eventually,
     FormulaError,
+    Interval,
     LinearPredicate,
     Not,
     Or,
@@ -16,6 +17,8 @@ from smoothstl.formula import (
     RegionTable,
     Release,
     Until,
+    conj,
+    disj,
     format_formula,
 )
 from smoothstl.parser import ParseError, parse
@@ -194,3 +197,24 @@ class TestPrintRoundTrip:
         table = RegionTable({"goal": {0: (2.0, 3.0)}, "obs": {0: (0.5, 1.5)}})
         phi = parse("G[0,8] not obs and F[0,8] goal", regions=table, p=1)
         assert parse(format_formula(phi), p=1) == phi
+
+    @pytest.mark.parametrize("kind", [Always, Eventually, Until, Release])
+    def test_every_operator_round_trips_in_every_context(self, kind):
+        a, b = Pred(LinearPredicate((1.0, 0.0), 1.0)), Pred(LinearPredicate((-1.0, 2.0), 0.5))
+
+        def under(kind, lo, hi):
+            """Each way to put a formula x under a node of this kind."""
+            window = Interval(lo, hi)
+            if kind in (Always, Eventually):
+                return [lambda x: kind(window, x)]
+            return [lambda x: kind(window, x, b), lambda x: kind(window, b, x)]
+
+        # not, and, or and every temporal operator, on either side
+        contexts = [Not, lambda x: conj(x, b), lambda x: conj(b, x),
+                    lambda x: disj(x, b), lambda x: disj(b, x)]
+        for outer in (Always, Eventually, Until, Release):
+            contexts += under(outer, 0, 2)
+        for op in under(kind, 1, 3):
+            for context in contexts:
+                for phi in (context(op(a)), op(context(a))):
+                    assert parse(format_formula(phi)) == phi, format_formula(phi)

@@ -311,6 +311,20 @@ class TestUntilConventionFlag:
             with pytest.raises(SemanticsError, match=message):
                 call()
 
+    @pytest.mark.parametrize("flag", [np.array([True, False]), np.array([True]), np.array(False)])
+    def test_an_array_flag_is_refused(self, flag):
+        # the truth of an array is ambiguous, or, for one element, easily unmeant
+        phi, cfg = parse(self.PHI, p=2), SemanticsConfig.ef(2.0, 2.0)
+        message = f"classic_until: needs true or false, got {flag!r}"
+        for call in (
+            lambda: evaluate(phi, self.SIGNAL, classic_until=flag),
+            lambda: eval_with_gradient(phi, self.SIGNAL, config=cfg, classic_until=flag),
+            lambda: finite_difference_gradient(phi, self.SIGNAL, config=cfg, classic_until=flag),
+        ):
+            with pytest.raises(SemanticsError) as info:
+                call()
+            assert str(info.value) == message
+
     def test_true_false_and_their_numbers_still_work(self):
         phi = parse(self.PHI, p=2)
         assert evaluate(phi, self.SIGNAL, classic_until=False) == 5.0
@@ -347,6 +361,24 @@ class TestErrorBounds:
             max_error_bound([1.0], 1.0)
         with pytest.raises(ValueError, match="descending"):
             max_error_bound([0.0, 1.0], 1.0)
+
+    def test_min_bound_refuses_a_sharpness_too_small_for_a_finite_bound(self):
+        with pytest.raises(ValueError, match="^k1 is too small for a finite bound over 3 "):
+            min_error_bound(3, 5e-324)
+        assert min_error_bound(1, 5e-324) == 0.0
+
+    @pytest.mark.parametrize("a", [
+        [1e308, -1e308],
+        [1e308, 1e308, -1e308],
+        [1.5e308, 0.0, -2e307],  # (m - 1) times the spread overflows
+        [1e308, 0.0, -1e308, -1e308],
+    ])
+    @pytest.mark.parametrize("k2", [0.0, 1e-300, 1e-3, 1.0, 1e300])
+    def test_max_bound_past_the_float_range(self, a, k2):
+        # the spread overflows; the bound stays finite and still bounds the gap
+        bound = max_error_bound(a, k2)
+        assert np.isfinite(bound)
+        assert max(a) - smooth_max(a, k2) <= bound
 
     def test_asymptotic_branch(self):
         # top-two gap of 701 at k2=1 crosses the exp switchover; the bound
