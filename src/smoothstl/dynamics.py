@@ -12,23 +12,20 @@ timesteps. Either way, divergence is reported at the first non-finite
 sample. The same code rolls out a stack of control sequences at once, as
 synthesis does with its restarts; each row gets its own result and error.
 
-rollout_with_sensitivities stores the step and output Jacobians alongside
-the trajectory; its control_gradient method back-propagates a robustness
-gradient d rho / d y through the dynamics with one backward sweep of the
-standard costate recursion, giving d rho / d u at the cost of a rollout.
-The sweep is the adjoint of the state recursion, and it is vectorised in
-the same way: a model that supplies `costates`, as both builtins do, runs
-it in one call (their step Jacobians are unit upper triangular, so each
-costate is a reverse running sum), and a model without it falls back to
-a Python loop over the timesteps. A Jacobian returned as one constant
-matrix, as the builtins' output Jacobians are, multiplies a whole stack
-in one product. A non-finite costate or control gradient is divergence.
+rollout_with_sensitivities also records the step and output Jacobians;
+its control_gradient method turns a robustness gradient d rho / d y into
+d rho / d u, the vector-Jacobian product of the rollout. A model that
+supplies `adjoint`, as both builtins do, computes it in closed form; a
+model without it falls back to the costate recursion over its Jacobians,
+a Python loop over the timesteps. A non-finite costate or control
+gradient is divergence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -62,10 +59,9 @@ class RolloutDivergence(RuntimeError):
 class SystemModel:
     """Callable bundle describing one control system.
 
-    step defines the dynamics one timestep at a time. states, when given,
-    computes the same trajectory in one call and replaces the per-step
-    loop over step; costates, when given, does the same for the backward
-    sweep of SensitivityRollout.control_gradient. Both take leading batch
+    step defines the dynamics one timestep at a time. states and adjoint,
+    when given, replace the per-step loops: states computes the trajectory
+    and adjoint the control gradient in one call. Both take leading batch
     axes, one per rollout of a stack. The output and Jacobian functions are
     called once per rollout, or stack, on the samples X (N, n) and U (N, m)
     of every timestep (and every rollout) laid along a leading axis:
@@ -81,17 +77,16 @@ class SystemModel:
     @param states: optional (x0, U) -> X, x0 (n,) and the T controls that
                    enter state updates (T, m) in, the states (T+1, n) with
                    X[0] = x0 out; must agree with repeated step calls
-    @param costates: optional (F, G) -> L, the adjoint of states: the step
-                   Jacobians F (K-1, n, n) and the direct terms G (K, n)
-                   in, K >= 1, the costates L (K, n) out, with
-                   L[K-1] = G[K-1] and L[i] = G[i] + F[i]' L[i+1]; must
-                   agree with that recursion run one step at a time
+    @param adjoint: optional (X, U, dY) -> dU, the vector-Jacobian product
+                   of the rollout: states (T+1, n), controls and output
+                   adjoints dY (T+1, p) in, d(sum dY * Y)/dU out; must
+                   agree with the costate recursion over the Jacobians
 
     A result of output or a Jacobian function without the leading time
     axis, such as a constant Jacobian of shape (n, n), holds at every
-    timestep. Any other shape, a states result other than (T+1, n), and a
-    costates result other than (K, n), raises a ValueError that names the
-    function.
+    timestep. Any other shape, a states result other than (T+1, n), and an
+    adjoint result other than U's shape, raises a ValueError that names
+    the function.
     """
 
     n: int
@@ -102,7 +97,7 @@ class SystemModel:
     step_jacobians: Callable
     output_jacobians: Callable
     states: Callable | None = None
-    costates: Callable | None = None
+    adjoint: Callable | None = None
     name: str = field(default="", compare=False)
     dt: float = field(default=1.0, compare=False)
 
@@ -117,6 +112,22 @@ def _stacked(value, lead, shape, what):
     if value.shape == shape:
         return np.broadcast_to(value, (*lead, *shape))
     raise ValueError(f"{what} has shape {value.shape}, expected {(steps, *shape)} or {shape}")
+
+
+def _hook(name, fn, shape, *args):
+    """fn(*args), a model's hook, as a float array of the given shape."""
+    # past the first non-finite value the values are never read
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.asarray(fn(*args), dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+    return value
+
+
+def _first_non_finite(V):
+    """(r, t) for each row r of V (R, K, k) that is not finite, t its first such step."""
+    finite = np.isfinite(V).all(axis=-1)
+    return [(r, int(np.argmin(finite[r]))) for r in np.flatnonzero(~finite.all(axis=-1))]
 
 
 def _step_loop(step, x0, U):
@@ -162,11 +173,7 @@ def _simulate(model, x0, u, stack=False):
     U = U if stack else U[None]
     (R, N, _), p = U.shape, model.p
     if model.states is not None:
-        # past the first non-finite state the values are never read
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = np.asarray(model.states(x0[None].repeat(R, 0), U[:, :-1]), dtype=float)
-        if X.shape != (R, N, model.n):
-            raise ValueError(f"states has shape {X.shape}, expected {(R, N, model.n)}")
+        X = _hook("states", model.states, (R, N, model.n), x0[None].repeat(R, 0), U[:, :-1])
     else:
         X = np.stack([_step_loop(model.step, x0, row[:-1]) for row in U])
     # the states up to each row's first non-finite one
@@ -178,11 +185,8 @@ def _simulate(model, x0, u, stack=False):
         Y = np.full((R, N, p), np.nan)
         Y[kept] = _stacked(model.output(X[kept], U[kept]), (int(kept.sum()),), (p,), "output")
     errors = [None] * R
-    if not np.isfinite(Y).all():
-        finite = np.isfinite(Y).all(axis=-1)
-        for r in np.flatnonzero(~finite.all(axis=-1)):
-            t = int(np.argmin(finite[r]))
-            errors[r] = RolloutDivergence(t, "output" if kept[r, t] else "state")
+    for r, t in _first_non_finite(Y):
+        errors[r] = RolloutDivergence(t, "output" if kept[r, t] else "state")
     if errors[0] is not None and not stack:
         raise errors[0]
     return X, U, Y, errors
@@ -201,47 +205,36 @@ def _jacobians(model, X, U):
     )
 
 
-def _apply(V, J):
-    """The rows V_t' J_t of a stack V (R, K, k) and Jacobians J (R, K, k, .),
-    in one product when J is one matrix broadcast over the stack."""
-    if J.size and not any(J.strides[:2]):
-        return V @ J[0, 0]
-    return (V[..., None, :] @ J)[..., 0, :]
+def _diverged(du, errors):
+    """errors, where a row of du (R, K, m) without one diverges at its first non-finite step."""
+    for r, t in _first_non_finite(du):
+        errors[r] = errors[r] or RolloutDivergence(t, "control gradient")
+    return errors
 
 
-def _sweep(jacobians, costates, dY):
-    """control_gradient of R rollouts: du and each row's divergence or None."""
-    fx, fu, gx, gu = jacobians
+def _adjoint(adjoint, dY, m):
+    """du = adjoint(dY), the hook bound to one rollout or a stack, and each one's divergence."""
+    du = _hook("adjoint", adjoint, dY.shape[:-1] + (m,), dY)
+    rows = du.reshape(-1, *du.shape[-2:])
+    return du, _diverged(rows, [None] * len(rows))
+
+
+def _sweep(dY, fx, fu, gx, gu):
+    """control_gradient of R rollouts by the costate recursion over their
+    Jacobians: du and each row's divergence or None."""
     T = dY.shape[-2] - 1
     # past the first non-finite costate the values are never returned
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = _apply(dY, gx)
-        du = _apply(dY, gu)
+        lam = (dY[..., None, :] @ gx)[..., 0, :]
+        du = (dY[..., None, :] @ gu)[..., 0, :]
         # lam[:, t] for t >= 1 becomes the costate; lam[:, 0] is never needed
-        if costates is not None and T > 0:
-            L = np.asarray(costates(fx[:, 1:], lam[:, 1:]), dtype=float)
-            if L.shape != lam[:, 1:].shape:
-                raise ValueError(f"costates has shape {L.shape}, expected {lam[:, 1:].shape}")
-            lam[:, 1:] = L
-        else:
-            # zipped reversed views and np.dot keep the per-step overhead low
-            dot = np.dot
-            for lam_r, fx_r in zip(lam, fx):
-                steps = zip(lam_r[T - 1 : 0 : -1], lam_r[T:1:-1], fx_r[T - 1 : 0 : -1])
-                for lam_t, lam_next, fx_t in steps:
-                    lam_t += dot(lam_next, fx_t)
-        du[:, :T] += _apply(lam[:, 1:], fu)
+        for t in range(T - 1, 0, -1):
+            lam[:, t] += (lam[:, t + 1, None, :] @ fx[:, t])[:, 0]
+        du[:, :T] += (lam[:, 1:, None, :] @ fu)[..., 0, :]
     errors = [None] * len(du)
-    if np.isfinite(lam[:, 1:]).all() and np.isfinite(du).all():
-        return du, errors
-    swept = np.isfinite(lam[:, :0:-1]).all(axis=-1)  # in the order the sweep meets them
-    finite = np.isfinite(du).all(axis=-1)
-    for r in np.flatnonzero(~(swept.all(axis=-1) & finite.all(axis=-1))):
-        if not swept[r].all():
-            errors[r] = RolloutDivergence(T - int(np.argmin(swept[r])), "costate")
-        else:
-            errors[r] = RolloutDivergence(int(np.argmin(finite[r])), "control gradient")
-    return du, errors
+    for r, i in _first_non_finite(lam[:, :0:-1]):  # in the order the sweep meets them
+        errors[r] = RolloutDivergence(T - i, "costate")
+    return du, _diverged(du, errors)
 
 
 def rollout(model, x0, u):
@@ -252,51 +245,51 @@ def rollout(model, x0, u):
 @dataclass
 class SensitivityRollout:
     """Trajectory plus the Jacobians needed for back-propagation, stacked
-    over time: fx (T, n, n), fu (T, n, m), gx (T+1, p, n), gu (T+1, p, m).
-    Jacobians that a model returns as constants are read-only broadcast
-    views. costates is the model's own costate sweep, or None."""
+    over time: fx (T, n, n), fu (T, n, m), gx (T+1, p, n), gu (T+1, p, m),
+    constant ones as read-only broadcast views. adjoint is the model's
+    adjoint bound to the states and controls, dY -> dU, or None."""
 
     signal: Signal
     fx: np.ndarray
     fu: np.ndarray
     gx: np.ndarray
     gu: np.ndarray
-    costates: Callable | None = None
+    adjoint: Callable | None = None
 
     def control_gradient(self, dsignal):
         """Chain d rho / d y back through the dynamics to d rho / d u.
 
-        Runs the costate recursion lam_t = gx_t' dy_t + fx_t' lam_{t+1}
-        backwards in time: the costate carries the influence of the state
-        on all later outputs. Each control picks up its direct output
-        effect gu_t' dy_t plus its effect on the next state fu_t' lam_{t+1}.
-        The direct terms and the control terms are one batched product
-        each, a single one where the Jacobian is a constant view, as in
-        objective, so the two agree bit for bit. The recursion itself is
-        one call of the model's costates when it has one, and otherwise a
-        Python loop over the timesteps.
-
-        Raises RolloutDivergence at the first non-finite costate the
-        backward sweep meets, naming "costate", and otherwise at the first
-        non-finite row of the result, naming "control gradient".
+        Calls the model's adjoint when it has one, as objective does, so
+        the two agree bit for bit. Otherwise runs the costate recursion
+        lam_t = gx_t' dy_t + fx_t' lam_{t+1} backwards in time, and each
+        control picks up gu_t' dy_t + fu_t' lam_{t+1}. Raises
+        RolloutDivergence at the first non-finite costate the recursion
+        meets ("costate"), or else at the first non-finite row of the
+        result ("control gradient").
         """
         dsignal = np.asarray(dsignal, dtype=float)
         if dsignal.shape != self.signal.values.shape:
             raise ValueError(
                 f"dsignal must have shape {self.signal.values.shape}, got {dsignal.shape}"
             )
-        jacobians = (self.fx[None], self.fu[None], self.gx[None], self.gu[None])
-        du, (error,) = _sweep(jacobians, self.costates, dsignal[None])
+        if not np.isfinite(dsignal).all():
+            raise ValueError("dsignal must be finite")
+        if self.adjoint is not None:
+            du, (error,) = _adjoint(self.adjoint, dsignal, self.fu.shape[-1])
+        else:
+            jacobians = (self.fx[None], self.fu[None], self.gx[None], self.gu[None])
+            (du,), (error,) = _sweep(dsignal[None], *jacobians)
         if error is not None:
             raise error
-        return du[0]
+        return du
 
 
 def rollout_with_sensitivities(model, x0, u):
     """Like rollout, but also records every Jacobian along the trajectory."""
     X, U, Y, _ = _simulate(model, x0, u)
     fx, fu, gx, gu = (a[0] for a in _jacobians(model, X, U))
-    return SensitivityRollout(Signal(Y[0]), fx, fu, gx, gu, costates=model.costates)
+    adjoint = None if model.adjoint is None else partial(model.adjoint, X[0], U[0])
+    return SensitivityRollout(Signal(Y[0]), fx, fu, gx, gu, adjoint)
 
 
 def _check_dt(dt):
@@ -330,9 +323,12 @@ def single_integrator_2d(dt=1.0):
         # the same additions as step, in the same order
         return np.add.accumulate(np.concatenate([x0[..., None, :], dt * U], axis=-2), axis=-2)
 
-    def costates(F, G):
-        # F is the identity, so each costate is a reverse running sum
-        return np.add.accumulate(G[..., ::-1, :], axis=-2)[..., ::-1, :]
+    def adjoint(X, U, dY):
+        # the step Jacobians are the identity, so the costate after step t
+        # is the sum of the position adjoints after it, added from the last
+        dU = dY[..., 2:].copy()
+        dU[..., :-1, :] += dt * np.add.accumulate(dY[..., :0:-1, :2], axis=-2)[..., ::-1, :]
+        return dU
 
     def output(x, u):
         return np.concatenate([x, u], axis=-1)
@@ -347,7 +343,7 @@ def single_integrator_2d(dt=1.0):
         n=2, m=2, p=4,
         step=step, output=output,
         step_jacobians=step_jacobians, output_jacobians=output_jacobians,
-        states=states, costates=costates, name="single_integrator_2d", dt=dt,
+        states=states, adjoint=adjoint, name="single_integrator_2d", dt=dt,
     )
 
 
@@ -378,23 +374,17 @@ def differential_drive(dt=1.0):
         py = running(x0[..., 1:2], dv * np.sin(th[..., :-1]))
         return np.stack([px, py, th], axis=-1)
 
-    def costates(F, G):
-        # F[i] is the identity plus the heading couplings F[i][:2, 2], so
-        # the position costates are reverse running sums and feed the
-        # heading costate through c[i] = F[i][:, 2]' (L0, L1, 0)[i+1]. The
-        # heading costate is then a running sum of G[i, 2] and c[i],
-        # interleaved so that each is added in the loop's order. A batched
-        # matmul rounds c as np.dot does; a * L0 + b * L1 need not, since
-        # np.dot may fuse the multiply-add.
-        L = np.empty_like(G)
-        L[..., :2] = np.add.accumulate(G[..., ::-1, :2], axis=-2)[..., ::-1, :]
-        P = L[..., 1:, :].copy()
-        P[..., 2] = 0.0
-        terms = np.empty(G.shape[:-2] + (2 * G.shape[-2] - 1,))
-        terms[..., 0::2] = G[..., 2]
-        terms[..., 1::2] = (P[..., None, :] @ F)[..., 0, 2]
-        L[..., 2] = np.add.accumulate(terms[..., ::-1], axis=-1)[..., ::-1][..., 0::2]
-        return L
+    def adjoint(X, U, dY):
+        # the costate after step t sums, from the last, the position adjoints
+        # after t (positions) and the couplings of the steps after t (heading)
+        L = np.add.accumulate(dY[..., :0:-1, :2], axis=-2)[..., ::-1, :]
+        th, v = X[..., :-1, 2], U[..., :-1, 0]
+        c, s = dt * np.cos(th), dt * np.sin(th)
+        coupling = v * (c * L[..., 1] - s * L[..., 0])
+        dU = dY[..., 2:].copy()
+        dU[..., :-1, 0] += c * L[..., 0] + s * L[..., 1]
+        dU[..., :-2, 1] += dt * np.add.accumulate(coupling[..., :0:-1], axis=-1)[..., ::-1]
+        return dU
 
     def output(x, u):
         return np.concatenate([x[..., :2], u], axis=-1)
@@ -420,7 +410,7 @@ def differential_drive(dt=1.0):
         n=3, m=2, p=4,
         step=step, output=output,
         step_jacobians=step_jacobians, output_jacobians=output_jacobians,
-        states=states, costates=costates, name="differential_drive", dt=dt,
+        states=states, adjoint=adjoint, name="differential_drive", dt=dt,
     )
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import RolloutDivergence, _jacobians, _simulate, _sweep, rollout
+from .dynamics import RolloutDivergence, _adjoint, _jacobians, _simulate, _sweep, rollout
 from .formula import _check_flag, _convert, _number, _pairs, horizon, is_nnf
 from .robustness import EXACT, SemanticsConfig, _evaluate, _NonFiniteMargin, _whole, evaluate
 
@@ -181,8 +181,11 @@ def objective(problem, u):
                 outcomes[r] = None if t is None else RolloutDivergence(t, "predicate margin")
             live = [r for r in live if outcomes[r] is None]
     if live:
-        X, U = X[live], U[live]
-        du, errors = _sweep(_jacobians(problem.model, X, U), problem.model.costates, dY)
+        X, U, model = X[live], U[live], problem.model
+        if model.adjoint is None:
+            du, errors = _sweep(dY, *_jacobians(model, X, U))
+        else:
+            du, errors = _adjoint(lambda dy: model.adjoint(X, U, dy), dY, model.m)
         w = problem.control_weight
         with np.errstate(over="ignore", invalid="ignore"):
             squares = U * U

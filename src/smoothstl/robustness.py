@@ -167,6 +167,9 @@ class Signal:
         return self.values.shape[0]
 
     def sample(self, t):
+        t = _whole(t, "t", SemanticsError)
+        if not 0 <= t <= self.T:
+            raise SemanticsError(f"t must lie in 0..{self.T}, got {t}")
         return self.values[t]
 
     def __repr__(self):

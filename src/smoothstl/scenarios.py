@@ -542,12 +542,15 @@ def run_bench(config, trials, time_budget_s=None):
     trials = _convert("trials", trials, _whole, "a whole number", ScenarioError)
     if trials < 1:
         raise ScenarioError("trials must be at least 1")
+    budget = math.inf if time_budget_s is None else time_budget_s
+    budget = _convert("time_budget_s", budget, _number, "a number", ScenarioError)
+    if not budget >= 0:
+        raise ScenarioError(f"time_budget_s: must be nonnegative, got {budget}")
     start = time.perf_counter()
     records = []
     for trial in range(trials):
-        if records and time_budget_s is not None:
-            if time.perf_counter() - start >= time_budget_s:
-                break
+        if records and time.perf_counter() - start >= budget:
+            break
         records.append(_run_trial(config, trial))
     return records, aggregate_bench(records)
 

@@ -395,6 +395,16 @@ class TestBench:
         assert len(records) == 2
         assert all(list(record) == fields for record in records)
 
+    def test_nan_budget_exits_two(self, capsys, tmp_path):
+        config = tiny_scenario(tmp_path, max_iters=5)
+        code, _, err = run(
+            capsys, "bench", "--config", config, "--budget-s", "nan",
+            "--out", str(tmp_path / "bench"),
+        )
+        assert code == 2
+        assert err.startswith("error while benchmarking: time_budget_s: must be nonnegative")
+        assert not (tmp_path / "bench").exists()
+
 
 class TestScale:
     def test_single_point_sweep(self, capsys, tmp_path):

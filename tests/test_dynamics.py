@@ -1,4 +1,5 @@
-"""Dynamics tests: rollouts, Jacobians, and the costate backward sweep."""
+"""Dynamics tests: rollouts, Jacobians, the adjoint hook and the costate
+backward sweep."""
 
 import dataclasses
 import warnings
@@ -133,15 +134,20 @@ class TestStackedContract:
                 u = rng.uniform(-5, 5, (T + 1, model.m))
                 sens = rollout_with_sensitivities(model, x0, u)
                 assert (rollout(model, x0, u).values == sens.signal.values).all()
-                # the costates hook against the per-step sweep, bit for bit
-                loop = dataclasses.replace(sens, costates=None)
+                # the adjoint hook against the per-step sweep: bit for bit
+                # where the step Jacobians are constant, and to rounding
+                # where the heading couples them
+                loop = dataclasses.replace(sens, adjoint=None)
                 dsignals = [rng.uniform(-5, 5, sens.signal.values.shape)]
                 if T >= 2:
                     grad = eval_with_gradient(phi, sens.signal, config=SemanticsConfig.ef(3, 3))
                     dsignals.append(grad.dsignal)
                 for dsignal in dsignals:
-                    got = sens.control_gradient(dsignal)
-                    assert got.tobytes() == loop.control_gradient(dsignal).tobytes()
+                    got, want = sens.control_gradient(dsignal), loop.control_gradient(dsignal)
+                    if factory is single_integrator_2d:
+                        assert got.tobytes() == want.tobytes()
+                    else:
+                        assert_allclose(got, want, rtol=1e-13, atol=1e-15)
                 X = model.states(x0, u[:T])
                 x = np.asarray(x0, dtype=float)
                 for t in range(T + 1):
@@ -157,15 +163,16 @@ class TestStackedContract:
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
     def test_stacked_functions_called_once_per_rollout(self, factory):
         # the dynamics work is pinned as a count: a model with states and
-        # costates never calls step and sweeps its costates in one call;
-        # without them, only the state update runs once per timestep
+        # adjoint never calls step and back-propagates in one call;
+        # without them, only the state update runs once per timestep.
+        # objective on a model with adjoint needs no Jacobians at all
         inner = factory()
         T = 30
         u = np.random.default_rng(87).uniform(-1, 1, (T + 1, inner.m))
         for vectorised in (True, False):
             calls = {"step": 0, "output": 0, "step_jacobians": 0, "output_jacobians": 0}
             if vectorised:
-                calls.update(states=0, costates=0)
+                calls.update(states=0, adjoint=0)
 
             def counted(name, calls=calls):
                 fn = getattr(inner, name)
@@ -184,10 +191,43 @@ class TestStackedContract:
             sens.control_gradient(np.ones((T + 1, inner.p)))
             want = {"step": T, "output": 1, "step_jacobians": 1, "output_jacobians": 1}
             if vectorised:
-                want.update(step=0, states=1, costates=1)
+                want.update(step=0, states=1, adjoint=1)
             else:
-                assert sens.costates is None
+                assert sens.adjoint is None
             assert calls == want
+            if vectorised:
+                phi = parse("y0 >= 0", p=4)
+                problem = SynthesisProblem(model, np.zeros(inner.n), phi, T=T, k1=2.0, k2=2.0)
+                calls.update(dict.fromkeys(calls, 0))
+                objective(problem, np.stack([u, u]))
+                assert calls == {**want, "step_jacobians": 0, "output_jacobians": 0}
+
+    @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
+    def test_objective_stack_rows_equal_rows_alone(self, factory):
+        # the adjoint back-propagates the whole stack in one call, and each
+        # row comes out as it does alone. On the differential drive, row 1
+        # drives at 1e308 with heading 0: its states stay finite, but the
+        # heading coupling v * dt * L_y overflows, and only that row
+        # diverges, at the first control the overflow reaches
+        model = factory()
+        problem = SynthesisProblem(
+            model, np.zeros(model.n), parse("G[0,4] 8*y1 >= -100", p=4), T=4, k1=2.0, k2=2.0,
+            control_weight=0.01,
+        )
+        U = np.random.default_rng(97).uniform(-1, 1, (3, 5, 2))
+        diverges = factory is differential_drive
+        if diverges:
+            U[1] = 0.0
+            U[1, 1, 0] = 1e308
+        stacked = objective(problem, U)
+        for r, (u, got) in enumerate(zip(U, stacked, strict=True)):
+            if diverges and r == 1:
+                assert str(got) == "non-finite control gradient at timestep 0"
+                with pytest.raises(RolloutDivergence, match="^non-finite control gradient"):
+                    objective(problem, u)
+                continue
+            J, dJ = objective(problem, u)
+            assert got[0] == J and got[1].tobytes() == dJ.tobytes()
 
     @pytest.mark.parametrize(
         "name, bad",
@@ -197,9 +237,9 @@ class TestStackedContract:
             ("output_jacobians", lambda X, U: (np.eye(2), np.zeros((len(X), 2, 3)))),
             ("output", lambda X, U: np.zeros((len(X), 3))),
             ("states", lambda x0, U: np.zeros((len(U), 2))),
-            ("costates", lambda F, G: np.zeros((len(G) + 1, 2))),
+            ("adjoint", lambda X, U, dY: np.zeros((len(U) + 1, 1))),
         ],
-        ids=["dfdx", "dfdu", "dgdu", "output", "states", "costates"],
+        ids=["dfdx", "dfdu", "dgdu", "output", "states", "adjoint"],
     )
     def test_wrong_shape_names_the_function(self, name, bad):
         good = SystemModel(
@@ -296,11 +336,22 @@ class TestControlGradient:
         with pytest.raises(ValueError, match="shape"):
             sens.control_gradient(np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dsignal_is_refused(self, bad):
+        # bad input, not divergence of the dynamics, on either path
+        sens = rollout_with_sensitivities(differential_drive(), [0.0, 0.0, 0.0], np.ones((5, 2)))
+        dsignal = np.ones((5, 4))
+        dsignal[3, 1] = bad
+        for swept in (sens, dataclasses.replace(sens, adjoint=None)):
+            with pytest.raises(ValueError, match="^dsignal must be finite$"):
+                swept.control_gradient(dsignal)
+
 
 class TestConstantJacobians:
-    """A Jacobian that holds at every step multiplies a whole stack in one
-    product; objective and control_gradient take the same path, so they
-    agree bit for bit, at any stack height."""
+    """objective and control_gradient take the same path, the model's
+    adjoint or else the costate recursion over its Jacobians (a constant
+    one a broadcast view), so they agree bit for bit, at any stack
+    height."""
 
     @pytest.mark.parametrize("name", ["two_target", "table2_diffdrive", "linear"])
     def test_objective_is_the_control_gradient_bit_for_bit(self, name):
@@ -449,17 +500,21 @@ class TestDivergence:
     def test_non_finite_costate_is_divergence(self):
         # speeds of 1e300 keep the states finite, but the heading coupling
         # times a sensitivity of 1e10 overflows the costate at t = 2, the
-        # first one the backward sweep computes; with or without the
-        # model's costates, no overflow warning escapes
+        # first one the backward sweep computes. The model's adjoint
+        # exposes no costates: it reports the first non-finite row of the
+        # control gradient, the one of u_0. Neither lets a warning escape
         model = differential_drive()
         u = np.array([[1e300, 1.0]] * 4)
         sens = rollout_with_sensitivities(model, [0.0, 0.0, 0.0], u)
-        for swept in (sens, dataclasses.replace(sens, costates=None)):
+        for swept, what, timestep in (
+            (dataclasses.replace(sens, adjoint=None), "costate", 2),
+            (sens, "control gradient", 0),
+        ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                with pytest.raises(RolloutDivergence, match="costate") as err:
+                with pytest.raises(RolloutDivergence, match=f"non-finite {what} at") as err:
                     swept.control_gradient(np.full((4, 4), 1e10))
-            assert err.value.timestep == 2
+            assert err.value.timestep == timestep
         # finite costates whose control term overflows
         model = SystemModel(
             n=1, m=1, p=1,

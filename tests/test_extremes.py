@@ -26,11 +26,13 @@ from smoothstl import (
     finite_difference_gradient,
     grad_smooth_max,
     grad_smooth_min,
+    builtin_scenario,
     k_continuation,
     lse_max,
     max_error_bound,
     min_error_bound,
     parse,
+    run_bench,
     single_integrator_2d,
     smooth_max,
     smooth_min,
@@ -46,6 +48,7 @@ EXTREMES = [
 PHI = parse("y0 >= 0 U[0,1] y1 >= 0 and F[0,1] -y1 >= -3", p=2)
 SIGNAL = [[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]]
 EF = SemanticsConfig.ef(2.0, 2.0)
+SCENARIO = dataclasses.replace(builtin_scenario("two_target"), restarts=0, max_iters=2)
 PROBLEM = SynthesisProblem(
     single_integrator_2d(), (0.0, 0.0), parse("F[0,3] y0 >= 1", p=4), T=3,
     k1=2.0, k2=2.0, restarts=1, max_iters=3,
@@ -94,6 +97,9 @@ CALLS = [
     ("k_continuation schedule", lambda v: k_continuation(PROBLEM, v)),
     ("k_continuation schedule entry", lambda v: k_continuation(PROBLEM, [v])),
     ("k_continuation second schedule entry", lambda v: k_continuation(PROBLEM, [0.5, v])),
+    # a spent budget stops a run of 1e308 trials after the first
+    ("run_bench trials", lambda v: run_bench(SCENARIO, v, 0.0)),
+    ("run_bench time_budget_s", lambda v: run_bench(SCENARIO, 2, v)),
 ]
 
 

@@ -62,6 +62,16 @@ class TestSignal:
         with pytest.raises(SemanticsError, match="at least one sample"):
             Signal(np.zeros((0, 2)))
 
+    def test_sample_time_must_be_a_sample(self):
+        sig = Signal([[1.0], [2.0]])
+        assert sig.sample(1.0) == 2.0
+        for t in (-1, 2):
+            with pytest.raises(SemanticsError, match=rf"^t must lie in 0\.\.1, got {t}$"):
+                sig.sample(t)
+        for t in (0.5, True, "1", None):
+            with pytest.raises(SemanticsError, match="^t must be a whole number"):
+                sig.sample(t)
+
 
 class TestSemanticsConfig:
     def test_classmethod_validation(self):
