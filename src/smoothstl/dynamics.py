@@ -168,6 +168,8 @@ def _simulate(model, x0, u, stack=False):
         raise ValueError(f"u must have shape ({'R, ' * stack}T+1, {model.m}), got {U.shape}")
     if U.shape[-2] < 1:
         raise ValueError("u needs at least one row")
+    if stack and len(U) < 1:
+        raise ValueError("u needs at least one sequence")
     if not np.isfinite(U).all():
         raise ValueError("u must be finite")
     U = U if stack else U[None]

@@ -3,7 +3,7 @@
 eval_with_gradient runs the formula's evaluation plan (see the robustness
 module) forward, keeping each group's weights (a group is one segmented
 reduction over reductions of one kind at one depth: a flat 1-D gather, or
-a dense (L, n) block of 256 or more same-length segments whose weights
+a dense (L, n) block of 128 or more same-length segments whose weights
 have the block's shape), then sweeps the groups backwards: each scatters
 its output adjoints, times its weights, back through the same gather that
 fed it (a dense block's gather and weights are flattened first, since

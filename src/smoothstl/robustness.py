@@ -34,24 +34,24 @@ or max) at one depth run together, so a pass costs a few reducer calls per
 (depth, kind), not one per node; every scan runs on its own. Inside a
 (depth, kind), the segments come in two layouts:
 
-  dense   every segment length shared by at least _DENSE_SEGMENTS (256)
+  dense   every segment length shared by at least _DENSE_SEGMENTS (128)
           segments is a block of its own: an (L, n) gather, one column
           per segment, reduced along axis 0 with plain broadcasting.
   flat    all other segments share one 1-D gather, reduced per segment
           with ufunc.reduceat.
 
-The rule sends the long, regular windows of offline monitoring to the
-dense side, where a block costs a few numpy calls whatever its segment
-count, and keeps the small, mixed groups of synthesis formulas in one flat
-call each. Every reducer works segment by segment, so neither grouping nor
-layout changes an exact value; a soft sum over a dense column adds its
-entries in order where reduceat adds them pairwise, which can move the
-last bit for segments of 8 or more entries. The exact scans are running
-minima and maxima, so exact values are bit-identical to reducing every
-prefix on its own; the soft scans sum in another order (see the scan
-notes below) and agree with reducing each prefix on its own to about
-1e-15 of the inputs' scale. A node reached at a time is reduced once at
-that time, and a scan counts one application per prefix, which is what
+The rule sends the long windows of offline monitoring and the large blocks
+of wide formulas dense, where a block costs a few numpy calls whatever its
+segment count, and keeps small, mixed groups in one flat call each,
+whatever the stack height. Every reducer works segment by segment, so
+neither grouping nor layout changes an exact value; a soft sum over a
+dense column adds its entries in order where reduceat adds them pairwise,
+which can move the last bit for segments of 8 or more entries. The exact
+scans are running minima and maxima, so exact values are bit-identical to
+reducing every prefix on its own; the soft scans sum in another order (see
+the scan notes below) and agree with reducing each prefix on its own to
+about 1e-15 of the inputs' scale. A node reached at a time is reduced once
+at that time, and a scan counts one application per prefix, which is what
 the operator counts measure.
 Every semantics runs the same gathers: a release is smoothed as the dual
 of the until in effect, an outer soft min of inner soft maxes. Plans live
@@ -625,12 +625,13 @@ def _reads(node, classic_until):
 
 
 # A (depth, kind) group's block of at least this many same-length segments
-# is reduced densely. Measured on a 2-core Xeon with numpy 2.4 for blocks of
-# length 2 and 6: reducing a block densely instead of inside the flat
-# reduceat saves the soft reducers 30 to 40 ns per segment, and the reducer
-# call it adds costs 7 to 9 us of fixed numpy overhead, so the two break
-# even at 230 to 280 segments.
-_DENSE_SEGMENTS = 256
+# is reduced densely. Measured on a 2-core Xeon with numpy 2.4.6, soft
+# reducers with keep plus backward, lengths 2, 4 and 6: a block that fills
+# its group breaks even at 0 to 125 segments at 1 row, 3 to 29 at 11 rows;
+# one that adds a call beside a flat rest, at 218 to 411 and 42 to 63. Not
+# keyed on the stack height: np.add.at sums a shared slot in another order
+# per layout, so a row's gradient would differ in the last bit by height.
+_DENSE_SEGMENTS = 128
 
 
 def _starts(lengths):
@@ -676,9 +677,9 @@ def _group(reductions, n_leaf, size):
         starts = _starts(lengths)
         flat = np.ones(lengths.size, dtype=bool)
         parts = []
-        # the counts are compared as Python ints: in a synthesis run, whose
-        # plans have no dense block, a first numpy comparison would add
-        # 0.13 MB to the peak memory
+        # the counts are compared as Python ints: in a run whose plans have
+        # no dense block, a first numpy comparison would add 0.13 MB to the
+        # peak memory
         for L, count in enumerate(np.bincount(lengths).tolist()):
             if count >= _DENSE_SEGMENTS:
                 pick = lengths == L
@@ -808,6 +809,9 @@ class _Plan:
         self.root = base[id(root)]
         self.applications = sum(stop - out for *_, out, stop in self.groups)
         self.scalars = sum(red[1].size for red in self.groups)
+        # backward's flat indices for the last stack shape it ran on: one
+        # entry, since one per stack height held twice the plans' memory
+        self.scatter = None, None
 
     def _add_until(self, reductions, node, ts, classic_until, slots, size):
         """Append to reductions the three of an until or release node: a scan
@@ -881,21 +885,27 @@ class _Plan:
     def backward(self, Y, weights):
         """Gradient of the root value in the window Y, or in each window of
         a stack, from the weights a smooth run with keep returned."""
-        lead = Y.shape[:-2]
+        lead, rows, cols = Y.shape[:-2], Y.shape[-2], self.n_preds
         adjoint = np.zeros(lead + (self.size,))
         adjoint[..., self.root] = 1.0
         flat = adjoint.reshape(-1)  # np.add.at is about 3x slower on a 2-D index
-        for (_, idx, _, seg, out, stop), w in zip(reversed(self.groups), reversed(weights)):
+        key, scatter = self.scatter
+        if key != Y.shape[:-1]:
+            scatter = [_flat_index(red[1], self.size, lead) for red in self.groups[::-1]]
+            scatter.append(_flat_index(self.leaves, rows * cols, lead))
+            if lead:  # one window needs only views
+                self.scatter = Y.shape[:-1], scatter
+        *into, leaves = scatter
+        for (_, idx, _, seg, out, stop), w, at in zip(self.groups[::-1], weights[::-1], into):
             part = adjoint[..., out:stop]
             if seg is None:  # a scan; w maps its output adjoints to its entries'
                 part = w(part.reshape(lead + idx.shape))
             else:
                 part = w * _take(part, seg)
-            np.add.at(flat, _flat_index(idx, self.size, lead), part.reshape(-1))
+            np.add.at(flat, at, part.reshape(-1))
         # leaf adjoints, summed per (row, predicate), then pushed to the samples
-        rows, cols = Y.shape[-2], self.n_preds
         G = np.bincount(
-            _flat_index(self.leaves, rows * cols, lead),
+            leaves,
             weights=(adjoint[..., : self.n_leaf] * self.signs).reshape(-1),
             minlength=math.prod(lead) * rows * cols,
         ).reshape(lead + (rows, cols))

@@ -64,9 +64,10 @@ def scaled_disc(r):
 def stack_cases():
     """Parameters (problem, stack of controls, the rows' divergences) for
     the batched objective: both builtin models, a long monitoring formula
-    whose plan has dense blocks and an until scan, and a callable
-    predicate. Row 1 of the two_target stack diverges in the rollout and
-    row 3 in the effort term."""
+    whose plan has dense blocks and an until scan, a callable predicate,
+    and charging, whose plan mixes dense blocks and flat groups. Row 1 of
+    the two_target stack diverges in the rollout and row 3 in the effort
+    term."""
     rng = np.random.default_rng(92)
     cases = []
     for name in ("two_target", "table2_diffdrive"):
@@ -82,6 +83,9 @@ def stack_cases():
     cases.append(("monitor", monitor, rng.normal(0.0, 0.3, (3, 421, 2)), []))
     disc = conj(Pred(scaled_disc(2.0)).eventually(1, 3), reach_problem().phi)
     cases.append(("callable", reach_problem(phi=disc), rng.uniform(-1, 1, (4, 5, 2)), []))
+    charging = build_problem(builtin_scenario("charging"))
+    U = rng.uniform(-2, 2, (5, charging.T + 1, charging.model.m))
+    cases.append(("charging", charging, U, []))
     return [pytest.param(*case, id=name) for name, *case in cases]
 
 
@@ -273,6 +277,23 @@ class TestObjective:
         perm = np.random.default_rng(93).permutation(len(U))
         shuffled = objective(problem, U[perm])
         assert all(same(got, rows[i]) for got, i in zip(shuffled, perm, strict=True))
+
+    def test_rows_keep_their_bits_as_the_stack_height_changes(self):
+        # the plan keeps backward's scatter indices for the last stack shape
+        # only, and its layout does not depend on the height; a sharpness of
+        # 1 spreads the weights, so that a slot read by several segments
+        # sums several nonzero terms, whose order a layout switch changes
+        problem = replace(build_problem(builtin_scenario("charging")), k1=1.0, k2=1.0)
+        U = np.random.default_rng(95).uniform(-2, 2, (3, problem.T + 1, problem.model.m))
+        alone = [objective(problem, u) for u in U]
+        for rows in ([0, 1, 2], [1], [2, 0], [0, 1, 2], [2, 0, 1]):
+            for (J, dJ), r in zip(objective(problem, U[rows]), rows, strict=True):
+                assert J == alone[r][0] and dJ.tobytes() == alone[r][1].tobytes(), rows
+
+    def test_empty_stack_is_refused(self):
+        problem = reach_problem()
+        with pytest.raises(ValueError, match="^u needs at least one sequence$"):
+            objective(problem, np.zeros((0, problem.T + 1, 2)))
 
     def test_effort_overflow_is_divergence(self):
         # the rollout, robustness and costates stay finite; the squares of

@@ -11,7 +11,8 @@ the dense layout that large same-length segment blocks take, and single
 untils and releases with windows up to 300 run them on the prefix scan of
 their held history. Three more tests pin the operator counts, the
 dense/scan/flat layout split and the reducer calls per forward pass on
-the builtin scenarios and a long monitoring formula.
+the builtin scenarios and a long monitoring formula, and one checks that
+charging's dense blocks move its values only by rounding.
 """
 
 import numpy as np
@@ -322,11 +323,40 @@ def test_operator_counts_are_pinned():
 
 def test_only_large_same_length_blocks_are_dense():
     # every block of the monitor formula has 401 or more segments, and its
-    # until's held history is one scan; the builtins' largest block has 186
+    # until's held history is one scan; charging's two blocks of 186 and 174
+    # segments go dense, while the other builtins' largest block has 44
     # segments and they have no until, so their plans stay flat
     for name, phi, _, _ in pinned_cases():
-        want = (6, 1, 1) if name == "monitor" else (0, 0, len(robustness._plan(phi, False).groups))
+        flat = (0, 0, len(robustness._plan(phi, False).groups))
+        want = {"monitor": (6, 1, 1), "charging": (2, 0, 5)}.get(name, flat)
         assert layout(phi, False) == want, name
+
+
+def test_layout_changes_values_only_by_rounding(monkeypatch):
+    # charging's blocks of 186 and 174 segments are flat at a threshold of
+    # 256 and dense at the module's; exact values keep every bit, soft ones
+    # and gradients move by rounding (a gradient's entries to 1e-15 of its
+    # largest, as tiny entries sum weights that cancel), and the counts do
+    # not move
+    problem = build_problem(builtin_scenario("charging"))
+    rng = np.random.default_rng(96)
+    sigs = [Signal(rng.uniform(-3, 3, (problem.T + 1, problem.model.p))) for _ in range(3)]
+    monkeypatch.setattr(robustness, "_plans", {})
+    runs = []
+    for threshold in (256, robustness._DENSE_SEGMENTS):
+        monkeypatch.setattr(robustness, "_DENSE_SEGMENTS", threshold)
+        robustness._plans.clear()
+        plan = robustness._plan(problem.phi, False)
+        exact = [evaluate(problem.phi, sig) for sig in sigs]
+        smooth = [eval_with_gradient(problem.phi, sig, 0, problem.config) for sig in sigs]
+        runs.append((layout(problem.phi, False), plan.scalars, plan.applications, exact, smooth))
+    (flat, *counts, exact, smooth), (dense, *dense_counts, dense_exact, dense_smooth) = runs
+    assert (flat, dense) == ((0, 0, 7), (2, 0, 5))
+    assert counts == dense_counts and exact == dense_exact
+    for got, want in zip(dense_smooth, smooth):
+        assert_allclose(got.value, want.value, rtol=1e-15, atol=0)
+        scale = np.abs(want.dsignal).max()
+        assert_allclose(got.dsignal, want.dsignal, rtol=0, atol=1e-15 * scale)
 
 
 def test_reducer_calls_are_pinned(monkeypatch):
