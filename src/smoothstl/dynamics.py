@@ -3,21 +3,20 @@
 A system is x_{t+1} = f(x_t, u_t), y_t = g(x_t, u_t). Controls are a
 (T+1, m) array: u_T never enters a state update but does enter y_T, which
 is how output conventions that expose the control (so formulas can bound
-it) keep the final sample well defined. Outputs and Jacobians are
-computed once per rollout on the whole stacked trajectory. So is the
-state recursion when the model supplies `states`, as both builtins do:
-their plants are chains of integrators, so each state is a cumulative
-sum. A model with only `step` falls back to a Python loop over the
-timesteps. Either way, divergence is reported at the first non-finite
-sample. The same code rolls out a stack of control sequences at once, as
-synthesis does with its restarts; each row gets its own result and error.
+it) keep the final sample well defined. Outputs are computed once per
+rollout on the whole stacked trajectory. So is the state recursion when
+the model supplies `states`, as both builtins do: their plants are chains
+of integrators, so each state is a cumulative sum. A model with only
+`step` falls back to a Python loop over the timesteps. Either way,
+divergence is reported at the first non-finite sample. The same code
+rolls out a stack of control sequences at once, as synthesis does with
+its restarts; each row gets its own result and error.
 
-rollout_with_sensitivities also records the step and output Jacobians;
-its control_gradient method turns a robustness gradient d rho / d y into
-d rho / d u, the vector-Jacobian product of the rollout. A model that
-supplies `adjoint`, as both builtins do, computes it in closed form; a
-model without it falls back to the costate recursion over its Jacobians,
-a Python loop over the timesteps. A non-finite costate or control
+One backward pass turns a robustness gradient d rho / d y into d rho / d u,
+the vector-Jacobian product of the rollout, for objective and
+control_gradient alike: the model's `adjoint` in closed form, as both
+builtins supply, or else the costate recursion over its Jacobians, a
+Python loop over the timesteps. Either way the first non-finite control
 gradient is divergence.
 """
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -62,8 +60,9 @@ class SystemModel:
     step defines the dynamics one timestep at a time. states and adjoint,
     when given, replace the per-step loops: states computes the trajectory
     and adjoint the control gradient in one call. Both take leading batch
-    axes, one per rollout of a stack. The output and Jacobian functions are
-    called once per rollout, or stack, on the samples X (N, n) and U (N, m)
+    axes, one per rollout of a stack. The output function is called once
+    per rollout, or stack, and the Jacobian functions once per backward
+    pass of a model without adjoint, on the samples X (N, n) and U (N, m)
     of every timestep (and every rollout) laid along a leading axis:
 
     @param n: state dimension
@@ -207,25 +206,10 @@ def _jacobians(model, X, U):
     )
 
 
-def _diverged(du, errors):
-    """errors, where a row of du (R, K, m) without one diverges at its first non-finite step."""
-    for r, t in _first_non_finite(du):
-        errors[r] = errors[r] or RolloutDivergence(t, "control gradient")
-    return errors
-
-
-def _adjoint(adjoint, dY, m):
-    """du = adjoint(dY), the hook bound to one rollout or a stack, and each one's divergence."""
-    du = _hook("adjoint", adjoint, dY.shape[:-1] + (m,), dY)
-    rows = du.reshape(-1, *du.shape[-2:])
-    return du, _diverged(rows, [None] * len(rows))
-
-
 def _sweep(dY, fx, fu, gx, gu):
-    """control_gradient of R rollouts by the costate recursion over their
-    Jacobians: du and each row's divergence or None."""
+    """du of R rollouts by the costate recursion over their Jacobians."""
     T = dY.shape[-2] - 1
-    # past the first non-finite costate the values are never returned
+    # past the first non-finite costate the values only mark divergence
     with np.errstate(over="ignore", invalid="ignore"):
         lam = (dY[..., None, :] @ gx)[..., 0, :]
         du = (dY[..., None, :] @ gu)[..., 0, :]
@@ -233,10 +217,22 @@ def _sweep(dY, fx, fu, gx, gu):
         for t in range(T - 1, 0, -1):
             lam[:, t] += (lam[:, t + 1, None, :] @ fx[:, t])[:, 0]
         du[:, :T] += (lam[:, 1:, None, :] @ fu)[..., 0, :]
+    return du
+
+
+def _backward(model, X, U, dY):
+    """d(sum dY * Y)/dU of R finite rollouts X (R, T+1, n), U (R, T+1, m) by
+    the model's adjoint, or else the costate sweep over its Jacobians, and
+    each row's divergence or None: its first non-finite control gradient,
+    which a non-finite costate always reaches (inf times 0 is NaN)."""
+    if model.adjoint is not None:
+        du = _hook("adjoint", model.adjoint, U.shape, X, U, dY)
+    else:
+        du = _sweep(dY, *_jacobians(model, X, U))
     errors = [None] * len(du)
-    for r, i in _first_non_finite(lam[:, :0:-1]):  # in the order the sweep meets them
-        errors[r] = RolloutDivergence(T - i, "costate")
-    return du, _diverged(du, errors)
+    for r, t in _first_non_finite(du):
+        errors[r] = RolloutDivergence(t, "control gradient")
+    return du, errors
 
 
 def rollout(model, x0, u):
@@ -246,52 +242,38 @@ def rollout(model, x0, u):
 
 @dataclass
 class SensitivityRollout:
-    """Trajectory plus the Jacobians needed for back-propagation, stacked
-    over time: fx (T, n, n), fu (T, n, m), gx (T+1, p, n), gu (T+1, p, m),
-    constant ones as read-only broadcast views. adjoint is the model's
-    adjoint bound to the states and controls, dY -> dU, or None."""
+    """One rollout of a model, kept for back-propagation: its output
+    signal, the states X (T+1, n) and the controls U (T+1, m)."""
 
     signal: Signal
-    fx: np.ndarray
-    fu: np.ndarray
-    gx: np.ndarray
-    gu: np.ndarray
-    adjoint: Callable | None = None
+    model: SystemModel
+    X: np.ndarray
+    U: np.ndarray
 
     def control_gradient(self, dsignal):
         """Chain d rho / d y back through the dynamics to d rho / d u.
 
-        Calls the model's adjoint when it has one, as objective does, so
-        the two agree bit for bit. Otherwise runs the costate recursion
-        lam_t = gx_t' dy_t + fx_t' lam_{t+1} backwards in time, and each
-        control picks up gu_t' dy_t + fu_t' lam_{t+1}. Raises
-        RolloutDivergence at the first non-finite costate the recursion
-        meets ("costate"), or else at the first non-finite row of the
-        result ("control gradient").
+        Takes the path objective takes, the model's adjoint or else the
+        costate recursion lam_t = gx_t' dy_t + fx_t' lam_{t+1} backwards
+        in time, where each control picks up gu_t' dy_t + fu_t' lam_{t+1};
+        so the two agree bit for bit. Raises RolloutDivergence at the
+        first non-finite row of the result ("control gradient").
         """
-        dsignal = np.asarray(dsignal, dtype=float)
-        if dsignal.shape != self.signal.values.shape:
-            raise ValueError(
-                f"dsignal must have shape {self.signal.values.shape}, got {dsignal.shape}"
-            )
+        dsignal, shape = np.asarray(dsignal, dtype=float), self.signal.values.shape
+        if dsignal.shape != shape:
+            raise ValueError(f"dsignal must have shape {shape}, got {dsignal.shape}")
         if not np.isfinite(dsignal).all():
             raise ValueError("dsignal must be finite")
-        if self.adjoint is not None:
-            du, (error,) = _adjoint(self.adjoint, dsignal, self.fu.shape[-1])
-        else:
-            jacobians = (self.fx[None], self.fu[None], self.gx[None], self.gu[None])
-            (du,), (error,) = _sweep(dsignal[None], *jacobians)
+        (du,), (error,) = _backward(self.model, self.X[None], self.U[None], dsignal[None])
         if error is not None:
             raise error
         return du
 
 
 def rollout_with_sensitivities(model, x0, u):
-    """Like rollout, but also records every Jacobian along the trajectory."""
+    """Like rollout, but keeps the states and controls for control_gradient."""
     X, U, Y, _ = _simulate(model, x0, u)
-    fx, fu, gx, gu = (a[0] for a in _jacobians(model, X, U))
-    adjoint = None if model.adjoint is None else partial(model.adjoint, X[0], U[0])
-    return SensitivityRollout(Signal(Y[0]), fx, fu, gx, gu, adjoint)
+    return SensitivityRollout(Signal(Y[0]), model, X[0], U[0].copy())
 
 
 def _check_dt(dt):

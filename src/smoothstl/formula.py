@@ -86,6 +86,14 @@ def _check_flag(key, value, error=ValueError):
         raise error(f"{key}: needs true or false, got {value!r}")
 
 
+def _signal_size(p):
+    """p as a signal dimension of at least 1, read as Interval reads its bounds."""
+    p = _convert("signal dimension p", p, operator.index, "a whole number", FormulaError)
+    if p < 1:
+        raise FormulaError("signal dimension p must be at least 1")
+    return p
+
+
 def _check_finite_scalar(x, what):
     try:
         x = _number(x)
@@ -566,6 +574,7 @@ class RegionTable:
         return [(name, self[name]) for name in self._table]
 
     def _faces(self, name, p):
+        p = _signal_size(p)
         if name not in self._table:
             raise FormulaError(f"unknown region {name!r}")
         faces = []

@@ -45,6 +45,7 @@ from .formula import (
     _RESERVED_WORDS,
     _join,
     _signal_dim,
+    _signal_size,
 )
 
 __all__ = ["ParseError", "parse"]
@@ -281,7 +282,8 @@ def parse(text, regions=None, p=2):
 
     @param text:    formula source, possibly spanning several lines
     @param regions: RegionTable resolving bare region names, or None
-    @param p:       signal dimension; out-of-range y-variables are rejected
+    @param p:       signal dimension, a whole number of at least 1 (else
+                    FormulaError); out-of-range y-variables are rejected
 
     Raises ParseError with a 1-based line and column on any syntax error,
     unknown region, fractional or reversed window, or out-of-range
@@ -289,9 +291,7 @@ def parse(text, regions=None, p=2):
     """
     if regions is not None and not isinstance(regions, RegionTable):
         regions = RegionTable(regions)
-    if p < 1:
-        raise FormulaError("signal dimension p must be at least 1")
-    parser = _Parser(_tokenize(text), regions, p)
+    parser = _Parser(_tokenize(text), regions, _signal_size(p))
     phi = parser.parse_formula()
     tok = parser.peek()
     if tok.kind != "EOF":

@@ -1029,7 +1029,7 @@ def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):
 
 
 def _read_series_csv(path, prefix, error):
-    """(T+1, p) array from a file with header t,{prefix}0,..., whose t
+    """Finite (T+1, p) array from a file with header t,{prefix}0,..., whose t
     column runs 0, 1, 2, ...; errors name the file and the row. Blank
     lines are skipped, and every row length is checked before any number."""
     with open(path, newline="") as fh:
@@ -1060,12 +1060,16 @@ def _read_series_csv(path, prefix, error):
             out[t] = [float(v) for v in row[1:]]
         except ValueError:
             raise error(f"{path}: row {lineno} has a malformed number") from None
+        if not np.isfinite(out[t]).all():
+            raise error(f"{path}: row {lineno} has a non-finite number")
         if step != t:
             raise error(f"{path}: row {lineno}: timesteps must run 0,1,2,... without gaps")
     return out
 
 
 def _write_series_csv(path, values, prefix):
+    if values.ndim != 2:
+        raise ValueError(f"{prefix} must be 2-D (time by dimension), got shape {values.shape}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"{prefix}{j}" for j in range(values.shape[1])])

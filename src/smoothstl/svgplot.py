@@ -9,6 +9,8 @@ plane and are not drawn.
 
 from __future__ import annotations
 
+import math
+from html import escape
 from pathlib import Path
 
 __all__ = ["scene_svg", "save_scene_svg"]
@@ -63,8 +65,10 @@ def scene_svg(regions, trajectories=(), title=None):
 
     @param regions:      RegionTable (or anything with .items() yielding
                          (name, {dim: (lo, hi)}))
-    @param trajectories: iterables of samples; only dims 0 and 1 are drawn
-    @param title:        optional caption in the top-left corner
+    @param trajectories: iterables of samples; only dims 0 and 1 are drawn,
+                         and a non-finite one raises a ValueError
+    @param title:        optional caption in the top-left corner, escaped
+                         like the region names
     """
     named_boxes = []
     for name, faces in regions.items():
@@ -72,6 +76,8 @@ def scene_svg(regions, trajectories=(), title=None):
         if box is not None:
             named_boxes.append((name, box))
     trails = [[(float(p[0]), float(p[1])) for p in traj] for traj in trajectories]
+    if not all(map(math.isfinite, (v for pts in trails for p in pts for v in p))):
+        raise ValueError("trajectory samples must be finite")
 
     x_lo, x_hi, y_lo, y_hi = _scene_bounds([b for _, b in named_boxes], trails)
     span_x, span_y = x_hi - x_lo, y_hi - y_lo
@@ -92,14 +98,14 @@ def scene_svg(regions, trajectories=(), title=None):
         px, py = to_px(rx[0], ry[1])
         fill, stroke = _region_color(name)
         parts.append(
-            f'<rect class="region" data-name="{name}" x="{px:.1f}" y="{py:.1f}" '
+            f'<rect class="region" data-name="{escape(name)}" x="{px:.1f}" y="{py:.1f}" '
             f'width="{(rx[1] - rx[0]) * scale:.1f}" height="{(ry[1] - ry[0]) * scale:.1f}" '
             f'fill="{fill}" fill-opacity="0.5" stroke="{stroke}"/>'
         )
         tx, ty = to_px(rx[0], ry[1])
         parts.append(
             f'<text x="{tx + 4:.1f}" y="{ty + 14:.1f}" font-size="12" '
-            f'font-family="sans-serif" fill="#333">{name}</text>'
+            f'font-family="sans-serif" fill="#333">{escape(name)}</text>'
         )
     for i, pts in enumerate(trails):
         color = _TRAJ_COLORS[i % len(_TRAJ_COLORS)]
@@ -117,7 +123,7 @@ def scene_svg(regions, trajectories=(), title=None):
     if title:
         parts.append(
             f'<text x="8" y="20" font-size="15" font-family="sans-serif" '
-            f'fill="#111">{title}</text>'
+            f'fill="#111">{escape(str(title))}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

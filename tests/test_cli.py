@@ -10,15 +10,18 @@ import json
 import math
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 from smoothstl.cli import main
+from smoothstl.formula import RegionTable
 from smoothstl.gradient import load_gradient_csv
 from smoothstl.optimizer import RestartRecord
 from smoothstl.robustness import Signal, load_signal_csv, save_signal_csv
 from smoothstl.scenarios import BenchRecord, ScenarioConfig, save_scenario
+from smoothstl.svgplot import scene_svg
 
 
 def run(capsys, *argv):
@@ -258,6 +261,22 @@ class TestSynth:
         y = load_signal_csv(out_dir / "trajectory.csv")
         assert y.T == 10
         assert "<svg" in (out_dir / "scene.svg").read_text()
+
+    def test_scene_svg_parses_with_markup_in_the_name(self, capsys, tmp_path):
+        config = tiny_scenario(tmp_path, name="R&D <lab>")
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "synth", "--config", config, "--out", str(out_dir))
+        assert code == 0
+        root = ElementTree.parse(out_dir / "scene.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-1] == "R&D <lab>"
+        assert "goal" in texts
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scene_svg_refuses_non_finite_samples(self, bad):
+        regions = RegionTable({"goal": {0: (2.0, 3.0), 1: (3.0, 4.0)}})
+        with pytest.raises(ValueError, match="^trajectory samples must be finite$"):
+            scene_svg(regions, [[(0.0, 0.0), (1.0, bad)]])
 
     def test_custom_config_solves(self, capsys, tmp_path):
         config = tiny_scenario(tmp_path)

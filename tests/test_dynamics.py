@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from smoothstl.dynamics import (
     RolloutDivergence,
     SystemModel,
+    _jacobians,
     builtin_model,
     differential_drive,
     load_controls_csv,
@@ -40,6 +41,18 @@ def functional_fd(model, x0, u, weights, h=1e-6):
             lo = float((rollout(model, x0, bumped).values * weights).sum())
             out[t, j] = (hi - lo) / (2 * h)
     return out
+
+
+def jacobians(sens):
+    """fx (T, n, n), fu (T, n, m), gx (T+1, p, n) and gu (T+1, p, m) along
+    the rollout, as the costate sweep reads them: a constant one as a
+    broadcast view."""
+    return [a[0] for a in _jacobians(sens.model, sens.X[None], sens.U[None])]
+
+
+def without_adjoint(sens):
+    """sens on the model without its adjoint, which takes the costate sweep."""
+    return dataclasses.replace(sens, model=dataclasses.replace(sens.model, adjoint=None))
 
 
 class TestSingleIntegrator:
@@ -137,7 +150,7 @@ class TestStackedContract:
                 # the adjoint hook against the per-step sweep: bit for bit
                 # where the step Jacobians are constant, and to rounding
                 # where the heading couples them
-                loop = dataclasses.replace(sens, adjoint=None)
+                loop = without_adjoint(sens)
                 dsignals = [rng.uniform(-5, 5, sens.signal.values.shape)]
                 if T >= 2:
                     grad = eval_with_gradient(phi, sens.signal, config=SemanticsConfig.ef(3, 3))
@@ -149,23 +162,26 @@ class TestStackedContract:
                     else:
                         assert_allclose(got, want, rtol=1e-13, atol=1e-15)
                 X = model.states(x0, u[:T])
+                assert (sens.X == X).all() and (sens.U == u).all()
+                fxs, fus, gxs, gus = jacobians(sens)
                 x = np.asarray(x0, dtype=float)
                 for t in range(T + 1):
                     assert (X[t] == x).all()
                     assert (sens.signal.values[t] == model.output(x, u[t])).all()
                     gx, gu = model.output_jacobians(x, u[t])
-                    assert (sens.gx[t] == gx).all() and (sens.gu[t] == gu).all()
+                    assert (gxs[t] == gx).all() and (gus[t] == gu).all()
                     if t < T:
                         fx, fu = model.step_jacobians(x, u[t])
-                        assert (sens.fx[t] == fx).all() and (sens.fu[t] == fu).all()
+                        assert (fxs[t] == fx).all() and (fus[t] == fu).all()
                         x = model.step(x, u[t])
 
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
     def test_stacked_functions_called_once_per_rollout(self, factory):
         # the dynamics work is pinned as a count: a model with states and
-        # adjoint never calls step and back-propagates in one call;
-        # without them, only the state update runs once per timestep.
-        # objective on a model with adjoint needs no Jacobians at all
+        # adjoint never calls step, back-propagates in one call and needs
+        # no Jacobians at all; without them, only the state update runs
+        # once per timestep. Jacobians are built only when a gradient is
+        # asked for
         inner = factory()
         T = 30
         u = np.random.default_rng(87).uniform(-1, 1, (T + 1, inner.m))
@@ -188,19 +204,20 @@ class TestStackedContract:
                 **{name: counted(name) for name in calls},
             )
             sens = rollout_with_sensitivities(model, np.zeros(inner.n), u)
+            assert calls["step_jacobians"] == calls["output_jacobians"] == 0
             sens.control_gradient(np.ones((T + 1, inner.p)))
             want = {"step": T, "output": 1, "step_jacobians": 1, "output_jacobians": 1}
             if vectorised:
-                want.update(step=0, states=1, adjoint=1)
+                want.update(step=0, states=1, adjoint=1, step_jacobians=0, output_jacobians=0)
             else:
-                assert sens.adjoint is None
+                assert sens.model.adjoint is None
             assert calls == want
             if vectorised:
                 phi = parse("y0 >= 0", p=4)
                 problem = SynthesisProblem(model, np.zeros(inner.n), phi, T=T, k1=2.0, k2=2.0)
                 calls.update(dict.fromkeys(calls, 0))
                 objective(problem, np.stack([u, u]))
-                assert calls == {**want, "step_jacobians": 0, "output_jacobians": 0}
+                assert calls == want
 
     @pytest.mark.parametrize("factory", [single_integrator_2d, differential_drive])
     def test_objective_stack_rows_equal_rows_alone(self, factory):
@@ -278,13 +295,14 @@ class TestControlGradient:
         u = rng.uniform(-1, 1, (T + 1, model.m))
         sens = rollout_with_sensitivities(model, rng.uniform(-1, 1, model.n), u)
         dsignal = rng.uniform(-1, 1, (T + 1, model.p))
+        fx, fu, gx, gu = jacobians(sens)
         want = np.zeros((T + 1, model.m))
         lam = np.zeros(model.n)
         for t in range(T, -1, -1):
-            want[t] = sens.gu[t].T @ dsignal[t]
+            want[t] = gu[t].T @ dsignal[t]
             if t < T:
-                want[t] += sens.fu[t].T @ lam
-            lam = sens.gx[t].T @ dsignal[t] + (sens.fx[t].T @ lam if t < T else 0.0)
+                want[t] += fu[t].T @ lam
+            lam = gx[t].T @ dsignal[t] + (fx[t].T @ lam if t < T else 0.0)
         assert_allclose(sens.control_gradient(dsignal), want, rtol=1e-13, atol=1e-15)
 
     def test_sensitivity_signal_matches_plain_rollout(self):
@@ -342,16 +360,16 @@ class TestControlGradient:
         sens = rollout_with_sensitivities(differential_drive(), [0.0, 0.0, 0.0], np.ones((5, 2)))
         dsignal = np.ones((5, 4))
         dsignal[3, 1] = bad
-        for swept in (sens, dataclasses.replace(sens, adjoint=None)):
+        for swept in (sens, without_adjoint(sens)):
             with pytest.raises(ValueError, match="^dsignal must be finite$"):
                 swept.control_gradient(dsignal)
 
 
 class TestConstantJacobians:
-    """objective and control_gradient take the same path, the model's
-    adjoint or else the costate recursion over its Jacobians (a constant
-    one a broadcast view), so they agree bit for bit, at any stack
-    height."""
+    """objective and control_gradient back-propagate through one function,
+    the model's adjoint or else the costate recursion over its Jacobians
+    (a constant one a broadcast view), so they agree bit for bit, at any
+    stack height."""
 
     @pytest.mark.parametrize("name", ["two_target", "table2_diffdrive", "linear"])
     def test_objective_is_the_control_gradient_bit_for_bit(self, name):
@@ -409,12 +427,13 @@ class TestConstantJacobians:
         U = np.random.default_rng(96).uniform(-1, 1, (3, 5, 1))
         for u, (_, dJ) in zip(U, objective(problem, U), strict=True):
             sens, grad = self.check(problem, u, dJ)
-            assert sens.gx.shape == (5, 2, 1) and sens.gx.strides[0] != 0
+            _, _, gx, gu = jacobians(sens)
+            assert gx.shape == (5, 2, 1) and gx.strides[0] != 0
             # the step-by-step recursion, with the Jacobians of each step
             lam, want = np.zeros(1), np.zeros((5, 1))
             for t in range(4, -1, -1):
-                want[t] = sens.gu[t].T @ grad.dsignal[t] + (lam if t < 4 else 0.0)
-                lam = sens.gx[t].T @ grad.dsignal[t] + lam
+                want[t] = gu[t].T @ grad.dsignal[t] + (lam if t < 4 else 0.0)
+                lam = gx[t].T @ grad.dsignal[t] + lam
             assert_allclose(sens.control_gradient(grad.dsignal), want, rtol=1e-13)
 
     def test_wrong_output_jacobian_shape_names_it(self):
@@ -423,7 +442,9 @@ class TestConstantJacobians:
             model=model, x0=(0.5,), phi=parse("F[0,4] y0 >= 4", p=2), T=4, k1=2.0, k2=2.0,
         )
         for run in (
-            lambda: rollout_with_sensitivities(model, [0.5], np.zeros((5, 1))),
+            lambda: rollout_with_sensitivities(model, [0.5], np.zeros((5, 1))).control_gradient(
+                np.zeros((5, 2))
+            ),
             lambda: objective(problem, np.zeros((5, 1))),
             lambda: objective(problem, np.zeros((2, 5, 1))),
         ):
@@ -500,21 +521,19 @@ class TestDivergence:
     def test_non_finite_costate_is_divergence(self):
         # speeds of 1e300 keep the states finite, but the heading coupling
         # times a sensitivity of 1e10 overflows the costate at t = 2, the
-        # first one the backward sweep computes. The model's adjoint
-        # exposes no costates: it reports the first non-finite row of the
+        # first one the backward sweep computes. The non-finite costate
+        # reaches every earlier control, so the costate sweep and the
+        # model's adjoint both report the first non-finite row of the
         # control gradient, the one of u_0. Neither lets a warning escape
         model = differential_drive()
         u = np.array([[1e300, 1.0]] * 4)
         sens = rollout_with_sensitivities(model, [0.0, 0.0, 0.0], u)
-        for swept, what, timestep in (
-            (dataclasses.replace(sens, adjoint=None), "costate", 2),
-            (sens, "control gradient", 0),
-        ):
+        for swept in (without_adjoint(sens), sens):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                with pytest.raises(RolloutDivergence, match=f"non-finite {what} at") as err:
+                with pytest.raises(RolloutDivergence, match="non-finite control gradient at") as err:
                     swept.control_gradient(np.full((4, 4), 1e10))
-            assert err.value.timestep == timestep
+            assert err.value.timestep == 0
         # finite costates whose control term overflows
         model = SystemModel(
             n=1, m=1, p=1,
@@ -584,3 +603,17 @@ class TestControlsCsv:
         path.write_text("t,u0,u1\n0,1.0,2.0\n1,3.0,4.0,5.0\n")
         with pytest.raises(ValueError, match="bad.csv: row 3 has 4 fields"):
             load_controls_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_refused(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,u0\n0,1.0\n1,{cell}\n")
+        with pytest.raises(ValueError, match="^.*bad.csv: row 3 has a non-finite number$"):
+            load_controls_csv(path)
+
+    def test_save_refuses_a_non_2d_array(self, tmp_path):
+        path = tmp_path / "u.csv"
+        for u in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="^u must be 2-D"):
+                save_controls_csv(u, path)
+        assert not path.exists()

@@ -18,6 +18,7 @@ import pytest
 
 import smoothstl
 from smoothstl import (
+    RegionTable,
     SemanticsConfig,
     SynthesisProblem,
     builtin_model,
@@ -48,6 +49,7 @@ EXTREMES = [
 PHI = parse("y0 >= 0 U[0,1] y1 >= 0 and F[0,1] -y1 >= -3", p=2)
 SIGNAL = [[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]]
 EF = SemanticsConfig.ef(2.0, 2.0)
+REGIONS = RegionTable({"box": {0: (0.0, 1.0)}})
 SCENARIO = dataclasses.replace(builtin_scenario("two_target"), restarts=0, max_iters=2)
 PROBLEM = SynthesisProblem(
     single_integrator_2d(), (0.0, 0.0), parse("F[0,3] y0 >= 1", p=4), T=3,
@@ -92,6 +94,9 @@ CALLS = [
      lambda v: finite_difference_gradient(PHI, SIGNAL, config=EF, h=v)),
     ("finite_difference_gradient classic_until",
      lambda v: finite_difference_gradient(PHI, SIGNAL, config=EF, classic_until=v)),
+    ("parse p", lambda v: parse("y0 >= 0", p=v)),
+    ("RegionTable.conjunction p", lambda v: REGIONS.conjunction("box", v)),
+    ("RegionTable.complement p", lambda v: REGIONS.complement("box", v)),
     ("builtin_model dt", lambda v: builtin_model("single_integrator_2d", v)),
     ("builtin_model dt, differential drive", lambda v: builtin_model("differential_drive", v)),
     ("k_continuation schedule", lambda v: k_continuation(PROBLEM, v)),

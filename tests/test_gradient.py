@@ -220,3 +220,9 @@ class TestGradientCsv:
         path.write_text("t,d_y0,d_y1\n0,1.0,2.0\n1,3.0\n")
         with pytest.raises(SemanticsError, match="bad.csv: row 3 has 2 fields"):
             load_gradient_csv(path)
+
+    def test_non_finite_cell_refused(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,d_y0\n0,nan\n1,inf\n")
+        with pytest.raises(SemanticsError, match="bad.csv: row 2 has a non-finite number"):
+            load_gradient_csv(path)

@@ -14,3 +14,18 @@ def test_all_names_exactly_the_public_api():
     namespace = {}
     exec("from smoothstl import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+def test_benchmark_tracer_names_exist():
+    # perfbench's tracer wraps these attributes by name and silently skips
+    # one that is missing, so a rename would blind the trace without failing
+    import smoothstl.optimizer
+    from smoothstl.dynamics import SensitivityRollout
+
+    for owner, names in (
+        (smoothstl.optimizer, ("objective", "rollout", "evaluate")),
+        (SensitivityRollout, ("control_gradient",)),
+        (smoothstl, ("evaluate", "eval_with_gradient")),
+    ):
+        for name in names:
+            assert isinstance(vars(owner).get(name), types.FunctionType), (owner, name)

@@ -167,6 +167,15 @@ class TestErrors:
         with pytest.raises(FormulaError, match="at least 1"):
             parse("y0 >= 0", p=0)
 
+    @pytest.mark.parametrize("p", ["1", 2.0, np.array([2, 3])])
+    def test_p_must_be_a_whole_number(self, p):
+        # read as interval bounds are: "1" used to fail comparing with 1,
+        # and 2.0 building the coefficient list
+        with pytest.raises(FormulaError, match="^signal dimension p: needs a whole number"):
+            parse("y0 >= 0", p=p)
+        with pytest.raises(FormulaError, match="^signal dimension p: needs a whole number"):
+            RegionTable({"box": {0: (0.0, 1.0)}}).conjunction("box", p)
+
 
 class TestWhitespaceAndComments:
     def test_comments_and_newlines(self):

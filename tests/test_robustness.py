@@ -638,6 +638,12 @@ class TestSignalCsv:
         with pytest.raises(SemanticsError, match="row 3 has a malformed number"):
             load_signal_csv(path)
 
+    def test_non_finite_cell_names_the_file_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y0\n0,1.0\n1,-inf\n")
+        with pytest.raises(SemanticsError, match="bad.csv: row 3 has a non-finite number"):
+            load_signal_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
