@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formula import _convert, _number
+from .formula import _real
 from .robustness import Signal, _read_series_csv, _write_series_csv
 
 __all__ = [
@@ -276,15 +276,6 @@ def rollout_with_sensitivities(model, x0, u):
     return SensitivityRollout(Signal(Y[0]), model, X[0], U[0].copy())
 
 
-def _check_dt(dt):
-    dt = _convert("dt", dt, _number, "a number")
-    if not math.isfinite(dt):
-        raise ValueError("dt: must be finite")
-    if dt <= 0:
-        raise ValueError("dt: sampling period must be positive")
-    return dt
-
-
 def single_integrator_2d(dt=1.0):
     """Planar point robot: position integrates the commanded velocity.
 
@@ -292,7 +283,7 @@ def single_integrator_2d(dt=1.0):
     the control in the output lets formulas bound it like any other
     quantity.
     """
-    dt = _check_dt(dt)
+    dt = _real("dt", dt, sign="positive")
     eye2 = np.eye(2)
     zero2 = np.zeros((2, 2))
     gx = np.vstack([eye2, zero2])
@@ -337,7 +328,7 @@ def differential_drive(dt=1.0):
     State (px, py, heading), control (speed, turn rate), output
     (px, py, speed, turn rate). Heading accumulates without wrapping.
     """
-    dt = _check_dt(dt)
+    dt = _real("dt", dt, sign="positive")
     gx = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     gu = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 

@@ -18,7 +18,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -59,6 +59,25 @@ def _number(value, to=float):
     return to(value)
 
 
+def _whole(value, name="value", error=ValueError):
+    """value as an int, if it is a whole number: 2.0 passes, and 2.5 never
+    truncates to 2. A bool or a string is no number (see _number)."""
+    try:
+        number = _number(value, int)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return number
+
+
+def _index(key, value, what="a whole number"):
+    """value as an int, or FormulaError("key: needs what, got value"). Strict
+    where _whole is lenient: 2.0 is refused, and so is a bool, which
+    operator.index would take as 0 or 1."""
+    return _convert(key, value, lambda v: _number(v, operator.index), what, FormulaError)
+
+
 def _pair(value):
     lo, hi = value
     return _number(lo), _number(hi)
@@ -76,6 +95,17 @@ def _convert(key, value, to, what, error=ValueError):
         raise error(f"{key}: needs {what}, got {value!r}") from None
 
 
+def _real(key, value, error=ValueError, sign=None):
+    """value as a finite float, or error("key: why"). sign "positive" or
+    "nonnegative" also bounds it below."""
+    x = _convert(key, value, _number, "a number", error)
+    if not math.isfinite(x):
+        raise error(f"{key}: must be finite")
+    if sign is not None and not (x > 0 if sign == "positive" else x >= 0):
+        raise error(f"{key}: must be {sign}")
+    return x
+
+
 def _check_flag(key, value, error=ValueError):
     """error("key: needs true or false, got value") unless value is true or
     false. 1, 0 and np.True_ pass; a string such as "false" is truthy, and
@@ -88,20 +118,10 @@ def _check_flag(key, value, error=ValueError):
 
 def _signal_size(p):
     """p as a signal dimension of at least 1, read as Interval reads its bounds."""
-    p = _convert("signal dimension p", p, operator.index, "a whole number", FormulaError)
+    p = _index("signal dimension p", p)
     if p < 1:
         raise FormulaError("signal dimension p must be at least 1")
     return p
-
-
-def _check_finite_scalar(x, what):
-    try:
-        x = _number(x)
-    except TypeError:
-        raise FormulaError(f"{what} must be a number, got {x!r}") from None
-    if not math.isfinite(x):
-        raise FormulaError(f"{what} must be finite, got {x!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -121,11 +141,11 @@ class LinearPredicate:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple(_check_finite_scalar(c, "coefficient") for c in self.coefficients)
+        coeffs = tuple(_real("coefficient", c, FormulaError) for c in self.coefficients)
         if not coeffs:
             raise FormulaError("predicate needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "offset", _check_finite_scalar(self.offset, "offset"))
+        object.__setattr__(self, "offset", _real("offset", self.offset, FormulaError))
 
     @property
     def dim(self):
@@ -165,8 +185,10 @@ class CallablePredicate:
             raise FormulaError("fn must be callable")
         if self.jacobian is not None and not callable(self.jacobian):
             raise FormulaError("jacobian must be callable when given")
-        if operator.index(self.dim) < 1:
-            raise FormulaError("dim must be a positive integer")
+        dim = _index("dim", self.dim)
+        if dim < 1:
+            raise FormulaError("dim: must be positive")
+        object.__setattr__(self, "dim", dim)
 
     def value(self, y):
         return float(self.fn(np.asarray(y, dtype=float)))
@@ -196,11 +218,8 @@ class Interval:
     hi: int
 
     def __post_init__(self):
-        try:
-            lo = operator.index(self.lo)
-            hi = operator.index(self.hi)
-        except TypeError:
-            raise FormulaError("interval bounds must be whole timesteps") from None
+        lo = _index("interval bound", self.lo, "whole timesteps")
+        hi = _index("interval bound", self.hi, "whole timesteps")
         if lo < 0:
             raise FormulaError(f"interval lower bound must be nonnegative, got {lo}")
         if hi < lo:
@@ -527,9 +546,7 @@ class RegionTable:
         checked = {}
         for dim, bounds in faces.items():
             try:
-                if isinstance(dim, bool):
-                    raise TypeError(f"not a dimension: {dim!r}")
-                d = int(dim) if isinstance(dim, str) else operator.index(dim)
+                d = int(dim) if isinstance(dim, str) else _number(dim, operator.index)
                 lo, hi = _pair(bounds)
             except (TypeError, ValueError):
                 raise FormulaError(
@@ -538,8 +555,8 @@ class RegionTable:
                 ) from None
             if d < 0:
                 raise FormulaError(f"region {name!r}: dimension must be nonnegative")
-            lo = _check_finite_scalar(lo, f"region {name!r} lower bound")
-            hi = _check_finite_scalar(hi, f"region {name!r} upper bound")
+            lo = _real(f"region {name!r} lower bound", lo, FormulaError)
+            hi = _real(f"region {name!r} upper bound", hi, FormulaError)
             if not lo < hi:
                 raise FormulaError(
                     f"region {name!r} dimension {d}: need lower < upper, got [{lo}, {hi}]"
@@ -600,9 +617,7 @@ class RegionTable:
 
     def inflated(self, margin, names=None):
         """Copy with selected regions grown by margin on every face."""
-        margin = _check_finite_scalar(margin, "inflation margin")
-        if margin < 0:
-            raise FormulaError("inflation margin must be nonnegative")
+        margin = _real("inflation margin", margin, FormulaError, "nonnegative")
         grown = {}
         for name in self._table:
             body = self[name]

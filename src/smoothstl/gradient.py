@@ -44,14 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import _convert, _number
+from .formula import _real
 from .robustness import (
     SemanticsError,
     _as_vector,
     _evaluate,
     _one_segment,
     _read_series_csv,
-    _sharpness,
     _soft_max,
     _soft_min,
     _write_series_csv,
@@ -77,7 +76,7 @@ def grad_smooth_min(a, k1):
     @param k1: sharpness, positive and finite
     @return:   vector of positive weights summing to one
     """
-    return _one_segment(_soft_min, _as_vector(a), _sharpness(k1, "k1", False), keep=True)
+    return _one_segment(_soft_min, _as_vector(a), _real("k1", k1, sign="positive"), keep=True)
 
 
 def grad_smooth_max(a, k2):
@@ -86,7 +85,7 @@ def grad_smooth_max(a, k2):
     Sums to one; individual entries may be negative for arguments far
     below the soft maximum.
     """
-    return _one_segment(_soft_max, _as_vector(a), _sharpness(k2, "k2", True), keep=True)
+    return _one_segment(_soft_max, _as_vector(a), _real("k2", k2, sign="nonnegative"), keep=True)
 
 
 @dataclass
@@ -123,9 +122,7 @@ def finite_difference_gradient(phi, signal, t=0, config=None, h=1e-5, classic_un
     signal = as_signal(signal)
     if config is None:
         raise SemanticsError("finite_difference_gradient needs a semantics config")
-    h = _convert("h", h, _number, "a number")
-    if not h > 0:
-        raise ValueError("h must be positive")
+    h = _real("h", h, sign="positive")
     base = signal.values.copy()
     out = np.zeros_like(base)
     for ts in range(base.shape[0]):

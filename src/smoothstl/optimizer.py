@@ -33,8 +33,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import RolloutDivergence, _backward, _simulate, rollout
-from .formula import _check_flag, _convert, _number, _pairs, horizon, is_nnf
-from .robustness import EXACT, SemanticsConfig, _evaluate, _NonFiniteMargin, _whole, evaluate
+from .formula import _check_flag, _convert, _number, _pairs, _real, _whole, horizon, is_nnf
+from .robustness import EXACT, SemanticsConfig, _evaluate, _NonFiniteMargin, evaluate
 
 __all__ = [
     "SynthesisFailure",
@@ -126,9 +126,9 @@ class SynthesisProblem:
             raise ValueError("phi: must be in negation normal form; apply to_nnf first")
         for key in ("T", "restarts", "seed", "max_iters"):
             convert(key, _whole, "a whole number")
-        for key in ("k1", "k2", "control_weight", "tolerance"):
-            if not math.isfinite(convert(key, _number, "a number")):
-                raise ValueError(f"{key}: must be finite")
+        for key, sign in (("k1", "positive"), ("k2", "nonnegative"),
+                          ("control_weight", "nonnegative"), ("tolerance", "positive")):
+            object.__setattr__(self, key, _real(key, getattr(self, key), sign=sign))
         for key in ("hard_clamp", "classic_until"):
             _check_flag(key, getattr(self, key))
         if self.control_bounds is not None:
@@ -146,10 +146,6 @@ class SynthesisProblem:
             ("T", ahead <= self.T, f"formula looks {ahead} steps ahead but T is {self.T}"),
             ("restarts", self.restarts >= 0, "must be nonnegative"),
             ("max_iters", self.max_iters >= 1, "must be positive"),
-            ("k1", self.k1 > 0, "sharpness must be positive"),
-            ("k2", self.k2 >= 0, "sharpness must be nonnegative"),
-            ("control_weight", self.control_weight >= 0, "must be nonnegative"),
-            ("tolerance", self.tolerance > 0, "must be positive"),
         ):
             if not ok:
                 raise ValueError(f"{key}: {why}")
@@ -303,7 +299,8 @@ class _Memory:
 
 
 def _ascend(problem, u0):
-    """Maximize J from u0; returns (u, J, trace, iterations, converged).
+    """Maximize J from u0; returns (u, J, trace, converged), where trace
+    holds J at the start and after each accepted step.
 
     It yields each point to evaluate and is sent (J, g) or a divergence: at
     the start that marks the ascent failed (None), in the line search it
@@ -319,7 +316,6 @@ def _ascend(problem, u0):
         return None
     trace = [J]
     memory = _Memory(u.size)
-    iterations = 0
     converged = False
     for it in range(problem.max_iters):
         g1 = g.ravel()
@@ -356,10 +352,9 @@ def _ascend(problem, u0):
         step = float(np.abs(s).max())
         u, J, g = cand, Jc, gc
         trace.append(J)
-        iterations = it + 1
         if step < 1e-14:
             break
-    return u, J, trace, iterations, converged
+    return u, J, trace, converged
 
 
 def _initial_controls(problem):
@@ -398,11 +393,12 @@ def _run_restarts(problem, starts, first=0):
             failed = RestartRecord(first + i, -math.inf, -math.inf, -math.inf, 0, False, ms, True)
             outcomes.append((failed, None))
             continue
-        u, J, trace, iterations, converged = done[i]
+        u, J, trace, converged = done[i]
         y = rollout(problem.model, problem.x0, u)
         rho_exact = evaluate(problem.phi, y, 0, EXACT, problem.classic_until)
         rho_smooth = evaluate(problem.phi, y, 0, problem.config, problem.classic_until)
-        record = RestartRecord(first + i, rho_exact, rho_smooth, J, iterations, converged, ms)
+        # every iteration that does not break accepts a step
+        record = RestartRecord(first + i, rho_exact, rho_smooth, J, len(trace) - 1, converged, ms)
         outcomes.append((record, (u, y, trace)))
     return outcomes
 
@@ -454,11 +450,9 @@ def k_continuation(problem, k_schedule):
     first stage. A one-element schedule is exactly synthesize().
     """
     ks = _convert("k_schedule", k_schedule, list, "a list of numbers")
-    ks = [_convert("k_schedule", k, _number, "numbers") for k in ks]
+    ks = [_real("k_schedule", k, sign="positive") for k in ks]
     if not ks:
         raise ValueError("k_schedule must be nonempty")
-    if not all(0 < k < math.inf for k in ks):
-        raise ValueError("k_schedule entries must be positive and finite")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_schedule must be strictly increasing")
 

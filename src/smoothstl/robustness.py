@@ -91,8 +91,8 @@ from .formula import (
     Release,
     Until,
     _check_flag,
-    _convert,
-    _number,
+    _real,
+    _whole,
     horizon,
     is_nnf,
     to_nnf,
@@ -180,27 +180,6 @@ def as_signal(signal):
     return signal if isinstance(signal, Signal) else Signal(signal)
 
 
-def _whole(value, name="value", error=ValueError):
-    """value as an int, if it is a whole number: 2.0 passes, and 2.5 never
-    truncates to 2. A bool or a string is no number (see _number)."""
-    try:
-        number = _number(value, int)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or number != value:
-        raise error(f"{name} must be a whole number, got {value!r}")
-    return number
-
-
-def _sharpness(value, name, allow_zero, error=ValueError):
-    """value as a float, if it is finite and positive (or zero when allowed)."""
-    k = _convert(name, value, _number, "a number", error)
-    if not (math.isfinite(k) and (k >= 0 if allow_zero else k > 0)):
-        need, bound = ("nonnegative", ">=") if allow_zero else ("positive", ">")
-        raise error(f"{name} must be {need} and finite ({name} {bound} 0), got {k}")
-    return k
-
-
 @dataclass(frozen=True)
 class SemanticsConfig:
     """Which semantics to evaluate, and at what sharpness.
@@ -222,9 +201,8 @@ class SemanticsConfig:
         for name in ("k1", "k2", "k"):
             value = getattr(self, name)
             if name in needs:
-                value = _sharpness(math.nan if value is None else value, name, name == "k2",
-                                   SemanticsError)
-                object.__setattr__(self, name, value)
+                sign = "nonnegative" if name == "k2" else "positive"
+                object.__setattr__(self, name, _real(name, value, SemanticsError, sign))
             elif value is not None:
                 raise SemanticsError(f"{self.kind} semantics takes no sharpness parameters")
 
@@ -529,7 +507,7 @@ def smooth_min(a, k1):
     m arguments; exact for a single argument. Larger k1 is tighter.
     """
     a = _as_vector(a)
-    k1 = _sharpness(k1, "k1", allow_zero=False)
+    k1 = _real("k1", k1, sign="positive")
     _tick(1, a.size)
     return _one_segment(_soft_min, a, k1)
 
@@ -543,7 +521,7 @@ def smooth_max(a, k2):
     max_error_bound).
     """
     a = _as_vector(a)
-    k2 = _sharpness(k2, "k2", allow_zero=True)
+    k2 = _real("k2", k2, sign="nonnegative")
     _tick(1, a.size)
     return _one_segment(_soft_max, a, k2)
 
@@ -555,7 +533,7 @@ def lse_max(a, k):
     operator exists as the baseline the sound pair is compared against.
     """
     a = _as_vector(a)
-    k = _sharpness(k, "k", allow_zero=False)
+    k = _real("k", k, sign="positive")
     _tick(1, a.size)
     return _one_segment(_lse_max, a, k)
 
@@ -565,7 +543,7 @@ def min_error_bound(m, k1):
     m = _whole(m, "m")
     if m < 1:
         raise ValueError("m must be at least 1")
-    bound = math.log(m) / _sharpness(k1, "k1", allow_zero=False)
+    bound = math.log(m) / _real("k1", k1, sign="positive")
     if math.isinf(bound):  # a finite stand-in would understate the gap
         raise ValueError(f"k1 is too small for a finite bound over {m} arguments, got {k1}")
     return bound
@@ -583,7 +561,7 @@ def max_error_bound(a, k2):
         raise ValueError("need at least two entries")
     if np.any(a[1:] > a[:-1]):
         raise ValueError("entries must be sorted in descending order")
-    k2 = _sharpness(k2, "k2", allow_zero=True)
+    k2 = _real("k2", k2, sign="nonnegative")
     m = a.size
     top, low = float(a[0]), float(a[-1])
     # at k2 = 0 the top two entries' gap, which may overflow, plays no part
@@ -1070,6 +1048,8 @@ def _read_series_csv(path, prefix, error):
 def _write_series_csv(path, values, prefix):
     if values.ndim != 2:
         raise ValueError(f"{prefix} must be 2-D (time by dimension), got shape {values.shape}")
+    if not np.isfinite(values).all():  # the readers refuse what would be written
+        raise ValueError(f"{prefix} must be finite")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"{prefix}{j}" for j in range(values.shape[1])])

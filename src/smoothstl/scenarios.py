@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _check_dt, builtin_model
-from .formula import FormulaError, RegionTable, _convert, _number, _pair, _pairs, to_nnf
+from .dynamics import builtin_model
+from .formula import FormulaError, RegionTable, _convert, _number, _pair, _pairs, _real, _whole, to_nnf
 from .optimizer import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
@@ -39,7 +39,7 @@ from .optimizer import (
     synthesize,
 )
 from .parser import ParseError, parse
-from .robustness import EXACT, _whole, count_operator_evals, evaluate
+from .robustness import EXACT, count_operator_evals, evaluate
 
 __all__ = [
     "ScenarioError",
@@ -130,17 +130,12 @@ class ScenarioConfig:
                 object.__setattr__(self, "regions", RegionTable(self.regions))
             except FormulaError as exc:
                 raise ScenarioError(f"regions: {exc}") from None
-        convert("obstacle_inflation", _number, "a number")
-        if not math.isfinite(self.obstacle_inflation):
-            raise ScenarioError("obstacle_inflation: must be finite")
-        if self.obstacle_inflation < 0:
-            raise ScenarioError("obstacle_inflation: must be nonnegative")
+        for key, sign in (("obstacle_inflation", "nonnegative"), ("dt", "positive")):
+            object.__setattr__(self, key, _real(key, getattr(self, key), ScenarioError, sign))
         try:
-            # dt first, so that a bad dt is blamed on dt
-            model = builtin_model(self.model, _check_dt(self.dt))
+            model = builtin_model(self.model, self.dt)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-        object.__setattr__(self, "dt", model.dt)
 
         if (self.x0 is None) == (self.x0_box is None):
             raise ScenarioError("x0: exactly one of x0 and x0_box must be set")

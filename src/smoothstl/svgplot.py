@@ -18,7 +18,7 @@ __all__ = ["scene_svg", "save_scene_svg"]
 _VIEW = 640.0  # longer viewport edge, px
 _PAD = 0.6  # world-unit margin around the scene
 
-# fill, stroke by region role; anything unrecognized plots as neutral gray
+# fill, stroke by region role: obs*, goal*, and every other region (stations)
 _PALETTE = {
     "obs": ("#e06666", "#8c2f2f"),
     "goal": ("#7fbf7f", "#2e6b2e"),

@@ -196,7 +196,7 @@ class TestEval:
         )
         assert code == 2
         assert out == ""
-        assert "k1 must be positive and finite" in err
+        assert "k1: must be finite" in err
 
     def test_bad_spec_exits_two(self, capsys, mono_csv):
         code, _, err = run(capsys, "eval", "--spec", "F[0,2", "--signal", mono_csv)
@@ -327,7 +327,7 @@ class TestSynth:
             config.write_text(json.dumps(dict(json.load(fh), dt=0)))
         code, _, err = run(capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run"))
         assert code == 2
-        assert "dt: sampling period must be positive" in err
+        assert "dt: must be positive" in err
 
     @pytest.mark.parametrize("key,value", [
         ("control_bounds", [[-1.0, 1.0], [-math.inf, 1.0]]),

@@ -617,3 +617,11 @@ class TestControlsCsv:
             with pytest.raises(ValueError, match="^u must be 2-D"):
                 save_controls_csv(u, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_a_non_finite_array(self, tmp_path, value):
+        # load_controls_csv refuses the cell it would write
+        path = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match="^u must be finite$"):
+            save_controls_csv(np.array([[1.0], [value]]), path)
+        assert not path.exists()

@@ -4,7 +4,7 @@ Each numeric argument is tried at 0, the smallest subnormals, the
 largest finite floats, the infinities, NaN, a bool, a numeric string and
 a two-element array. The outcome must be either a ValueError (or a
 subclass) raised by one of the package's own checks, or finite values;
-no warning may escape (the suite turns RuntimeWarnings into errors).
+no warning may escape (the suite turns every warning into an error).
 """
 
 import dataclasses
@@ -18,6 +18,9 @@ import pytest
 
 import smoothstl
 from smoothstl import (
+    CallablePredicate,
+    Interval,
+    LinearPredicate,
     RegionTable,
     SemanticsConfig,
     SynthesisProblem,
@@ -105,6 +108,20 @@ CALLS = [
     # a spent budget stops a run of 1e308 trials after the first
     ("run_bench trials", lambda v: run_bench(SCENARIO, v, 0.0)),
     ("run_bench time_budget_s", lambda v: run_bench(SCENARIO, 2, v)),
+    # constructors only: a synthesize() run with restarts = 1e308 never ends
+    ("LinearPredicate coefficient", lambda v: LinearPredicate((1.0, v), 0.5)),
+    ("LinearPredicate offset", lambda v: LinearPredicate((1.0,), v)),
+    ("Interval lo", lambda v: Interval(v, 3)),
+    ("CallablePredicate dim", lambda v: CallablePredicate(fn=lambda y: float(y[0]), dim=v)),
+    ("RegionTable bound", lambda v: RegionTable({"box": {0: (-1.0, v)}})),
+    ("RegionTable.inflated margin", lambda v: REGIONS.inflated(v)),
+    ("ScenarioConfig dt", lambda v: dataclasses.replace(SCENARIO, dt=v)),
+    ("ScenarioConfig obstacle_inflation",
+     lambda v: dataclasses.replace(SCENARIO, obstacle_inflation=v)),
+    ("SynthesisProblem k1", lambda v: dataclasses.replace(PROBLEM, k1=v)),
+    ("SynthesisProblem k2", lambda v: dataclasses.replace(PROBLEM, k2=v)),
+    ("SynthesisProblem control_weight", lambda v: dataclasses.replace(PROBLEM, control_weight=v)),
+    ("SynthesisProblem tolerance", lambda v: dataclasses.replace(PROBLEM, tolerance=v)),
 ]
 
 

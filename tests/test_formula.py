@@ -61,7 +61,7 @@ class TestLinearPredicate:
             LinearPredicate((float("inf"),), 0.0)
         # float() would take each of these
         for coeffs, offset in ((("1", 1.0), 0.5), ((1.0, True), 0.5), ((1.0,), "0.5")):
-            with pytest.raises(FormulaError, match="must be a number, got"):
+            with pytest.raises(FormulaError, match="^(coefficient|offset): needs a number, got"):
                 LinearPredicate(coeffs, offset)
 
     def test_label_is_cosmetic(self):
@@ -91,6 +91,16 @@ class TestCallablePredicate:
         with pytest.raises(FormulaError, match="shape"):
             pred.gradient([1.0, 2.0])
 
+    @pytest.mark.parametrize("dim", [True, 1.0, "1"])
+    def test_dim_must_be_a_whole_number(self, dim):
+        # True used to pass as 1, and 1.0 and "1" raised a bare TypeError
+        with pytest.raises(FormulaError, match=f"^dim: needs a whole number, got {dim!r}$"):
+            CallablePredicate(fn=lambda y: float(y[0]), dim=dim)
+
+    def test_dim_must_be_positive(self):
+        with pytest.raises(FormulaError, match="^dim: must be positive$"):
+            CallablePredicate(fn=lambda y: float(y[0]), dim=0)
+
 
 class TestInterval:
     def test_width_and_str(self):
@@ -98,7 +108,8 @@ class TestInterval:
         assert w.width == 3
         assert str(w) == "[2,5]"
 
-    @pytest.mark.parametrize("lo,hi", [(-1, 2), (3, 1)])
+    # operator.index would take True as 1
+    @pytest.mark.parametrize("lo,hi", [(-1, 2), (3, 1), (True, 3), (0, True)])
     def test_bad_bounds(self, lo, hi):
         with pytest.raises(FormulaError):
             Interval(lo, hi)

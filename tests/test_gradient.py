@@ -20,6 +20,7 @@ from smoothstl.formula import (
     Pred,
 )
 from smoothstl.gradient import (
+    RobustnessGradient,
     eval_with_gradient,
     finite_difference_gradient,
     grad_smooth_max,
@@ -226,3 +227,12 @@ class TestGradientCsv:
         path.write_text("t,d_y0\n0,nan\n1,inf\n")
         with pytest.raises(SemanticsError, match="bad.csv: row 2 has a non-finite number"):
             load_gradient_csv(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_a_non_finite_gradient(self, tmp_path, value):
+        # load_gradient_csv refuses the cell it would write
+        path = tmp_path / "grad.csv"
+        grad = RobustnessGradient(value=0.0, dsignal=np.array([[1.0, value]]))
+        with pytest.raises(ValueError, match="^d_y must be finite$"):
+            save_gradient_csv(grad, path)
+        assert not path.exists()

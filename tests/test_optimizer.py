@@ -134,7 +134,7 @@ KNOB_ERRORS = [
     ("seed", 1.5, "seed: needs a whole number, got 1.5"),
     ("max_iters", 0, "max_iters: must be positive"),
     ("restarts", -1, "restarts: must be nonnegative"),
-    ("k1", 0.0, "k1: sharpness must be positive"),
+    ("k1", 0.0, "k1: must be positive"),
     ("k2", math.nan, "k2: must be finite"),
     ("control_weight", -0.5, "control_weight: must be nonnegative"),
     ("tolerance", 0.0, "tolerance: must be positive"),
@@ -591,15 +591,15 @@ class TestKContinuation:
             k_continuation(problem, [0.0, 1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             k_continuation(problem, [1.0, 1.0])
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="^k_schedule: must be finite"):
             k_continuation(problem, [1.0, float("inf")])
 
     def test_schedule_entries_are_numbers(self):
         # float(True) is 1.0, so [True, 2] used to run stages at k = 1 and 2
         problem = reach_problem()
-        with pytest.raises(ValueError, match="^k_schedule: needs numbers, got True"):
+        with pytest.raises(ValueError, match="^k_schedule: needs a number, got True"):
             k_continuation(problem, [True, 2])
-        with pytest.raises(ValueError, match="^k_schedule: needs numbers, got '3'"):
+        with pytest.raises(ValueError, match="^k_schedule: needs a number, got '3'"):
             k_continuation(problem, [1, "3"])
 
     def test_singleton_schedule_is_plain_synthesis(self):

@@ -167,10 +167,10 @@ class TestErrors:
         with pytest.raises(FormulaError, match="at least 1"):
             parse("y0 >= 0", p=0)
 
-    @pytest.mark.parametrize("p", ["1", 2.0, np.array([2, 3])])
+    @pytest.mark.parametrize("p", ["1", 2.0, np.array([2, 3]), True])
     def test_p_must_be_a_whole_number(self, p):
         # read as interval bounds are: "1" used to fail comparing with 1,
-        # and 2.0 building the coefficient list
+        # 2.0 building the coefficient list, and True passed as 1
         with pytest.raises(FormulaError, match="^signal dimension p: needs a whole number"):
             parse("y0 >= 0", p=p)
         with pytest.raises(FormulaError, match="^signal dimension p: needs a whole number"):

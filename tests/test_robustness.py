@@ -76,11 +76,11 @@ class TestSignal:
 class TestSemanticsConfig:
     def test_classmethod_validation(self):
         assert SemanticsConfig.ef(2, 0).k2 == 0.0
-        with pytest.raises(SemanticsError, match="k1 > 0"):
+        with pytest.raises(SemanticsError, match="^k1: must be positive$"):
             SemanticsConfig.ef(0, 1)
-        with pytest.raises(SemanticsError, match="k2 >= 0"):
+        with pytest.raises(SemanticsError, match="^k2: must be nonnegative$"):
             SemanticsConfig.ef(1, -1)
-        with pytest.raises(SemanticsError, match="k > 0"):
+        with pytest.raises(SemanticsError, match="^k: must be positive$"):
             SemanticsConfig.lse(0)
         with pytest.raises(SemanticsError, match="unknown semantics"):
             SemanticsConfig("fuzzy")
@@ -98,11 +98,11 @@ class TestSemanticsConfig:
 
     def test_non_finite_sharpness_rejected(self):
         inf = float("inf")
-        with pytest.raises(SemanticsError, match="k1 must be positive and finite"):
+        with pytest.raises(SemanticsError, match="^k1: must be finite$"):
             SemanticsConfig.ef(inf, inf)
-        with pytest.raises(SemanticsError, match="k2 must be nonnegative and finite"):
+        with pytest.raises(SemanticsError, match="^k2: must be finite$"):
             SemanticsConfig.ef(1.0, inf)
-        with pytest.raises(SemanticsError, match="k must be positive and finite"):
+        with pytest.raises(SemanticsError, match="^k: must be finite$"):
             SemanticsConfig.lse(float("nan"))
         for op in (smooth_min, smooth_max, lse_max):
             with pytest.raises(ValueError, match="finite"):
@@ -189,11 +189,11 @@ class TestSoftOperators:
             smooth_max([1.0, float("inf")], 1.0)
         with pytest.raises(ValueError, match="vector"):
             smooth_min(np.zeros((2, 2)), 1.0)
-        with pytest.raises(ValueError, match="k1 must be positive"):
+        with pytest.raises(ValueError, match="^k1: must be positive$"):
             smooth_min([1.0], 0.0)
-        with pytest.raises(ValueError, match="k2 must be nonnegative"):
+        with pytest.raises(ValueError, match="^k2: must be nonnegative$"):
             smooth_max([1.0], -1.0)
-        with pytest.raises(ValueError, match="k must be positive"):
+        with pytest.raises(ValueError, match="^k: must be positive$"):
             lse_max([1.0], 0.0)
 
     def test_sharpness_is_not_a_bool_or_a_string(self):
@@ -208,7 +208,7 @@ class TestSoftOperators:
 class TestOverflow:
     """Margins spread beyond the float range overflow the soft reducers'
     shifted differences a - m. No warning may escape (the suite turns
-    RuntimeWarning into an error), and every value stays finite and, for
+    every warning into an error), and every value stays finite and, for
     ef, no larger than the exact one. k = 0 is the mean, which used to
     give NaN; a subnormal k caps the differences at the largest float."""
 

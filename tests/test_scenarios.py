@@ -252,7 +252,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_sampling_period_must_be_positive(self, dt):
-        with pytest.raises(ScenarioError, match="^dt: sampling period must be positive"):
+        with pytest.raises(ScenarioError, match="^dt: must be positive$"):
             ScenarioConfig(**self.base_kwargs(dt=dt))
 
     @pytest.mark.parametrize("field,value,message", [
