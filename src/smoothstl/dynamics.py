@@ -124,7 +124,10 @@ def _hook(name, fn, shape, *args):
 
 
 def _first_non_finite(V):
-    """(r, t) for each row r of V (R, K, k) that is not finite, t its first such step."""
+    """(r, t) for each row r of V (R, K, k) that is not finite, t its first such
+    step; an all-finite V, the common case, costs one whole-array test."""
+    if np.isfinite(V).all():
+        return []
     finite = np.isfinite(V).all(axis=-1)
     return [(r, int(np.argmin(finite[r]))) for r in np.flatnonzero(~finite.all(axis=-1))]
 
@@ -177,17 +180,18 @@ def _simulate(model, x0, u, stack=False):
         X = _hook("states", model.states, (R, N, model.n), x0[None].repeat(R, 0), U[:, :-1])
     else:
         X = np.stack([_step_loop(model.step, x0, row[:-1]) for row in U])
-    # the states up to each row's first non-finite one
-    kept = np.logical_and.accumulate(np.isfinite(X).all(axis=-1), axis=-1)
-    if kept.all():
+    if np.isfinite(X).all():  # so every divergence is the output's
+        kept = None
         flat = model.output(X.reshape(R * N, -1), U.reshape(R * N, -1))
         Y = _stacked(flat, (R, N), (p,), "output")
     else:
+        # the states up to each row's first non-finite one
+        kept = np.logical_and.accumulate(np.isfinite(X).all(axis=-1), axis=-1)
         Y = np.full((R, N, p), np.nan)
         Y[kept] = _stacked(model.output(X[kept], U[kept]), (int(kept.sum()),), (p,), "output")
     errors = [None] * R
     for r, t in _first_non_finite(Y):
-        errors[r] = RolloutDivergence(t, "output" if kept[r, t] else "state")
+        errors[r] = RolloutDivergence(t, "output" if kept is None or kept[r, t] else "state")
     if errors[0] is not None and not stack:
         raise errors[0]
     return X, U, Y, errors
@@ -339,15 +343,16 @@ def differential_drive(dt=1.0):
 
     def states(x0, U):
         # the same operations as step, in the same order: each coordinate
-        # is a running sum of its increments
-        def running(first, steps):
-            return np.add.accumulate(np.concatenate([first, steps], axis=-1), axis=-1)
-
+        # is a running sum of its increments, summed in place
+        X = np.empty((*U.shape[:-2], U.shape[-2] + 1, 3))
+        X[..., 0, :] = x0
+        X[..., 1:, 2] = dt * U[..., 1]
+        th = np.add.accumulate(X[..., 2], axis=-1, out=X[..., 2])[..., :-1]
         dv = dt * U[..., 0]
-        th = running(x0[..., 2:], dt * U[..., 1])
-        px = running(x0[..., :1], dv * np.cos(th[..., :-1]))
-        py = running(x0[..., 1:2], dv * np.sin(th[..., :-1]))
-        return np.stack([px, py, th], axis=-1)
+        X[..., 1:, 0] = dv * np.cos(th)
+        X[..., 1:, 1] = dv * np.sin(th)
+        np.add.accumulate(X[..., :2], axis=-2, out=X[..., :2])
+        return X
 
     def adjoint(X, U, dY):
         # the costate after step t sums, from the last, the position adjoints

@@ -546,7 +546,8 @@ class RegionTable:
         checked = {}
         for dim, bounds in faces.items():
             try:
-                d = int(dim) if isinstance(dim, str) else _number(dim, operator.index)
+                # digits only, as in a signal variable; _number refuses any other string
+                d = int(dim) if isinstance(dim, str) and dim.isdecimal() else _number(dim, operator.index)
                 lo, hi = _pair(bounds)
             except (TypeError, ValueError):
                 raise FormulaError(

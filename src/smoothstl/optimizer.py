@@ -10,7 +10,10 @@ short scalar recursion (Byrd, Nocedal and Schnabel 1994; Nocedal and
 Wright, Numerical Optimization, 7.2). Steps are chosen by a backtracking
 line search that only ever accepts a non-decrease of J, and the ascent
 stops when the gradient's infinity norm drops below tolerance or the
-iteration budget runs out.
+iteration budget runs out. objective returns a finite J and gradient or
+a divergence, so the ascent checks neither again. Where the infinity
+norms of its vectors allow a product of them to overflow, the product
+gives inf or nan without a warning, as it would unchecked.
 
 Restart 0 always starts from u = 0; the remaining restarts start from
 seeded uniform noise (over the control bounds when given, otherwise over
@@ -26,6 +29,7 @@ seed, bit-identical result.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -160,35 +164,45 @@ def objective(problem, u):
 
     A stack of R sequences (R, T+1, m) gives, in one pass, a list of R
     outcomes, each the row's (J, dJ) or RolloutDivergence, bit for bit
-    what the row gives on its own. A row that diverges in the rollout
-    skips the robustness evaluation. A predicate margin that is not finite
-    is a divergence at its first timestep, and an effort term that
-    overflows one at the row of u where the running sum of squares does.
+    what the row gives on its own. J and dJ are always finite. A row that
+    diverges in the rollout skips the robustness evaluation. A predicate
+    margin or control gradient that is not finite is a divergence at its
+    first timestep, and a J or dJ that overflows in the effort term one at
+    the row of u where the running sum of squares, or else the running
+    penalty or dJ, first does.
     """
     stack = np.ndim(u) == 3
     X, U, Y, outcomes = _simulate(problem.model, problem.x0, u, stack)
     live = [r for r, error in enumerate(outcomes) if error is None]
     while live:
+        rows = live if len(live) < len(outcomes) else slice(None)  # no copy if all live
         try:
-            rho, dY = _evaluate(problem.phi, Y[live], 0, problem.config, problem.classic_until, True)
+            rho, dY = _evaluate(problem.phi, Y[rows], 0, problem.config, problem.classic_until, True)
             break
         except _NonFiniteMargin as bad:  # those rows drop out, the rest run again
             for r, t in zip(live, bad.first):
                 outcomes[r] = None if t is None else RolloutDivergence(t, "predicate margin")
             live = [r for r in live if outcomes[r] is None]
     if live:
-        U = U[live]
-        du, errors = _backward(problem.model, X[live], U, dY)
+        U = U[rows]
+        du, errors = _backward(problem.model, X[rows], U, dY)
         w = problem.control_weight
         with np.errstate(over="ignore", invalid="ignore"):
             squares = U * U
             effort = squares.reshape(len(U), -1).sum(axis=-1)
             J, dJ = rho - w * effort, du - 2.0 * w * U
-            for i, r in enumerate(live):
-                if errors[i] is None and not math.isfinite(effort[i]):
-                    running = np.add.accumulate(squares[i].sum(axis=-1))[:-1]
-                    errors[i] = RolloutDivergence(int(np.isfinite(running).sum()), "control effort")
-                outcomes[r] = (float(J[i]), dJ[i]) if errors[i] is None else errors[i]
+            if not (np.isfinite(J).all() and np.isfinite(dJ).all()):  # one test, then by row
+                running = np.add.accumulate(squares.sum(axis=-1), axis=-1)
+                dJ_finite = np.isfinite(dJ).all(axis=-1)
+                fine = np.isfinite(np.reshape(rho, (-1, 1)) - w * running) & dJ_finite
+                # where the sum of squares overflows, or if it stays finite, the running J or dJ
+                over = ~np.isfinite(running) | (np.isfinite(effort)[:, None] & ~fine)
+                over[:, -1] = True  # the last row, where the sums differ only in order
+                for i in np.flatnonzero(~(np.isfinite(J) & dJ_finite.all(axis=-1))):
+                    if errors[i] is None:
+                        errors[i] = RolloutDivergence(int(over[i].argmax()), "control effort")
+        for i, r in enumerate(live):
+            outcomes[r] = (float(J[i]), dJ[i]) if errors[i] is None else errors[i]
     if not stack and isinstance(outcomes[0], RolloutDivergence):
         raise outcomes[0]
     return outcomes if stack else outcomes[0]
@@ -248,7 +262,15 @@ class SynthesisResult:
 
 
 def _clamp(u, bounds):
-    return u if bounds is None else np.clip(u, *np.array(bounds).T)
+    return u if bounds is None else np.clip(u, *bounds)
+
+
+def _quiet(bound):
+    """No context while twice bound, a Python float over every result, is
+    finite; else one where an overflow gives inf or nan without a warning."""
+    if 2.0 * bound < math.inf:
+        return contextlib.nullcontext()
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 class _Memory:
@@ -306,51 +328,51 @@ def _ascend(problem, u0):
     the start that marks the ascent failed (None), in the line search it
     rejects the step length.
     """
-    bounds = problem.control_bounds if problem.hard_clamp else None
+    clamp = problem.hard_clamp and problem.control_bounds is not None
+    bounds = tuple(np.array(problem.control_bounds).T) if clamp else None
     u = _clamp(np.asarray(u0, dtype=float), bounds)
     outcome = yield u
     if isinstance(outcome, RolloutDivergence):
         return None
     J, g = outcome
-    if not (math.isfinite(J) and np.isfinite(g).all()):
-        return None
+    n, gnorm = u.size, float(np.abs(g).max())
     trace = [J]
-    memory = _Memory(u.size)
-    converged = False
-    for it in range(problem.max_iters):
-        g1 = g.ravel()
-        gnorm = float(np.abs(g1).max())
-        if gnorm < problem.tolerance:
-            converged = True
+    memory = _Memory(n)
+    for it in range(problem.max_iters):  # max_iters >= 1
+        converged = gnorm < problem.tolerance
+        if converged:
             break
+        g1 = g.ravel()
         d = memory.direction(g)
-        if not np.isfinite(d).all() or float(d.ravel().dot(g1)) <= 0.0:
-            d = g.copy()
-            memory.order.clear()
+        dnorm = float(np.abs(d).max())  # not finite when d is not
+        with _quiet(n * dnorm * gnorm):
+            if not math.isfinite(dnorm) or float(d.ravel().dot(g1)) <= 0.0:
+                d = g.copy()
+                memory.order.clear()
         alpha = 1.0 if it > 0 else 1.0 / max(1.0, gnorm)
-        accepted = None
         for _ in range(_MAX_BACKTRACKS):
             cand = _clamp(u + alpha * d, bounds)
-            s = (cand - u).ravel()
-            gain = float(g1.dot(s))
             outcome = yield cand
-            if isinstance(outcome, RolloutDivergence):
-                alpha *= 0.5
-                continue
-            Jc, gc = outcome
-            if math.isfinite(Jc) and np.isfinite(gc).all() and Jc >= J + _ARMIJO_C1 * max(gain, 0.0) and Jc >= J:
-                accepted = (cand, Jc, gc)
-                break
+            if not isinstance(outcome, RolloutDivergence) and outcome[0] >= J:
+                # the Armijo gain needs the step only for a J that rose
+                s = (cand - u).ravel()
+                step = float(np.abs(s).max())
+                with _quiet(n * gnorm * step):
+                    gain = float(g1.dot(s))
+                if outcome[0] >= J + _ARMIJO_C1 * max(gain, 0.0):
+                    break
             alpha *= 0.5
-        if accepted is None:
+        else:  # no step length was accepted
             break
-        cand, Jc, gc = accepted
-        y = (g - gc).ravel()  # s is the accepted candidate's step
-        sy, ss, yy = float(s.dot(y)), float(s.dot(s)), float(y.dot(y))
+        Jc, gc = outcome
+        gcnorm = float(np.abs(gc).max())
+        bound = step + gnorm + gcnorm  # over s, the accepted step, and g - gc
+        with _quiet(n * bound * bound):
+            y = (g - gc).ravel()
+            sy, ss, yy = float(s.dot(y)), float(s.dot(s)), float(y.dot(y))
         if sy > 1e-10 * math.sqrt(ss) * math.sqrt(yy):
             memory.add(s, y, sy, yy)
-        step = float(np.abs(s).max())
-        u, J, g = cand, Jc, gc
+        u, J, g, gnorm = cand, Jc, gc, gcnorm
         trace.append(J)
         if step < 1e-14:
             break
@@ -359,14 +381,10 @@ def _ascend(problem, u0):
 
 def _initial_controls(problem):
     """Restart starting points: the zero baseline plus seeded uniform draws."""
-    shape = (problem.T + 1, problem.model.m)
-    inits = [np.zeros(shape)]
-    rng = np.random.default_rng(problem.seed)
-    bounds = problem.control_bounds
+    shape, bounds = (problem.T + 1, problem.model.m), problem.control_bounds
     lo, hi = (-1.0, 1.0) if bounds is None else np.array(bounds).T
-    for _ in range(problem.restarts):
-        inits.append(rng.uniform(lo, hi, size=shape))
-    return inits
+    rng = np.random.default_rng(problem.seed)
+    return [np.zeros(shape)] + [rng.uniform(lo, hi, size=shape) for _ in range(problem.restarts)]
 
 
 def _run_restarts(problem, starts, first=0):
@@ -378,7 +396,7 @@ def _run_restarts(problem, starts, first=0):
     done, wall_ms, live = {}, [0.0] * len(starts), list(range(len(starts)))
     while live:
         start = time.perf_counter()
-        for i, outcome in zip(live, objective(problem, np.stack([asks[i] for i in live]))):
+        for i, outcome in zip(live, objective(problem, np.array([asks[i] for i in live]))):
             try:
                 asks[i] = ascents[i].send(outcome)
             except StopIteration as stop:
@@ -390,8 +408,7 @@ def _run_restarts(problem, starts, first=0):
     outcomes = []
     for i, ms in enumerate(wall_ms):
         if done[i] is None:
-            failed = RestartRecord(first + i, -math.inf, -math.inf, -math.inf, 0, False, ms, True)
-            outcomes.append((failed, None))
+            outcomes.append((RestartRecord(first + i, *[-math.inf] * 3, 0, False, ms, True), None))
             continue
         u, J, trace, converged = done[i]
         y = rollout(problem.model, problem.x0, u)
@@ -421,22 +438,14 @@ def synthesize(problem):
             f"all {len(outcomes)} restarts diverged; the model or start state "
             "is producing non-finite trajectories"
         )
-    best_rec, best_payload = max(
-        candidates, key=lambda rp: (rp[0].rho_exact, rp[0].objective, -rp[0].index)
-    )
-    u, y, trace = best_payload
-    wall = time.perf_counter() - start
+    best_rec, (u, y, trace) = max(
+        candidates, key=lambda rp: (rp[0].rho_exact, rp[0].objective, -rp[0].index))
     return SynthesisResult(
-        u_star=u,
-        y_star=y,
-        rho_smooth=best_rec.rho_smooth,
-        rho_exact=best_rec.rho_exact,
-        satisfied=best_rec.rho_exact > 0.0,
-        iterations=best_rec.iterations,
-        objective_trace=trace,
-        wall_time=wall,
-        restart_index=best_rec.index,
-        restart_records=records,
+        u_star=u, y_star=y,
+        rho_smooth=best_rec.rho_smooth, rho_exact=best_rec.rho_exact,
+        satisfied=best_rec.rho_exact > 0.0, iterations=best_rec.iterations,
+        objective_trace=trace, wall_time=time.perf_counter() - start,
+        restart_index=best_rec.index, restart_records=records,
     )
 
 
@@ -461,12 +470,7 @@ def k_continuation(problem, k_schedule):
     if len(ks) == 1:
         return first
 
-    stages = [
-        ContinuationStage(
-            k=ks[0], u_init=None, u_star=first.u_star,
-            rho_exact=first.rho_exact, iterations=first.iterations,
-        )
-    ]
+    stages = [ContinuationStage(ks[0], None, first.u_star, first.rho_exact, first.iterations)]
     trace = list(first.objective_trace)
     for k in ks[1:]:
         u_init = stages[-1].u_star
@@ -474,25 +478,14 @@ def k_continuation(problem, k_schedule):
         if record.failed:
             raise SynthesisFailure(f"continuation stage k={k} diverged from its warm start")
         u, y, stage_trace = payload
-        stages.append(
-            ContinuationStage(
-                k=k, u_init=u_init, u_star=u,
-                rho_exact=record.rho_exact, iterations=record.iterations,
-            )
-        )
+        stages.append(ContinuationStage(k, u_init, u, record.rho_exact, record.iterations))
         trace.extend(stage_trace)
 
     # the last stage ran at ks[-1] on the reported controls, so its record
     # already holds the final robustness
     return replace(
-        first,
-        u_star=u,
-        y_star=y,
-        rho_smooth=record.rho_smooth,
-        rho_exact=record.rho_exact,
-        satisfied=record.rho_exact > 0.0,
-        iterations=sum(s.iterations for s in stages),
-        objective_trace=trace,
-        wall_time=time.perf_counter() - start,
-        stages=stages,
+        first, u_star=u, y_star=y,
+        rho_smooth=record.rho_smooth, rho_exact=record.rho_exact,
+        satisfied=record.rho_exact > 0.0, iterations=sum(s.iterations for s in stages),
+        objective_trace=trace, wall_time=time.perf_counter() - start, stages=stages,
     )

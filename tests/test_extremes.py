@@ -22,6 +22,7 @@ from smoothstl import (
     Interval,
     LinearPredicate,
     RegionTable,
+    RolloutDivergence,
     SemanticsConfig,
     SynthesisProblem,
     builtin_model,
@@ -30,16 +31,19 @@ from smoothstl import (
     finite_difference_gradient,
     grad_smooth_max,
     grad_smooth_min,
+    build_problem,
     builtin_scenario,
     k_continuation,
     lse_max,
     max_error_bound,
     min_error_bound,
+    objective,
     parse,
     run_bench,
     single_integrator_2d,
     smooth_max,
     smooth_min,
+    synthesize,
 )
 
 PACKAGE = Path(smoothstl.__file__).resolve().parent
@@ -150,3 +154,23 @@ def test_a_named_error_or_finite_values(name, call, value):
         assert frame.line.startswith("raise"), exc
         return
     assert finite(result), result
+
+
+# the largest effort weight with controls far from zero: w * effort and
+# 2 w u overflow while the effort itself stays finite
+HEAVY = build_problem(builtin_scenario("two_target"), control_weight=1e300, restarts=1, max_iters=5)
+
+
+def test_an_overflowing_objective_is_a_divergence():
+    u = np.full((HEAVY.T + 1, 2), 1e10)
+    with pytest.raises(RolloutDivergence, match="^non-finite control effort at timestep 0$"):
+        objective(HEAVY, u)
+    stacked = objective(HEAVY, np.stack([np.zeros_like(u), u]))
+    assert finite(stacked[0])
+    assert str(stacked[1]) == "non-finite control effort at timestep 0"
+
+
+def test_an_ascent_on_gradients_near_the_largest_float_is_quiet():
+    # its slope, gain and curvature products overflow without a warning
+    result = synthesize(HEAVY)
+    assert finite(result.restart_records) and finite(result.u_star)

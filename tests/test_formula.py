@@ -1,5 +1,7 @@
 """Formula construction, normal form, horizon and region tests."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -382,3 +384,10 @@ class TestRegionTable:
             RegionTable({"obs": {"x": (1, 2)}})
         with pytest.raises(FormulaError, match="region 'obs': malformed bounds: dimension True"):
             RegionTable({"obs": {True: (1, 2)}})
+
+    @pytest.mark.parametrize("key", ["1_0", " 2 ", "+1", "-1", "1.0", ""])
+    def test_string_dimension_is_read_as_a_signal_variable_is(self, key):
+        # int() alone would take underscores, spaces and signs
+        with pytest.raises(FormulaError, match=re.escape(f"malformed bounds: dimension {key!r}")):
+            RegionTable({"b": {key: (0, 1)}})
+        assert RegionTable({"b": {"10": (0, 1)}})["b"] == {10: (0.0, 1.0)}

@@ -89,6 +89,30 @@ def stack_cases():
     return [pytest.param(*case, id=name) for name, *case in cases]
 
 
+def branch_problem(control_weight):
+    """reach_problem without bounds on a single integrator whose output is
+    NaN where px > 5 and whose adjoint is inf where a control exceeds 1.5,
+    so that a row can fail in the output alone or in the control gradient."""
+    base = single_integrator_2d()
+    model = replace(
+        base,
+        output=lambda x, u: np.where(x[..., :1] > 5.0, np.nan, base.output(x, u)),
+        adjoint=lambda X, U, dY: np.where(U > 1.5, np.inf, base.adjoint(X, U, dY)),
+    )
+    return reach_problem(model=model, control_bounds=None, control_weight=control_weight)
+
+
+# (case, control weight, entries of a row of 0.5s set to a value, the row's
+# divergence): one case for each branch of objective's finiteness checks
+BRANCH_CASES = [
+    ("all finite", 0.1, np.s_[:0], 0.0, None),
+    ("output only", 0.1, np.s_[:4, 0], 1.4, "output at timestep 4"),
+    ("state", 0.1, np.s_[1:3, 0], -1e308, "state at timestep 3"),
+    ("control gradient", 0.1, np.s_[2, 1], 1.6, "control gradient at timestep 2"),
+    ("effort penalty", 1e300, np.s_[3, 0], -1e10, "control effort at timestep 3"),
+]
+
+
 def reach_problem(**kwargs):
     """Single integrator, 5 samples, reach a unit box; optimum margin 0.5."""
     table = RegionTable({"goal": {0: (2.0, 3.0), 1: (3.0, 4.0)}})
@@ -277,6 +301,35 @@ class TestObjective:
         perm = np.random.default_rng(93).permutation(len(U))
         shuffled = objective(problem, U[perm])
         assert all(same(got, rows[i]) for got, i in zip(shuffled, perm, strict=True))
+
+    @pytest.mark.parametrize("height", [1, 3])
+    @pytest.mark.parametrize(
+        "weight, at, value, diverged", [case[1:] for case in BRANCH_CASES],
+        ids=[case[0] for case in BRANCH_CASES],
+    )
+    def test_each_finiteness_branch_gives_the_row_alone(self, weight, at, value, diverged, height):
+        # alone, in a stack of one, and between two finite rows, where the
+        # whole-array tests fail for the one row only
+        problem = branch_problem(weight)
+        u = np.full((5, 2), 0.5)
+        u[at] = value
+        others = [np.full((5, 2), 0.25), np.full((5, 2), -0.5)]
+        U = np.stack([u] if height == 1 else [others[0], u, others[1]])
+        stacked = objective(problem, U)
+        if diverged is None:
+            J, dJ = objective(problem, u)
+            got = stacked[height // 2]
+            assert got[0] == J and got[1].tobytes() == dJ.tobytes()
+            assert math.isfinite(J) and np.isfinite(dJ).all()
+        else:
+            with pytest.raises(RolloutDivergence) as err:
+                objective(problem, u)
+            assert str(err.value) == f"non-finite {diverged}"
+            assert str(stacked[height // 2]) == str(err.value)
+        if height == 3:
+            for got, row in zip(stacked[::2], others, strict=True):
+                J, dJ = objective(problem, row)
+                assert got[0] == J and got[1].tobytes() == dJ.tobytes()
 
     def test_rows_keep_their_bits_as_the_stack_height_changes(self):
         # the plan keeps backward's scatter indices for the last stack shape
@@ -580,6 +633,22 @@ class TestSynthesize:
             alone.restart_records[0], wall_ms=0.0
         )
         assert (result.u_star == alone.u_star).all()
+
+
+class TestPinnedCounts:
+    # Smooth forwards and accepted iterations of synthesize() at default
+    # knobs do not depend on the machine: a change that keeps results
+    # byte-identical keeps them, and one that moves results re-pins them.
+    @pytest.mark.parametrize(
+        "name, forwards, iterations",
+        [("two_target", 1111, 901), ("tunnel", 2247, 1854), ("charging", 4904, 3989),
+         ("table2_diffdrive", 489, 382)],
+    )
+    def test_builtin_counts(self, name, forwards, iterations):
+        with count_operator_evals() as counter:
+            result = synthesize(build_problem(builtin_scenario(name)))
+        assert counter.forwards == forwards
+        assert sum(r.iterations for r in result.restart_records) == iterations
 
 
 class TestKContinuation:
