@@ -8,10 +8,18 @@ ascent: search directions come from the two-loop recursion over recent
 products so that a direction costs four matrix-vector products and a
 short scalar recursion (Byrd, Nocedal and Schnabel 1994; Nocedal and
 Wright, Numerical Optimization, 7.2). Steps are chosen by a backtracking
-line search that only ever accepts a non-decrease of J, and the ascent
-stops when the gradient's infinity norm drops below tolerance or the
-iteration budget runs out. objective returns a finite J and gradient or
-a divergence, so the ascent checks neither again. Where the infinity
+line search that only ever accepts a non-decrease of J. A rejected probe
+returns J and the gradient at the candidate, so the next step length is
+the peak of the cubic through both ends of the probed step with their
+slopes, kept within 0.1 to 0.5 of the step; after a divergence, or when
+the cubic has no finite peak, the step halves (Nocedal and Wright, 3.5;
+More and Thuente 1994 for the safeguards). The ascent stops when the
+gradient's infinity norm drops below tolerance, when an accepted step
+raises J by at most _FTOL relative to max(|J|, 1), the stop of L-BFGS-B
+with factr = 1e7 (Byrd, Lu, Nocedal and Zhu 1995), when the step or the
+line search gives out, or when the iteration budget runs out; each ascent
+reports which. objective returns a finite J and gradient or a
+divergence, so the ascent checks neither again. Where the infinity
 norms of its vectors allow a product of them to overflow, the product
 gives inf or nan without a warning, as it would unchecked.
 
@@ -61,6 +69,7 @@ DEFAULT_RESTARTS = 10
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 40
+_FTOL = 2.2e-9  # 1e7 times the machine epsilon
 
 
 class SynthesisFailure(RuntimeError):
@@ -190,7 +199,7 @@ def objective(problem, u):
         with np.errstate(over="ignore", invalid="ignore"):
             squares = U * U
             effort = squares.reshape(len(U), -1).sum(axis=-1)
-            J, dJ = rho - w * effort, du - 2.0 * w * U
+            J, dJ = rho - w * effort, du - 2.0 * (w * U)  # 2.0 * w may overflow
             if not (np.isfinite(J).all() and np.isfinite(dJ).all()):  # one test, then by row
                 running = np.add.accumulate(squares.sum(axis=-1), axis=-1)
                 dJ_finite = np.isfinite(dJ).all(axis=-1)
@@ -211,7 +220,11 @@ def objective(problem, u):
 @dataclass
 class RestartRecord:
     """Outcome of one local ascent. wall_ms is its share of the rounds it
-    took part in, each round's wall time split equally among its ascents."""
+    took part in, each round's wall time split equally among its ascents.
+    stop_reason is "gradient" (the tolerance was met, so converged),
+    "no gain" (an accepted step raised J by at most _FTOL relative),
+    "max_iters", "line search" (_MAX_BACKTRACKS step lengths rejected),
+    "step" (an accepted step below 1e-14) or "diverged" (failed)."""
 
     index: int
     rho_exact: float
@@ -219,6 +232,7 @@ class RestartRecord:
     objective: float
     iterations: int
     converged: bool
+    stop_reason: str
     wall_ms: float
     failed: bool = False
 
@@ -320,8 +334,20 @@ class _Memory:
         return (self.gamma * q + np.array(coef).dot(S)).reshape(g.shape)
 
 
+def _backtrack_ratio(J, slope, Jc, slope_c):
+    """Where the cubic p with p(0) = J, p'(0) = slope, p(1) = Jc and
+    p'(1) = slope_c peaks, kept within [0.1, 0.5]; 0.5 when it has no
+    finite peak. Python floats, so nothing warns."""
+    a, b = slope + slope_c - 2.0 * (Jc - J), 3.0 * (Jc - J) - 2.0 * slope - slope_c
+    try:  # p'(t) = 3a t^2 + 2b t + slope = 0 where p'' < 0, in the form exact at a = 0
+        t = slope / (math.sqrt(b * b - 3.0 * a * slope) - b)
+    except (ZeroDivisionError, ValueError):  # a = b = 0, or no real root
+        return 0.5
+    return min(max(t, 0.1), 0.5) if math.isfinite(t) else 0.5
+
+
 def _ascend(problem, u0):
-    """Maximize J from u0; returns (u, J, trace, converged), where trace
+    """Maximize J from u0; returns (u, J, trace, stop_reason), where trace
     holds J at the start and after each accepted step.
 
     It yields each point to evaluate and is sent (J, g) or a divergence: at
@@ -338,9 +364,9 @@ def _ascend(problem, u0):
     n, gnorm = u.size, float(np.abs(g).max())
     trace = [J]
     memory = _Memory(n)
-    for it in range(problem.max_iters):  # max_iters >= 1
-        converged = gnorm < problem.tolerance
-        if converged:
+    for it in range(problem.max_iters):
+        if gnorm < problem.tolerance:
+            stop = "gradient"
             break
         g1 = g.ravel()
         d = memory.direction(g)
@@ -353,30 +379,35 @@ def _ascend(problem, u0):
         for _ in range(_MAX_BACKTRACKS):
             cand = _clamp(u + alpha * d, bounds)
             outcome = yield cand
-            if not isinstance(outcome, RolloutDivergence) and outcome[0] >= J:
-                # the Armijo gain needs the step only for a J that rose
+            ratio = 0.5  # after a divergence, which has no gradient
+            if not isinstance(outcome, RolloutDivergence):
+                Jc, gc = outcome
                 s = (cand - u).ravel()
-                step = float(np.abs(s).max())
-                with _quiet(n * gnorm * step):
-                    gain = float(g1.dot(s))
-                if outcome[0] >= J + _ARMIJO_C1 * max(gain, 0.0):
+                step, gcnorm = float(np.abs(s).max()), float(np.abs(gc).max())
+                with _quiet(n * (gnorm + gcnorm) * step):
+                    gain, slope_c = float(g1.dot(s)), float(gc.ravel().dot(s))
+                if Jc >= J + _ARMIJO_C1 * max(gain, 0.0):
                     break
-            alpha *= 0.5
+                ratio = _backtrack_ratio(J, gain, Jc, slope_c)
+            alpha *= ratio
         else:  # no step length was accepted
+            stop = "line search"
             break
-        Jc, gc = outcome
-        gcnorm = float(np.abs(gc).max())
         bound = step + gnorm + gcnorm  # over s, the accepted step, and g - gc
         with _quiet(n * bound * bound):
             y = (g - gc).ravel()
             sy, ss, yy = float(s.dot(y)), float(s.dot(s)), float(y.dot(y))
         if sy > 1e-10 * math.sqrt(ss) * math.sqrt(yy):
             memory.add(s, y, sy, yy)
+        gained = Jc - J > _FTOL * max(abs(Jc), abs(J), 1.0)
+        stop = "step" if step < 1e-14 else None if gained else "no gain"
         u, J, g, gnorm = cand, Jc, gc, gcnorm
         trace.append(J)
-        if step < 1e-14:
+        if stop:
             break
-    return u, J, trace, converged
+    else:
+        stop = "max_iters"
+    return u, J, trace, stop
 
 
 def _initial_controls(problem):
@@ -408,14 +439,16 @@ def _run_restarts(problem, starts, first=0):
     outcomes = []
     for i, ms in enumerate(wall_ms):
         if done[i] is None:
-            outcomes.append((RestartRecord(first + i, *[-math.inf] * 3, 0, False, ms, True), None))
+            record = RestartRecord(first + i, *[-math.inf] * 3, 0, False, "diverged", ms, True)
+            outcomes.append((record, None))
             continue
-        u, J, trace, converged = done[i]
+        u, J, trace, stop = done[i]
         y = rollout(problem.model, problem.x0, u)
         rho_exact = evaluate(problem.phi, y, 0, EXACT, problem.classic_until)
         rho_smooth = evaluate(problem.phi, y, 0, problem.config, problem.classic_until)
         # every iteration that does not break accepts a step
-        record = RestartRecord(first + i, rho_exact, rho_smooth, J, len(trace) - 1, converged, ms)
+        record = RestartRecord(first + i, rho_exact, rho_smooth, J, len(trace) - 1,
+                               stop == "gradient", stop, ms)
         outcomes.append((record, (u, y, trace)))
     return outcomes
 

@@ -174,3 +174,20 @@ def test_an_ascent_on_gradients_near_the_largest_float_is_quiet():
     # its slope, gain and curvature products overflow without a warning
     result = synthesize(HEAVY)
     assert finite(result.restart_records) and finite(result.u_star)
+
+
+# a weight whose double, 2 w, overflows as a Python float
+HEAVIEST = build_problem(builtin_scenario("two_target"), control_weight=1e308, restarts=0, max_iters=5)
+
+
+def test_an_effort_weight_whose_double_overflows_keeps_a_finite_gradient():
+    # the penalty and its gradient are 0 at u = 0, whatever the weight
+    u = np.zeros((HEAVIEST.T + 1, 2))
+    J, dJ = objective(HEAVIEST, u)
+    J0, dJ0 = objective(dataclasses.replace(HEAVIEST, control_weight=0.0), u)
+    assert J == J0 and dJ.tobytes() == dJ0.tobytes()
+
+
+def test_an_ascent_at_an_effort_weight_whose_double_overflows_keeps_its_restart():
+    (record,) = synthesize(HEAVIEST).restart_records
+    assert not record.failed and finite(record)

@@ -6,6 +6,7 @@ can achieve an exact margin of at most half the box width, and a straight
 run at the box center achieves it. The optimizer must land in that range.
 """
 
+import collections
 import math
 import warnings
 from dataclasses import replace
@@ -22,6 +23,8 @@ from smoothstl.optimizer import (
     SynthesisFailure,
     SynthesisProblem,
     SynthesisResult,
+    _ascend,
+    _backtrack_ratio,
     _initial_controls,
     _Memory,
     _run_restarts,
@@ -522,6 +525,42 @@ class TestGramDirection:
         assert replace(record, wall_ms=0.0) != replace(stacked[2][0], wall_ms=0.0)
 
 
+class TestBacktrack:
+    # (J, slope, Jc, slope_c) of a cubic or quadratic with a known peak
+    @pytest.mark.parametrize(
+        "ends, peak",
+        [((1.0, 0.6, -0.6, -4.8), 0.2),  # 1 + 0.6 t - 1.2 t^2 - t^3
+         ((-0.09, 0.6, -0.49, -1.4), 0.3),  # -(t - 0.3)^2, where a = 0
+         ((-1e-4, 0.02, -0.9801, -1.98), 0.1),  # -(t - 0.01)^2, clamped up
+         ((-0.81, 1.8, -0.01, -0.2), 0.5)],  # -(t - 0.9)^2, clamped down
+    )
+    def test_the_ratio_is_the_peak_of_the_cubic_kept_in_range(self, ends, peak):
+        assert _backtrack_ratio(*ends) == pytest.approx(peak, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ends",
+        [(0.0, math.inf, -1.0, -1.0), (0.0, 1.0, -1.0, math.nan),
+         (0.0, math.inf, -1.0, -math.inf),  # inf - inf
+         (0.0, 1.0, 2.0, 4.0),  # t^3 + t: p' has no real root
+         (0.0, 1.0, 1.0, 1.0)],  # a line: a = b = 0
+        ids=["inf", "nan", "inf-inf", "no root", "line"],
+    )
+    def test_no_finite_peak_halves_the_step(self, ends):
+        assert _backtrack_ratio(*ends) == 0.5
+
+    def test_the_line_search_halves_after_a_divergence_and_else_fits_the_cubic(self):
+        problem = reach_problem(control_bounds=None)
+        ascent = _ascend(problem, np.zeros((5, 2)))
+        u = next(ascent)
+        J, g = objective(problem, u)
+        first = ascent.send((J, g))
+        second = ascent.send(RolloutDivergence(0, "state"))
+        assert second.tobytes() == (0.5 * first).tobytes()  # u = 0
+        slope = float(np.sum(g * second))
+        third = ascent.send((J - 1.0, -g))
+        assert_allclose(third, _backtrack_ratio(J, slope, J - 1.0, -slope) * second, rtol=1e-15)
+
+
 class TestSynthesize:
     def test_reaches_the_analytic_optimum(self):
         result = synthesize(reach_problem())
@@ -609,6 +648,26 @@ class TestSynthesize:
         with np.errstate(over="ignore"), pytest.raises(SynthesisFailure, match="diverged"):
             synthesize(problem)
 
+    @pytest.mark.parametrize(
+        "knobs, reasons",
+        [({"tolerance": 0.5}, {"gradient": 5}), ({"max_iters": 1}, {"max_iters": 5}),
+         ({"control_bounds": ((-0.1, 0.1),) * 2, "hard_clamp": True}, {"step": 5}),
+         ({}, {"no gain": 3, "gradient": 2})],
+    )
+    def test_each_restart_says_why_it_stopped(self, knobs, reasons):
+        records = synthesize(reach_problem(**knobs)).restart_records
+        assert collections.Counter(r.stop_reason for r in records) == reasons
+        assert all(r.converged == (r.stop_reason == "gradient") for r in records)
+
+    def test_a_failed_restart_diverged_and_an_exhausted_line_search_says_so(self):
+        # at w = 1e308 every random start overflows the effort term, and
+        # every step from u = 0 lowers J
+        problem = build_problem(
+            builtin_scenario("two_target"), control_weight=1e308, restarts=2, max_iters=5)
+        records = synthesize(problem).restart_records
+        assert [(r.failed, r.stop_reason, r.iterations) for r in records] == [
+            (False, "line search", 0), (True, "diverged", 0), (True, "diverged", 0)]
+
     def test_divergent_restarts_fail_alone(self):
         # the state is multiplied by 1e160 u, so the zero baseline stays
         # finite and every random start overflows by t = 2
@@ -636,19 +695,23 @@ class TestSynthesize:
 
 
 class TestPinnedCounts:
-    # Smooth forwards and accepted iterations of synthesize() at default
-    # knobs do not depend on the machine: a change that keeps results
-    # byte-identical keeps them, and one that moves results re-pins them.
+    # Smooth forwards, accepted iterations and stop reasons of synthesize()
+    # at default knobs do not depend on the machine: a change that keeps
+    # results byte-identical keeps them, and one that moves results re-pins
+    # them. The ids name the builtin alone, so a re-pin keeps them.
     @pytest.mark.parametrize(
-        "name, forwards, iterations",
-        [("two_target", 1111, 901), ("tunnel", 2247, 1854), ("charging", 4904, 3989),
-         ("table2_diffdrive", 489, 382)],
+        "name, forwards, iterations, reasons",
+        [("two_target", 848, 723, {"no gain": 11}), ("tunnel", 1559, 1329, {"no gain": 11}),
+         ("charging", 3088, 2724, {"no gain": 11}),
+         ("table2_diffdrive", 325, 279, {"no gain": 4})],
+        ids=["two_target", "tunnel", "charging", "table2_diffdrive"],
     )
-    def test_builtin_counts(self, name, forwards, iterations):
+    def test_builtin_counts(self, name, forwards, iterations, reasons):
         with count_operator_evals() as counter:
             result = synthesize(build_problem(builtin_scenario(name)))
         assert counter.forwards == forwards
         assert sum(r.iterations for r in result.restart_records) == iterations
+        assert collections.Counter(r.stop_reason for r in result.restart_records) == reasons
 
 
 class TestKContinuation:
