@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formula import _real
+from .formula import _array, _real
 from .robustness import Signal, _read_series_csv, _write_series_csv
 
 __all__ = [
@@ -150,30 +150,17 @@ def _step_loop(step, x0, U):
     return X
 
 
-def _simulate(model, x0, u, stack=False):
+def _simulate(model, x0, U, stack=False):
     """States X (R, T+1, n), controls U (R, T+1, m) and outputs Y (R, T+1, p)
-    of the rollouts from x0 of a stack u of R control sequences, and each
-    row's RolloutDivergence or None. Without stack, u is one sequence
-    (T+1, m), a stack of one, whose divergence is raised.
+    of the rollouts from x0 of a stack U of R control sequences, and each
+    row's RolloutDivergence or None. Without stack, U is one sequence
+    (T+1, m), a stack of one, whose divergence is raised. x0 and U are
+    finite float arrays of those shapes, as _read and objective give.
 
     A row diverges at its first non-finite sample in the order a
     step-by-step rollout meets them: the output at t, then the state at
     t+1. Outputs are only computed from finite states.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 must have shape ({model.n},), got {x0.shape}")
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 must be finite")
-    U = np.asarray(u, dtype=float)
-    if U.ndim != 2 + stack or U.shape[-1] != model.m:
-        raise ValueError(f"u must have shape ({'R, ' * stack}T+1, {model.m}), got {U.shape}")
-    if U.shape[-2] < 1:
-        raise ValueError("u needs at least one row")
-    if stack and len(U) < 1:
-        raise ValueError("u needs at least one sequence")
-    if not np.isfinite(U).all():
-        raise ValueError("u must be finite")
     U = U if stack else U[None]
     (R, N, _), p = U.shape, model.p
     if model.states is not None:
@@ -239,9 +226,14 @@ def _backward(model, X, U, dY):
     return du, errors
 
 
+def _read(model, x0, u):
+    """x0 and one control sequence u, read for _simulate."""
+    return _array("x0", x0, shape=(model.n,)), _array("u", u, shape=(None, model.m))
+
+
 def rollout(model, x0, u):
     """Drive the model from x0 with controls u; returns the output Signal."""
-    return Signal(_simulate(model, x0, u)[2][0])
+    return Signal(_simulate(model, *_read(model, x0, u))[2][0])
 
 
 @dataclass
@@ -263,11 +255,7 @@ class SensitivityRollout:
         so the two agree bit for bit. Raises RolloutDivergence at the
         first non-finite row of the result ("control gradient").
         """
-        dsignal, shape = np.asarray(dsignal, dtype=float), self.signal.values.shape
-        if dsignal.shape != shape:
-            raise ValueError(f"dsignal must have shape {shape}, got {dsignal.shape}")
-        if not np.isfinite(dsignal).all():
-            raise ValueError("dsignal must be finite")
+        dsignal = _array("dsignal", dsignal, shape=self.signal.values.shape)
         (du,), (error,) = _backward(self.model, self.X[None], self.U[None], dsignal[None])
         if error is not None:
             raise error
@@ -276,7 +264,7 @@ class SensitivityRollout:
 
 def rollout_with_sensitivities(model, x0, u):
     """Like rollout, but keeps the states and controls for control_gradient."""
-    X, U, Y, _ = _simulate(model, x0, u)
+    X, U, Y, _ = _simulate(model, *_read(model, x0, u))
     return SensitivityRollout(Signal(Y[0]), model, X[0], U[0].copy())
 
 
@@ -415,7 +403,7 @@ def builtin_model(name, dt=1.0):
 
 
 def save_controls_csv(u, path):
-    _write_series_csv(path, np.asarray(u, dtype=float), "u")
+    _write_series_csv(path, u, "u")
 
 
 def load_controls_csv(path):

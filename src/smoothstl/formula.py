@@ -59,15 +59,16 @@ def _number(value, to=float):
     return to(value)
 
 
-def _whole(value, name="value", error=ValueError):
-    """value as an int, if it is a whole number: 2.0 passes, and 2.5 never
-    truncates to 2. A bool or a string is no number (see _number)."""
+def _whole(value, key, error=ValueError):
+    """value as an int, or error("key: needs a whole number, got value"): 2.0
+    passes, and 2.5 never truncates to 2. A bool or a string is no number
+    (see _number)."""
     try:
         number = _number(value, int)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value:
-        raise error(f"{name} must be a whole number, got {value!r}")
+        raise error(f"{key}: needs a whole number, got {value!r}")
     return number
 
 
@@ -76,15 +77,6 @@ def _index(key, value, what="a whole number"):
     where _whole is lenient: 2.0 is refused, and so is a bool, which
     operator.index would take as 0 or 1."""
     return _convert(key, value, lambda v: _number(v, operator.index), what, FormulaError)
-
-
-def _pair(value):
-    lo, hi = value
-    return _number(lo), _number(hi)
-
-
-def _pairs(value):
-    return tuple(_pair(pair) for pair in value)
 
 
 def _convert(key, value, to, what, error=ValueError):
@@ -104,6 +96,38 @@ def _real(key, value, error=ValueError, sign=None):
     if sign is not None and not (x > 0 if sign == "positive" else x >= 0):
         raise error(f"{key}: must be {sign}")
     return x
+
+
+def _array(key, value, error=ValueError, shape=None):
+    """value as a finite float ndarray, or error("key: why"). An ndarray of
+    integer or float dtype passes as it is, and one of float64 is not
+    copied; anything else is read entry by entry with _number, so a bool,
+    a string, a complex number, None or a ragged nesting is no number.
+    shape, when given, is the shape it must have, where None stands for
+    any positive length (* in the message)."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        value = _convert(key, value, lambda v: np.array(_entries(v), dtype=float), "numbers", error)
+    arr = np.asarray(value, dtype=float)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            n < 1 if m is None else n != m for n, m in zip(arr.shape, shape))):
+        want = ", ".join("*" if m is None else str(m) for m in shape)
+        want += "," if len(shape) == 1 else ""  # as Python writes (3,)
+        raise error(f"{key}: needs shape ({want}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        bad = np.argwhere(~np.isfinite(arr))[0].tolist()
+        where = f" at {bad}" if bad else ""  # a 0-d value has no index
+        raise error(f"{key}: must be finite, got {arr[tuple(bad)]}{where}")
+    return arr
+
+
+def _entries(value):
+    """value's numbers, read by _number, nested as in its lists, tuples and
+    arrays."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_entries(v) for v in value]
+    return _number(value)
 
 
 def _check_flag(key, value, error=ValueError):
@@ -548,7 +572,7 @@ class RegionTable:
             try:
                 # digits only, as in a signal variable; _number refuses any other string
                 d = int(dim) if isinstance(dim, str) and dim.isdecimal() else _number(dim, operator.index)
-                lo, hi = _pair(bounds)
+                lo, hi = map(_number, bounds)
             except (TypeError, ValueError):
                 raise FormulaError(
                     f"region {name!r}: malformed bounds: dimension {dim!r} needs an "

@@ -140,7 +140,7 @@ def finite_difference_gradient(phi, signal, t=0, config=None, h=1e-5, classic_un
 
 
 def save_gradient_csv(grad, path):
-    _write_series_csv(path, np.asarray(grad.dsignal, dtype=float), "d_y")
+    _write_series_csv(path, grad.dsignal, "d_y")
 
 
 def load_gradient_csv(path):

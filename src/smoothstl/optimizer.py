@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import RolloutDivergence, _backward, _simulate, rollout
-from .formula import _check_flag, _convert, _number, _pairs, _real, _whole, horizon, is_nnf
+from .formula import _array, _check_flag, _convert, _real, _whole, horizon, is_nnf
 from .robustness import EXACT, SemanticsConfig, _evaluate, _NonFiniteMargin, evaluate
 
 __all__ = [
@@ -125,31 +125,21 @@ class SynthesisProblem:
     classic_until: bool = False
 
     def __post_init__(self):
-        def convert(key, to, what):
-            value = _convert(key, getattr(self, key), to, what)
-            object.__setattr__(self, key, value)
-            return value
-
-        x0 = convert("x0", lambda v: tuple(map(_number, v)), "a list of numbers")
-        if len(x0) != self.model.n:
-            raise ValueError(f"x0: needs {self.model.n} entries, got {len(x0)}")
-        if not np.isfinite(x0).all():
-            raise ValueError("x0: must be finite")
+        x0 = _array("x0", self.x0, shape=(self.model.n,))
+        object.__setattr__(self, "x0", tuple(x0.tolist()))
         if not is_nnf(self.phi):
             raise ValueError("phi: must be in negation normal form; apply to_nnf first")
         for key in ("T", "restarts", "seed", "max_iters"):
-            convert(key, _whole, "a whole number")
+            object.__setattr__(self, key, _whole(getattr(self, key), key))
         for key, sign in (("k1", "positive"), ("k2", "nonnegative"),
                           ("control_weight", "nonnegative"), ("tolerance", "positive")):
             object.__setattr__(self, key, _real(key, getattr(self, key), sign=sign))
         for key in ("hard_clamp", "classic_until"):
             _check_flag(key, getattr(self, key))
         if self.control_bounds is not None:
-            bounds = convert("control_bounds", _pairs, "(lo, hi) pairs of numbers")
-            if len(bounds) != self.model.m:
-                raise ValueError(f"control_bounds: needs {self.model.m} (lo, hi) pairs")
-            if not np.isfinite(bounds).all():
-                raise ValueError("control_bounds: must be finite")
+            bounds = _array("control_bounds", self.control_bounds, shape=(self.model.m, 2))
+            bounds = tuple(map(tuple, bounds.tolist()))
+            object.__setattr__(self, "control_bounds", bounds)
             if any(not lo < hi for lo, hi in bounds):
                 raise ValueError("control_bounds: every pair needs lo < hi")
             if any(math.isinf(hi - lo) for lo, hi in bounds):
@@ -180,8 +170,12 @@ def objective(problem, u):
     the row of u where the running sum of squares, or else the running
     penalty or dJ, first does.
     """
-    stack = np.ndim(u) == 3
-    X, U, Y, outcomes = _simulate(problem.model, problem.x0, u, stack)
+    if not isinstance(u, np.ndarray):  # so that its number of axes is known
+        u = _array("u", u)
+    stack = u.ndim == 3
+    U = _array("u", u, shape=(None,) * stack + (problem.T + 1, problem.model.m))
+    # problem.x0 was read when the problem was made
+    X, U, Y, outcomes = _simulate(problem.model, np.array(problem.x0), U, stack)
     live = [r for r, error in enumerate(outcomes) if error is None]
     while live:
         rows = live if len(live) < len(outcomes) else slice(None)  # no copy if all live

@@ -90,6 +90,7 @@ from .formula import (
     Pred,
     Release,
     Until,
+    _array,
     _check_flag,
     _real,
     _whole,
@@ -140,17 +141,9 @@ class Signal:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise SemanticsError(f"signal must be 2-D (time by dimension), got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise SemanticsError("signal needs at least one sample of at least one dimension")
-        if not np.isfinite(arr).all():
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise SemanticsError(f"signal has a non-finite entry at t={bad[0]}, dim={bad[1]}")
-        arr = arr.copy()
+        arr = _array("signal", values, SemanticsError)
+        arr = arr[:, None] if arr.ndim == 1 else arr
+        arr = _array("signal", arr, SemanticsError, (None, None)).copy()
         arr.setflags(write=False)
         self.values = arr
 
@@ -487,17 +480,10 @@ def _tick(applications, scalars, forwards=0):
         counter.forwards += forwards
 
 
-def _as_vector(a, what="input"):
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 0:
-        arr = arr[None]
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be a vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{what} must be nonempty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
-    return arr
+def _as_vector(a):
+    """a as a finite float vector; a single number is a vector of one."""
+    a = _array("a", a)
+    return a[None] if a.ndim == 0 else _array("a", a, shape=(None,))
 
 
 def smooth_min(a, k1):
@@ -946,7 +932,7 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
     if not isinstance(config, SemanticsConfig):
         raise SemanticsError("config must be a SemanticsConfig")
     if type(t) is not int:
-        t = _whole(t, "evaluation time t", SemanticsError)
+        t = _whole(t, "t", SemanticsError)
     if t < 0:
         raise SemanticsError(f"evaluation time must be nonnegative, got {t}")
     _check_flag("classic_until", classic_until, SemanticsError)
@@ -1046,10 +1032,7 @@ def _read_series_csv(path, prefix, error):
 
 
 def _write_series_csv(path, values, prefix):
-    if values.ndim != 2:
-        raise ValueError(f"{prefix} must be 2-D (time by dimension), got shape {values.shape}")
-    if not np.isfinite(values).all():  # the readers refuse what would be written
-        raise ValueError(f"{prefix} must be finite")
+    values = _array(prefix, values, shape=(None, None))  # what the readers take
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"{prefix}{j}" for j in range(values.shape[1])])

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import builtin_model
-from .formula import FormulaError, RegionTable, _convert, _number, _pair, _pairs, _real, _whole, to_nnf
+from .formula import FormulaError, RegionTable, _array, _convert, _number, _real, _whole, to_nnf
 from .optimizer import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
@@ -121,10 +121,6 @@ class ScenarioConfig:
     hard_clamp: bool = False
 
     def __post_init__(self):
-        def convert(key, to, what):
-            value = _convert(key, getattr(self, key), to, what, ScenarioError)
-            object.__setattr__(self, key, value)
-
         if not isinstance(self.regions, RegionTable):
             try:
                 object.__setattr__(self, "regions", RegionTable(self.regions))
@@ -140,26 +136,21 @@ class ScenarioConfig:
         if (self.x0 is None) == (self.x0_box is None):
             raise ScenarioError("x0: exactly one of x0 and x0_box must be set")
         if self.x0_box is not None:
-            convert("x0_box", _pairs, "(lo, hi) pairs of numbers")
             # the box covers position only; heading has its own range
             want = 2 if self.model == "differential_drive" else model.n
-            if len(self.x0_box) != want:
-                raise ScenarioError(f"x0_box: needs {want} (lo, hi) pairs for {self.model}")
-            if any(not lo <= hi for lo, hi in self.x0_box):
+            box = _array("x0_box", self.x0_box, ScenarioError, (want, 2)).tolist()
+            object.__setattr__(self, "x0_box", tuple(map(tuple, box)))
+            if any(not lo <= hi for lo, hi in box):
                 raise ScenarioError("x0_box: every pair needs lo <= hi")
         if self.theta0_range is not None:
             if self.model != "differential_drive":
                 raise ScenarioError("theta0_range: only meaningful for differential_drive")
-            convert("theta0_range", _pair, "a (lo, hi) pair of numbers")
-            lo, hi = self.theta0_range
+            lo, hi = _array("theta0_range", self.theta0_range, ScenarioError, (2,)).tolist()
+            object.__setattr__(self, "theta0_range", (lo, hi))
             if not lo <= hi:
                 raise ScenarioError("theta0_range: needs lo <= hi")
         elif self.model == "differential_drive" and self.x0_box is not None:
             raise ScenarioError("theta0_range: required when sampling differential_drive starts")
-        for key in ("x0_box", "theta0_range"):
-            value = getattr(self, key)
-            if value is not None and not np.isfinite(value).all():
-                raise ScenarioError(f"{key}: must be finite")
 
         # a sampled start is drawn per seed; the low corner of its ranges stands in
         start = self.x0
@@ -449,7 +440,7 @@ def build_problem(config, x0=None, seed=None, **overrides):
     knobs.update((key, value) for key, value in overrides.items() if value is not None)
     if seed is not None:
         # checked here too, because the draw needs it
-        knobs["seed"] = _convert("seed", seed, _whole, "a whole number", ScenarioError)
+        knobs["seed"] = _whole(seed, "seed", ScenarioError)
     if x0 is None:
         x0 = sample_x0(config, _x0_rng(knobs["seed"]))
     phi = config.formula()
@@ -534,7 +525,7 @@ def run_bench(config, trials, time_budget_s=None):
     new trial starts once it is spent; the trial in progress always
     finishes and at least one trial always runs.
     """
-    trials = _convert("trials", trials, _whole, "a whole number", ScenarioError)
+    trials = _whole(trials, "trials", ScenarioError)
     if trials < 1:
         raise ScenarioError("trials must be at least 1")
     budget = math.inf if time_budget_s is None else time_budget_s
@@ -630,7 +621,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
     base = builtin_scenario("charging") if base is None else base
     records = []
     for n in n_values:
-        n = _convert("n_values", n, _whole, "whole numbers", ScenarioError)
+        n = _whole(n, "n_values", ScenarioError)
         cfg = dataclasses.replace(
             base,
             name=f"{base.name}_n{n}",
@@ -641,7 +632,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
         )
         records.append(_measure("N", n, cfg))
     for p in p_values:
-        p = _convert("p_values", p, _whole, "whole numbers", ScenarioError)
+        p = _whole(p, "p_values", ScenarioError)
         if p < 1:
             raise ScenarioError(f"station count must be positive, got {p}")
         counts = (p, p, p)

@@ -9,9 +9,10 @@ plane and are not drawn.
 
 from __future__ import annotations
 
-import math
 from html import escape
 from pathlib import Path
+
+from .formula import _array
 
 __all__ = ["scene_svg", "save_scene_svg"]
 
@@ -65,8 +66,9 @@ def scene_svg(regions, trajectories=(), title=None):
 
     @param regions:      RegionTable (or anything with .items() yielding
                          (name, {dim: (lo, hi)}))
-    @param trajectories: iterables of samples; only dims 0 and 1 are drawn,
-                         and a non-finite one raises a ValueError
+    @param trajectories: arrays of samples (time by dimension), at least
+                         two dimensions wide; only dims 0 and 1 are drawn,
+                         and a non-finite sample raises a ValueError
     @param title:        optional caption in the top-left corner, escaped
                          like the region names
     """
@@ -75,9 +77,10 @@ def scene_svg(regions, trajectories=(), title=None):
         box = _spatial_box(faces)
         if box is not None:
             named_boxes.append((name, box))
-    trails = [[(float(p[0]), float(p[1])) for p in traj] for traj in trajectories]
-    if not all(map(math.isfinite, (v for pts in trails for p in pts for v in p))):
-        raise ValueError("trajectory samples must be finite")
+    trails = [_array("trajectory", traj, shape=(None, None))[:, :2] for traj in trajectories]
+    if any(pts.shape[1] < 2 for pts in trails):
+        raise ValueError("trajectory: needs at least two dimensions")
+    trails = [pts.tolist() for pts in trails]
 
     x_lo, x_hi, y_lo, y_hi = _scene_bounds([b for _, b in named_boxes], trails)
     span_x, span_y = x_hi - x_lo, y_hi - y_lo

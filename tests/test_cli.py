@@ -275,7 +275,7 @@ class TestSynth:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_scene_svg_refuses_non_finite_samples(self, bad):
         regions = RegionTable({"goal": {0: (2.0, 3.0), 1: (3.0, 4.0)}})
-        with pytest.raises(ValueError, match="^trajectory samples must be finite$"):
+        with pytest.raises(ValueError, match=rf"^trajectory: must be finite, got {bad} at \[1, 1\]$"):
             scene_svg(regions, [[(0.0, 0.0), (1.0, bad)]])
 
     def test_custom_config_solves(self, capsys, tmp_path):
@@ -364,7 +364,7 @@ class TestSynth:
             capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run")
         )
         assert code == 2
-        assert "x0: needs a list of numbers, got '12'" in err
+        assert "x0: needs numbers, got '12'" in err
 
     def test_restart_entries_are_restart_records(self, capsys, tmp_path):
         code, out, _ = run(

@@ -361,7 +361,7 @@ class TestControlGradient:
         dsignal = np.ones((5, 4))
         dsignal[3, 1] = bad
         for swept in (sens, without_adjoint(sens)):
-            with pytest.raises(ValueError, match="^dsignal must be finite$"):
+            with pytest.raises(ValueError, match=rf"^dsignal: must be finite, got {bad} at \[3, 1\]$"):
                 swept.control_gradient(dsignal)
 
 
@@ -557,7 +557,7 @@ class TestValidation:
         model = single_integrator_2d()
         with pytest.raises(ValueError, match="x0"):
             rollout(model, [0.0], np.zeros((2, 2)))
-        with pytest.raises(ValueError, match=r"\(T\+1, 2\)"):
+        with pytest.raises(ValueError, match=r"^u: needs shape \(\*, 2\), got \(2, 3\)$"):
             rollout(model, [0.0, 0.0], np.zeros((2, 3)))
         with pytest.raises(ValueError, match="finite"):
             rollout(model, [0.0, 0.0], np.full((2, 2), np.nan))
@@ -613,8 +613,8 @@ class TestControlsCsv:
 
     def test_save_refuses_a_non_2d_array(self, tmp_path):
         path = tmp_path / "u.csv"
-        for u in (np.zeros(3), np.zeros((2, 2, 2))):
-            with pytest.raises(ValueError, match="^u must be 2-D"):
+        for u, got in ((np.zeros(3), r"\(3,\)"), (np.zeros((2, 2, 2)), r"\(2, 2, 2\)")):
+            with pytest.raises(ValueError, match=rf"^u: needs shape \(\*, \*\), got {got}$"):
                 save_controls_csv(u, path)
         assert not path.exists()
 
@@ -622,6 +622,6 @@ class TestControlsCsv:
     def test_save_refuses_a_non_finite_array(self, tmp_path, value):
         # load_controls_csv refuses the cell it would write
         path = tmp_path / "u.csv"
-        with pytest.raises(ValueError, match="^u must be finite$"):
+        with pytest.raises(ValueError, match=rf"^u: must be finite, got {value} at \[1, 0\]$"):
             save_controls_csv(np.array([[1.0], [value]]), path)
         assert not path.exists()

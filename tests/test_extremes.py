@@ -2,7 +2,9 @@
 
 Each numeric argument is tried at 0, the smallest subnormals, the
 largest finite floats, the infinities, NaN, a bool, a numeric string and
-a two-element array. The outcome must be either a ValueError (or a
+a two-element array. Each array argument is tried as a complex, bool or
+string array, with a bool, None, NaN or inf among its entries, ragged,
+empty, 0-d and 3-D. The outcome must be either a ValueError (or a
 subclass) raised by one of the package's own checks, or finite values;
 no warning may escape (the suite turns every warning into an error).
 """
@@ -22,8 +24,10 @@ from smoothstl import (
     Interval,
     LinearPredicate,
     RegionTable,
+    RobustnessGradient,
     RolloutDivergence,
     SemanticsConfig,
+    Signal,
     SynthesisProblem,
     builtin_model,
     eval_with_gradient,
@@ -39,7 +43,13 @@ from smoothstl import (
     min_error_bound,
     objective,
     parse,
+    rollout,
+    rollout_with_sensitivities,
     run_bench,
+    save_controls_csv,
+    save_gradient_csv,
+    save_signal_csv,
+    scene_svg,
     single_integrator_2d,
     smooth_max,
     smooth_min,
@@ -154,6 +164,86 @@ def test_a_named_error_or_finite_values(name, call, value):
         assert frame.line.startswith("raise"), exc
         return
     assert finite(result), result
+
+
+def entry(good, value):
+    """good as nested lists, its first number replaced by value."""
+    nested = np.array(good, dtype=object)
+    nested.flat[0] = value
+    return nested.tolist()
+
+
+def nan_entry(good):
+    """good as a float array, its first number nan."""
+    array = np.array(good, dtype=float)
+    array.flat[0] = math.nan
+    return array
+
+
+# (id, the variant of a good array argument)
+ARRAYS = [
+    ("complex", lambda good: np.asarray(good, dtype=float) + 1j),
+    ("bool", lambda good: np.asarray(good, dtype=float) > 0),
+    ("string", lambda good: np.asarray(good, dtype=float).astype(str)),
+    ("a bool among floats", lambda good: entry(good, True)),
+    ("None among floats", lambda good: entry(good, None)),
+    ("ragged", lambda good: [[1.0], [1.0, 2.0]]),
+    ("a nan entry", nan_entry),
+    ("an inf entry", lambda good: entry(good, math.inf)),
+    ("empty", lambda good: np.empty((0,) + np.shape(good)[1:])),
+    ("0-d", lambda good: np.array(1.0)),
+    ("3-D", lambda good: np.zeros((2, 2, 2))),
+]
+
+U = np.zeros((PROBLEM.T + 1, 2))
+SENS = rollout_with_sensitivities(PROBLEM.model, PROBLEM.x0, U)
+DIFFDRIVE = builtin_scenario("table2_diffdrive")
+PAIRS = ((-1.0, 1.0), (-1.0, 1.0))
+
+# (name, a good value, call of the value and a scratch directory)
+ARRAY_CALLS = [
+    ("Signal", SIGNAL, lambda v, tmp: Signal(v)),
+    ("evaluate signal", SIGNAL, lambda v, tmp: evaluate(PHI, v)),
+    ("eval_with_gradient signal", SIGNAL, lambda v, tmp: eval_with_gradient(PHI, v, config=EF)),
+    ("finite_difference_gradient signal", SIGNAL,
+     lambda v, tmp: finite_difference_gradient(PHI, v, config=EF)),
+    ("rollout x0", PROBLEM.x0, lambda v, tmp: rollout(PROBLEM.model, v, U)),
+    ("rollout u", U, lambda v, tmp: rollout(PROBLEM.model, PROBLEM.x0, v)),
+    ("rollout_with_sensitivities x0", PROBLEM.x0,
+     lambda v, tmp: rollout_with_sensitivities(PROBLEM.model, v, U)),
+    ("rollout_with_sensitivities u", U,
+     lambda v, tmp: rollout_with_sensitivities(PROBLEM.model, PROBLEM.x0, v)),
+    ("control_gradient dsignal", SENS.signal.values, lambda v, tmp: SENS.control_gradient(v)),
+    ("objective u", U, lambda v, tmp: objective(PROBLEM, v)),
+    ("objective u stack", [U, U], lambda v, tmp: objective(PROBLEM, v)),
+    ("save_signal_csv", SIGNAL, lambda v, tmp: save_signal_csv(v, tmp / "y.csv")),
+    ("save_controls_csv", U, lambda v, tmp: save_controls_csv(v, tmp / "u.csv")),
+    ("save_gradient_csv", SIGNAL,
+     lambda v, tmp: save_gradient_csv(RobustnessGradient(0.0, v), tmp / "d_y.csv")),
+    ("smooth_min a", [1.0, -2.0], lambda v, tmp: smooth_min(v, 2.0)),
+    ("smooth_max a", [1.0, -2.0], lambda v, tmp: smooth_max(v, 2.0)),
+    ("lse_max a", [1.0, -2.0], lambda v, tmp: lse_max(v, 2.0)),
+    ("grad_smooth_min a", [1.0, -2.0], lambda v, tmp: grad_smooth_min(v, 2.0)),
+    ("grad_smooth_max a", [1.0, -2.0], lambda v, tmp: grad_smooth_max(v, 2.0)),
+    ("max_error_bound a", [1.0, -2.0], lambda v, tmp: max_error_bound(v, 1.0)),
+    ("scene_svg trajectory", SIGNAL, lambda v, tmp: scene_svg(REGIONS, [v])),
+    ("SynthesisProblem x0", PROBLEM.x0, lambda v, tmp: dataclasses.replace(PROBLEM, x0=v)),
+    ("SynthesisProblem control_bounds", PAIRS,
+     lambda v, tmp: dataclasses.replace(PROBLEM, control_bounds=v)),
+    ("ScenarioConfig x0", SCENARIO.x0, lambda v, tmp: dataclasses.replace(SCENARIO, x0=v)),
+    ("ScenarioConfig x0_box", PAIRS,
+     lambda v, tmp: dataclasses.replace(SCENARIO, x0=None, x0_box=v)),
+    ("ScenarioConfig theta0_range", (0.0, 1.0),
+     lambda v, tmp: dataclasses.replace(DIFFDRIVE, theta0_range=v)),
+    ("ScenarioConfig control_bounds", PAIRS,
+     lambda v, tmp: dataclasses.replace(SCENARIO, control_bounds=v)),
+]
+
+
+@pytest.mark.parametrize("variant", [make for _, make in ARRAYS], ids=[key for key, _ in ARRAYS])
+@pytest.mark.parametrize("name,good,call", ARRAY_CALLS, ids=[name for name, *_ in ARRAY_CALLS])
+def test_an_array_is_a_named_error_or_finite_values(name, good, call, variant, tmp_path):
+    test_a_named_error_or_finite_values(name, lambda v: call(v, tmp_path), variant(good))
 
 
 # the largest effort weight with controls far from zero: w * effort and

@@ -98,7 +98,7 @@ class TestEvalWithGradient:
         phi = parse("F[0,2] y0 >= 1", p=1)
         sig = Signal([0.0, 1.0, 2.0, 3.0, 4.0])
         for run in (evaluate, eval_with_gradient, finite_difference_gradient):
-            with pytest.raises(SemanticsError, match="time t must be a whole number, got 1.5"):
+            with pytest.raises(SemanticsError, match="^t: needs a whole number, got 1.5$"):
                 run(phi, sig, 1.5, EF)
         # a whole float is the same time as the int
         assert evaluate(phi, sig, 2.0, EF) == evaluate(phi, sig, 2, EF)
@@ -233,6 +233,6 @@ class TestGradientCsv:
         # load_gradient_csv refuses the cell it would write
         path = tmp_path / "grad.csv"
         grad = RobustnessGradient(value=0.0, dsignal=np.array([[1.0, value]]))
-        with pytest.raises(ValueError, match="^d_y must be finite$"):
+        with pytest.raises(ValueError, match=rf"^d_y: must be finite, got {value} at \[0, 1\]$"):
             save_gradient_csv(grad, path)
         assert not path.exists()

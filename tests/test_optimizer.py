@@ -152,10 +152,10 @@ KNOB_ERRORS = [
     ("restarts", True, "restarts: needs a whole number, got True"),
     ("k1", "3", "k1: needs a number, got '3'"),
     ("tolerance", "1e-3", "tolerance: needs a number, got '1e-3'"),
-    ("x0", (math.inf, 0.0), "x0: must be finite"),
+    ("x0", (math.inf, 0.0), "x0: must be finite, got inf at [0]"),
     ("control_bounds", ((-1.0, "1"), (-1.0, 1.0)),
-     "control_bounds: needs (lo, hi) pairs of numbers, got ((-1.0, '1'), (-1.0, 1.0))"),
-    ("x0", (0.0,), "x0: needs 2 entries, got 1"),
+     "control_bounds: needs numbers, got ((-1.0, '1'), (-1.0, 1.0))"),
+    ("x0", (0.0,), "x0: needs shape (2,), got (1,)"),
     ("T", 4.5, "T: needs a whole number, got 4.5"),
     ("T", 3, "T: formula looks 4 steps ahead but T is 3"),
     ("seed", 1.5, "seed: needs a whole number, got 1.5"),
@@ -165,7 +165,7 @@ KNOB_ERRORS = [
     ("k2", math.nan, "k2: must be finite"),
     ("control_weight", -0.5, "control_weight: must be nonnegative"),
     ("tolerance", 0.0, "tolerance: must be positive"),
-    ("control_bounds", ((-1.0, 1.0),), "control_bounds: needs 2 (lo, hi) pairs"),
+    ("control_bounds", ((-1.0, 1.0),), "control_bounds: needs shape (2, 2), got (1, 2)"),
     ("control_bounds", ((1.0, -1.0), (-1.0, 1.0)), "control_bounds: every pair needs lo < hi"),
     ("control_bounds", ((-1e308, 1e308), (-1e308, 1e308)),
      "control_bounds: every pair needs a finite width hi - lo"),
@@ -191,7 +191,7 @@ class TestProblemValidation:
             assert str(info.value) == message
 
     def test_x0_length(self):
-        with pytest.raises(ValueError, match="^x0: needs 2 entries"):
+        with pytest.raises(ValueError, match=r"^x0: needs shape \(2,\), got \(1,\)$"):
             reach_problem(x0=(0.0,))
 
     def test_requires_nnf(self):
@@ -205,7 +205,7 @@ class TestProblemValidation:
             reach_problem(phi=parse("F[0,9] y0 >= 2", p=4))
 
     def test_control_bounds_checked(self):
-        with pytest.raises(ValueError, match="^control_bounds: needs 2 \\(lo, hi\\) pairs"):
+        with pytest.raises(ValueError, match=r"^control_bounds: needs shape \(2, 2\), got \(1, 2\)$"):
             reach_problem(control_bounds=((-1.0, 1.0),))
         with pytest.raises(ValueError, match="^control_bounds: every pair needs lo < hi"):
             reach_problem(control_bounds=((1.0, 1.0), (-1.0, 1.0)))
@@ -348,8 +348,19 @@ class TestObjective:
 
     def test_empty_stack_is_refused(self):
         problem = reach_problem()
-        with pytest.raises(ValueError, match="^u needs at least one sequence$"):
+        with pytest.raises(ValueError, match=r"^u: needs shape \(\*, 5, 2\), got \(0, 5, 2\)$"):
             objective(problem, np.zeros((0, problem.T + 1, 2)))
+
+    @pytest.mark.parametrize("steps", [3, 30])
+    def test_u_needs_the_problem_length(self, steps):
+        # rows past T + 1 would only add effort, and too few would reach
+        # the formula as a short signal
+        problem = build_problem(builtin_scenario("two_target"))
+        assert problem.T + 1 == 11
+        with pytest.raises(ValueError, match=rf"^u: needs shape \(11, 2\), got \({steps}, 2\)$"):
+            objective(problem, np.zeros((steps, 2)))
+        with pytest.raises(ValueError, match=rf"^u: needs shape \(\*, 11, 2\), got \(2, {steps}, 2\)$"):
+            objective(problem, np.zeros((2, steps, 2)))
 
     def test_effort_overflow_is_divergence(self):
         # the rollout, robustness and costates stay finite; the squares of

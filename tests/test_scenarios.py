@@ -564,7 +564,7 @@ class TestScaling:
 
     @pytest.mark.parametrize("sweep,value", [("n_values", 12.5), ("p_values", 1.5)])
     def test_sweep_points_must_be_whole(self, sweep, value):
-        with pytest.raises(ScenarioError, match=f"^{sweep}: needs whole numbers, got {value}"):
+        with pytest.raises(ScenarioError, match=f"^{sweep}: needs a whole number, got {value}$"):
             run_scaling(**{sweep: (value,)}, restarts=0, max_iters=1)
 
     def test_short_horizons_are_rejected(self):
