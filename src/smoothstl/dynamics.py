@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formula import _array, _real
+from .formula import _array, _numbers, _real
 from .robustness import Signal, _read_series_csv, _write_series_csv
 
 __all__ = [
@@ -83,9 +83,10 @@ class SystemModel:
 
     A result of output or a Jacobian function without the leading time
     axis, such as a constant Jacobian of shape (n, n), holds at every
-    timestep. Any other shape, a states result other than (T+1, n), and an
-    adjoint result other than U's shape, raises a ValueError that names
-    the function.
+    timestep. Every result is read by the rule for array arguments,
+    finiteness aside: a complex, bool or string result, None, or one of
+    any other shape raises ValueError("name: why"), name the function's.
+    A non-finite result is divergence, as in a rollout.
     """
 
     n: int
@@ -102,25 +103,21 @@ class SystemModel:
 
 
 def _stacked(value, lead, shape, what):
-    """value, computed on the flattened stack, as a (*lead, *shape) array; a
-    value of shape `shape` holds at every step."""
-    value = np.asarray(value, dtype=float)
-    steps = math.prod(lead)
-    if value.shape == (steps, *shape):
-        return value.reshape(*lead, *shape)
+    """value, computed on the flattened stack and read by _numbers, as a
+    (*lead, *shape) array; a value of shape `shape` holds at every step."""
+    value = _numbers(what, value)
     if value.shape == shape:
         return np.broadcast_to(value, (*lead, *shape))
-    raise ValueError(f"{what} has shape {value.shape}, expected {(steps, *shape)} or {shape}")
+    return _numbers(what, value, shape=(math.prod(lead), *shape)).reshape(*lead, *shape)
 
 
 def _hook(name, fn, shape, *args):
-    """fn(*args), a model's hook, as a float array of the given shape."""
+    """fn(*args), a model's hook, read by _numbers as an array of the given
+    shape."""
     # past the first non-finite value the values are never read
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.asarray(fn(*args), dtype=float)
-    if value.shape != shape:
-        raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
-    return value
+        value = fn(*args)
+    return _numbers(name, value, shape=shape)
 
 
 def _first_non_finite(V):
@@ -139,7 +136,7 @@ def _step_loop(step, x0, U):
     X[0] = x0
     try:
         for t in range(len(U)):
-            X[t + 1] = step(X[t], U[t])
+            X[t + 1] = _numbers("step", step(X[t], U[t]), shape=X[0].shape)
     except (ArithmeticError, ValueError):
         # a step that fails on a non-finite state (math.cos(inf), say) is
         # divergence, which a step-by-step check would have reported

@@ -59,24 +59,25 @@ def _number(value, to=float):
     return to(value)
 
 
-def _whole(value, key, error=ValueError):
+def _whole(key, value, error=ValueError, sign=None):
     """value as an int, or error("key: needs a whole number, got value"): 2.0
     passes, and 2.5 never truncates to 2. A bool or a string is no number
-    (see _number)."""
+    (see _number). sign bounds it below, as in _real."""
     try:
         number = _number(value, int)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value:
         raise error(f"{key}: needs a whole number, got {value!r}")
-    return number
+    return _signed(key, number, sign, error)
 
 
-def _index(key, value, what="a whole number"):
+def _index(key, value, what="a whole number", sign=None):
     """value as an int, or FormulaError("key: needs what, got value"). Strict
     where _whole is lenient: 2.0 is refused, and so is a bool, which
-    operator.index would take as 0 or 1."""
-    return _convert(key, value, lambda v: _number(v, operator.index), what, FormulaError)
+    operator.index would take as 0 or 1. sign bounds it below, as in _real."""
+    number = _convert(key, value, lambda v: _number(v, operator.index), what, FormulaError)
+    return _signed(key, number, sign, FormulaError)
 
 
 def _convert(key, value, to, what, error=ValueError):
@@ -87,32 +88,45 @@ def _convert(key, value, to, what, error=ValueError):
         raise error(f"{key}: needs {what}, got {value!r}") from None
 
 
+def _signed(key, x, sign, error):
+    """x, or error("key: must be sign") unless sign is None, or x is above 0
+    ("positive") or not below it ("nonnegative")."""
+    if sign is not None and not (x > 0 if sign == "positive" else x >= 0):
+        raise error(f"{key}: must be {sign}")
+    return x
+
+
 def _real(key, value, error=ValueError, sign=None):
     """value as a finite float, or error("key: why"). sign "positive" or
     "nonnegative" also bounds it below."""
     x = _convert(key, value, _number, "a number", error)
     if not math.isfinite(x):
         raise error(f"{key}: must be finite")
-    if sign is not None and not (x > 0 if sign == "positive" else x >= 0):
-        raise error(f"{key}: must be {sign}")
-    return x
+    return _signed(key, x, sign, error)
 
 
-def _array(key, value, error=ValueError, shape=None):
-    """value as a finite float ndarray, or error("key: why"). An ndarray of
-    integer or float dtype passes as it is, and one of float64 is not
-    copied; anything else is read entry by entry with _number, so a bool,
-    a string, a complex number, None or a ragged nesting is no number.
-    shape, when given, is the shape it must have, where None stands for
-    any positive length (* in the message)."""
+def _numbers(key, value, error=ValueError, shape=None):
+    """value as a float ndarray, finite or not, or error("key: why"). An
+    ndarray of integer or float dtype passes as it is, and one of float64
+    is not copied; anything else is read entry by entry with _number, so a
+    bool, a string, a complex number, None or a ragged nesting is no
+    number. shape, when given, is the shape it must have, where None
+    stands for any positive length (* in the message)."""
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         value = _convert(key, value, lambda v: np.array(_entries(v), dtype=float), "numbers", error)
     arr = np.asarray(value, dtype=float)
-    if shape is not None and (arr.ndim != len(shape) or any(
+    # the exact shape first: a model's hooks are read three times a round
+    if shape is not None and arr.shape != shape and (arr.ndim != len(shape) or any(
             n < 1 if m is None else n != m for n, m in zip(arr.shape, shape))):
         want = ", ".join("*" if m is None else str(m) for m in shape)
         want += "," if len(shape) == 1 else ""  # as Python writes (3,)
         raise error(f"{key}: needs shape ({want}), got {arr.shape}")
+    return arr
+
+
+def _array(key, value, error=ValueError, shape=None):
+    """value read by _numbers, and finite, or error("key: why")."""
+    arr = _numbers(key, value, error, shape)
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))[0].tolist()
         where = f" at {bad}" if bad else ""  # a 0-d value has no index
@@ -138,14 +152,6 @@ def _check_flag(key, value, error=ValueError):
         return
     if isinstance(value, np.ndarray) or value not in (True, False):
         raise error(f"{key}: needs true or false, got {value!r}")
-
-
-def _signal_size(p):
-    """p as a signal dimension of at least 1, read as Interval reads its bounds."""
-    p = _index("signal dimension p", p)
-    if p < 1:
-        raise FormulaError("signal dimension p must be at least 1")
-    return p
 
 
 @dataclass(frozen=True)
@@ -197,6 +203,13 @@ class CallablePredicate:
     jacobian, when given, maps y_t to the margin's gradient; it is required
     for differentiation. No numeric fallback is injected: differentiating a
     formula containing a jacobian-less callable predicate is an error.
+
+    Their results are read as arguments are, finiteness aside: a margin
+    is a real number (a Python or numpy scalar) and a gradient numbers of
+    shape (dim,), so a complex, bool or string result, None, or a wrong
+    shape raises FormulaError("fn: why") or ("jacobian: why"). A
+    non-finite margin is refused by evaluate and is divergence in
+    synthesis.
     """
 
     fn: Callable
@@ -206,16 +219,14 @@ class CallablePredicate:
 
     def __post_init__(self):
         if not callable(self.fn):
-            raise FormulaError("fn must be callable")
+            raise FormulaError("fn: must be callable")
         if self.jacobian is not None and not callable(self.jacobian):
-            raise FormulaError("jacobian must be callable when given")
-        dim = _index("dim", self.dim)
-        if dim < 1:
-            raise FormulaError("dim: must be positive")
-        object.__setattr__(self, "dim", dim)
+            raise FormulaError("jacobian: must be callable when given")
+        object.__setattr__(self, "dim", _index("dim", self.dim, sign="positive"))
 
     def value(self, y):
-        return float(self.fn(np.asarray(y, dtype=float)))
+        margin = self.fn(np.asarray(y, dtype=float))
+        return _convert("fn", margin, _number, "a number", FormulaError)
 
     def gradient(self, y):
         if self.jacobian is None:
@@ -223,12 +234,8 @@ class CallablePredicate:
             raise FormulaError(
                 f"callable predicate {name!r} has no jacobian; supply one to differentiate"
             )
-        g = np.asarray(self.jacobian(np.asarray(y, dtype=float)), dtype=float)
-        if g.shape != (self.dim,):
-            raise FormulaError(
-                f"jacobian returned shape {g.shape}, expected ({self.dim},)"
-            )
-        return g
+        g = self.jacobian(np.asarray(y, dtype=float))
+        return _numbers("jacobian", g, FormulaError, (self.dim,))
 
 
 Predicate = Union[LinearPredicate, CallablePredicate]
@@ -242,10 +249,8 @@ class Interval:
     hi: int
 
     def __post_init__(self):
-        lo = _index("interval bound", self.lo, "whole timesteps")
+        lo = _index("interval bound", self.lo, "whole timesteps", "nonnegative")
         hi = _index("interval bound", self.hi, "whole timesteps")
-        if lo < 0:
-            raise FormulaError(f"interval lower bound must be nonnegative, got {lo}")
         if hi < lo:
             raise FormulaError(f"interval is reversed: [{lo},{hi}]")
         object.__setattr__(self, "lo", lo)
@@ -616,7 +621,7 @@ class RegionTable:
         return [(name, self[name]) for name in self._table]
 
     def _faces(self, name, p):
-        p = _signal_size(p)
+        p = _index("signal dimension p", p, sign="positive")
         if name not in self._table:
             raise FormulaError(f"unknown region {name!r}")
         faces = []

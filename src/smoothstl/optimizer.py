@@ -95,7 +95,7 @@ class SynthesisProblem:
     @param hard_clamp:     project iterates onto the bound box
     @param restarts:       number of seeded random restarts (the u = 0
                            baseline always runs in addition, as restart 0)
-    @param seed:           RNG seed for the restart initializations
+    @param seed:           nonnegative RNG seed for the restart initializations
     @param max_iters:      iteration budget of each ascent, at least 1
     @param tolerance:      positive bound on the gradient's infinity norm
                            that stops an ascent
@@ -129,8 +129,9 @@ class SynthesisProblem:
         object.__setattr__(self, "x0", tuple(x0.tolist()))
         if not is_nnf(self.phi):
             raise ValueError("phi: must be in negation normal form; apply to_nnf first")
-        for key in ("T", "restarts", "seed", "max_iters"):
-            object.__setattr__(self, key, _whole(getattr(self, key), key))
+        for key, sign in (("T", None), ("restarts", "nonnegative"), ("seed", "nonnegative"),
+                          ("max_iters", "positive")):
+            object.__setattr__(self, key, _whole(key, getattr(self, key), sign=sign))
         for key, sign in (("k1", "positive"), ("k2", "nonnegative"),
                           ("control_weight", "nonnegative"), ("tolerance", "positive")):
             object.__setattr__(self, key, _real(key, getattr(self, key), sign=sign))
@@ -145,13 +146,8 @@ class SynthesisProblem:
             if any(math.isinf(hi - lo) for lo, hi in bounds):
                 raise ValueError("control_bounds: every pair needs a finite width hi - lo")
         ahead = horizon(self.phi)
-        for key, ok, why in (
-            ("T", ahead <= self.T, f"formula looks {ahead} steps ahead but T is {self.T}"),
-            ("restarts", self.restarts >= 0, "must be nonnegative"),
-            ("max_iters", self.max_iters >= 1, "must be positive"),
-        ):
-            if not ok:
-                raise ValueError(f"{key}: {why}")
+        if ahead > self.T:
+            raise ValueError(f"T: formula looks {ahead} steps ahead but T is {self.T}")
 
     @property
     def config(self):
@@ -488,9 +484,9 @@ def k_continuation(problem, k_schedule):
     ks = _convert("k_schedule", k_schedule, list, "a list of numbers")
     ks = [_real("k_schedule", k, sign="positive") for k in ks]
     if not ks:
-        raise ValueError("k_schedule must be nonempty")
+        raise ValueError("k_schedule: must be nonempty")
     if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k_schedule must be strictly increasing")
+        raise ValueError("k_schedule: must be strictly increasing")
 
     start = time.perf_counter()
     first = synthesize(replace(problem, k1=ks[0], k2=ks[0]))

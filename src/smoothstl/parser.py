@@ -43,9 +43,9 @@ from .formula import (
     Release,
     Until,
     _RESERVED_WORDS,
+    _index,
     _join,
     _signal_dim,
-    _signal_size,
 )
 
 __all__ = ["ParseError", "parse"]
@@ -291,7 +291,7 @@ def parse(text, regions=None, p=2):
     """
     if regions is not None and not isinstance(regions, RegionTable):
         regions = RegionTable(regions)
-    parser = _Parser(_tokenize(text), regions, _signal_size(p))
+    parser = _Parser(_tokenize(text), regions, _index("signal dimension p", p, sign="positive"))
     phi = parser.parse_formula()
     tok = parser.peek()
     if tok.kind != "EOF":

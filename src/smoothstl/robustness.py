@@ -160,9 +160,9 @@ class Signal:
         return self.values.shape[0]
 
     def sample(self, t):
-        t = _whole(t, "t", SemanticsError)
-        if not 0 <= t <= self.T:
-            raise SemanticsError(f"t must lie in 0..{self.T}, got {t}")
+        t = _whole("t", t, SemanticsError, "nonnegative")
+        if t > self.T:
+            raise SemanticsError(f"t: must be at most {self.T}, got {t}")
         return self.values[t]
 
     def __repr__(self):
@@ -526,12 +526,10 @@ def lse_max(a, k):
 
 def min_error_bound(m, k1):
     """Worst-case gap  min(a) - smooth_min(a, k1)  over m arguments."""
-    m = _whole(m, "m")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _whole("m", m, sign="positive")
     bound = math.log(m) / _real("k1", k1, sign="positive")
     if math.isinf(bound):  # a finite stand-in would understate the gap
-        raise ValueError(f"k1 is too small for a finite bound over {m} arguments, got {k1}")
+        raise ValueError(f"k1: too small for a finite bound over {m} arguments, got {k1}")
     return bound
 
 
@@ -544,9 +542,9 @@ def max_error_bound(a, k2):
     """
     a = _as_vector(a)
     if a.size < 2:
-        raise ValueError("need at least two entries")
+        raise ValueError("a: needs at least two entries")
     if np.any(a[1:] > a[:-1]):
-        raise ValueError("entries must be sorted in descending order")
+        raise ValueError("a: must be sorted in descending order")
     k2 = _real("k2", k2, sign="nonnegative")
     m = a.size
     top, low = float(a[0]), float(a[-1])
@@ -931,16 +929,14 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
     """
     if not isinstance(config, SemanticsConfig):
         raise SemanticsError("config must be a SemanticsConfig")
-    if type(t) is not int:
-        t = _whole(t, "t", SemanticsError)
-    if t < 0:
-        raise SemanticsError(f"evaluation time must be nonnegative, got {t}")
+    if type(t) is not int or t < 0:
+        t = _whole("t", t, SemanticsError, "nonnegative")
     _check_flag("classic_until", classic_until, SemanticsError)
     plan = _plan(phi, classic_until)
     need, last = t + plan.horizon, values.shape[-2] - 1
     if need > last:
         raise SemanticsError(
-            f"signal too short: evaluation at t={t} needs samples through "
+            f"signal: too short: evaluation at t={t} needs samples through "
             f"t={need} but the signal ends at t={last}"
         )
     smooth = config.kind != "exact"

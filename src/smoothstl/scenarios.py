@@ -440,7 +440,7 @@ def build_problem(config, x0=None, seed=None, **overrides):
     knobs.update((key, value) for key, value in overrides.items() if value is not None)
     if seed is not None:
         # checked here too, because the draw needs it
-        knobs["seed"] = _whole(seed, "seed", ScenarioError)
+        knobs["seed"] = _whole("seed", seed, ScenarioError, "nonnegative")
     if x0 is None:
         x0 = sample_x0(config, _x0_rng(knobs["seed"]))
     phi = config.formula()
@@ -525,9 +525,7 @@ def run_bench(config, trials, time_budget_s=None):
     new trial starts once it is spent; the trial in progress always
     finishes and at least one trial always runs.
     """
-    trials = _whole(trials, "trials", ScenarioError)
-    if trials < 1:
-        raise ScenarioError("trials must be at least 1")
+    trials = _whole("trials", trials, ScenarioError, "positive")
     budget = math.inf if time_budget_s is None else time_budget_s
     budget = _convert("time_budget_s", budget, _number, "a number", ScenarioError)
     if not budget >= 0:
@@ -621,7 +619,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
     base = builtin_scenario("charging") if base is None else base
     records = []
     for n in n_values:
-        n = _whole(n, "n_values", ScenarioError)
+        n = _whole("n_values", n, ScenarioError)
         cfg = dataclasses.replace(
             base,
             name=f"{base.name}_n{n}",
@@ -632,9 +630,7 @@ def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
         )
         records.append(_measure("N", n, cfg))
     for p in p_values:
-        p = _whole(p, "p_values", ScenarioError)
-        if p < 1:
-            raise ScenarioError(f"station count must be positive, got {p}")
+        p = _whole("p_values", p, ScenarioError, "positive")
         counts = (p, p, p)
         kept = {
             name: dict(base.regions[name])

@@ -329,6 +329,14 @@ class TestSynth:
         assert code == 2
         assert "dt: must be positive" in err
 
+    def test_negative_seed_exits_two(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "synth", "--scenario", "two_target", "--seed", "-1",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "seed: must be nonnegative" in err
+
     @pytest.mark.parametrize("key,value", [
         ("control_bounds", [[-1.0, 1.0], [-math.inf, 1.0]]),
         ("x0", [0.0, math.inf]),

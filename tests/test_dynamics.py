@@ -441,6 +441,8 @@ class TestConstantJacobians:
         problem = SynthesisProblem(
             model=model, x0=(0.5,), phi=parse("F[0,4] y0 >= 4", p=2), T=4, k1=2.0, k2=2.0,
         )
+        # 5 steps of a rollout, 10 of a stack of two
+        message = r"^output_jacobians dg/dx: needs shape \((5|10), 2, 1\), got \(3, 2, 1\)$"
         for run in (
             lambda: rollout_with_sensitivities(model, [0.5], np.zeros((5, 1))).control_gradient(
                 np.zeros((5, 2))
@@ -448,7 +450,7 @@ class TestConstantJacobians:
             lambda: objective(problem, np.zeros((5, 1))),
             lambda: objective(problem, np.zeros((2, 5, 1))),
         ):
-            with pytest.raises(ValueError, match="^output_jacobians dg/dx has shape"):
+            with pytest.raises(ValueError, match=message):
                 run()
 
 

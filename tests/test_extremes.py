@@ -5,13 +5,20 @@ largest finite floats, the infinities, NaN, a bool, a numeric string and
 a two-element array. Each array argument is tried as a complex, bool or
 string array, with a bool, None, NaN or inf among its entries, ragged,
 empty, 0-d and 3-D. The outcome must be either a ValueError (or a
-subclass) raised by one of the package's own checks, or finite values;
-no warning may escape (the suite turns every warning into an error).
+subclass) raised by one of the package's own checks, whose message reads
+"key: why" with the argument's key, or finite values; no warning may
+escape (the suite turns every warning into an error).
+
+Each function of a model and of a callable predicate is also made to
+return a complex, bool, string, None or wrong-shaped result, which must
+be refused the same way under the function's name, and a nan or inf
+result, which must still be a divergence or a refused margin.
 """
 
 import dataclasses
 import math
 import numbers
+import re
 import traceback
 from pathlib import Path
 
@@ -23,10 +30,12 @@ from smoothstl import (
     CallablePredicate,
     Interval,
     LinearPredicate,
+    Pred,
     RegionTable,
     RobustnessGradient,
     RolloutDivergence,
     SemanticsConfig,
+    SemanticsError,
     Signal,
     SynthesisProblem,
     builtin_model,
@@ -79,63 +88,78 @@ def pair(v):
     return [v, -v] if isinstance(v, float) else [v, v]
 
 
-# (name, call of the value)
+# (name, the key its refusals start with as a regular expression, call of
+# the value)
 CALLS = [
-    ("smooth_min a", lambda v: smooth_min(v, 2.0)),
-    ("smooth_min a pair", lambda v: smooth_min(pair(v), 2.0)),
-    ("smooth_min k1", lambda v: smooth_min([1.0, -2.0], v)),
-    ("smooth_max a", lambda v: smooth_max(v, 2.0)),
-    ("smooth_max a pair", lambda v: smooth_max(pair(v), 2.0)),
-    ("smooth_max k2", lambda v: smooth_max([1.0, -2.0], v)),
-    ("lse_max a", lambda v: lse_max(v, 2.0)),
-    ("lse_max a pair", lambda v: lse_max(pair(v), 2.0)),
-    ("lse_max k", lambda v: lse_max([1.0, -2.0], v)),
-    ("grad_smooth_min a", lambda v: grad_smooth_min(pair(v), 2.0)),
-    ("grad_smooth_min k1", lambda v: grad_smooth_min([1.0, -2.0], v)),
-    ("grad_smooth_max a", lambda v: grad_smooth_max(pair(v), 2.0)),
-    ("grad_smooth_max k2", lambda v: grad_smooth_max([1.0, -2.0], v)),
-    ("min_error_bound m", lambda v: min_error_bound(v, 2.0)),
-    ("min_error_bound k1", lambda v: min_error_bound(3, v)),
-    ("max_error_bound a", lambda v: max_error_bound(pair(v), 1.0)),
-    ("max_error_bound a at k2 = 0", lambda v: max_error_bound(pair(v), 0.0)),
-    ("max_error_bound k2", lambda v: max_error_bound([1.0, -2.0], v)),
-    ("SemanticsConfig.ef k1", lambda v: SemanticsConfig.ef(v, 2.0)),
-    ("SemanticsConfig.ef k2", lambda v: SemanticsConfig.ef(2.0, v)),
-    ("SemanticsConfig.lse k", lambda v: SemanticsConfig.lse(v)),
-    ("evaluate t", lambda v: evaluate(PHI, SIGNAL, t=v)),
-    ("evaluate classic_until", lambda v: evaluate(PHI, SIGNAL, config=EF, classic_until=v)),
-    ("eval_with_gradient t", lambda v: eval_with_gradient(PHI, SIGNAL, t=v, config=EF)),
-    ("eval_with_gradient classic_until",
+    ("smooth_min a", "a", lambda v: smooth_min(v, 2.0)),
+    ("smooth_min a pair", "a", lambda v: smooth_min(pair(v), 2.0)),
+    ("smooth_min k1", "k1", lambda v: smooth_min([1.0, -2.0], v)),
+    ("smooth_max a", "a", lambda v: smooth_max(v, 2.0)),
+    ("smooth_max a pair", "a", lambda v: smooth_max(pair(v), 2.0)),
+    ("smooth_max k2", "k2", lambda v: smooth_max([1.0, -2.0], v)),
+    ("lse_max a", "a", lambda v: lse_max(v, 2.0)),
+    ("lse_max a pair", "a", lambda v: lse_max(pair(v), 2.0)),
+    ("lse_max k", "k", lambda v: lse_max([1.0, -2.0], v)),
+    ("grad_smooth_min a", "a", lambda v: grad_smooth_min(pair(v), 2.0)),
+    ("grad_smooth_min k1", "k1", lambda v: grad_smooth_min([1.0, -2.0], v)),
+    ("grad_smooth_max a", "a", lambda v: grad_smooth_max(pair(v), 2.0)),
+    ("grad_smooth_max k2", "k2", lambda v: grad_smooth_max([1.0, -2.0], v)),
+    ("min_error_bound m", "m", lambda v: min_error_bound(v, 2.0)),
+    ("min_error_bound k1", "k1", lambda v: min_error_bound(3, v)),
+    ("max_error_bound a", "a", lambda v: max_error_bound(pair(v), 1.0)),
+    ("max_error_bound a at k2 = 0", "a", lambda v: max_error_bound(pair(v), 0.0)),
+    ("max_error_bound k2", "k2", lambda v: max_error_bound([1.0, -2.0], v)),
+    ("SemanticsConfig.ef k1", "k1", lambda v: SemanticsConfig.ef(v, 2.0)),
+    ("SemanticsConfig.ef k2", "k2", lambda v: SemanticsConfig.ef(2.0, v)),
+    ("SemanticsConfig.lse k", "k", lambda v: SemanticsConfig.lse(v)),
+    # a time past the signal's end is refused as a signal too short
+    ("evaluate t", "t|signal", lambda v: evaluate(PHI, SIGNAL, t=v)),
+    ("evaluate classic_until", "classic_until",
+     lambda v: evaluate(PHI, SIGNAL, config=EF, classic_until=v)),
+    ("eval_with_gradient t", "t|signal", lambda v: eval_with_gradient(PHI, SIGNAL, t=v, config=EF)),
+    ("eval_with_gradient classic_until", "classic_until",
      lambda v: eval_with_gradient(PHI, SIGNAL, config=EF, classic_until=v)),
-    ("finite_difference_gradient h",
+    ("finite_difference_gradient h", "h",
      lambda v: finite_difference_gradient(PHI, SIGNAL, config=EF, h=v)),
-    ("finite_difference_gradient classic_until",
+    ("finite_difference_gradient classic_until", "classic_until",
      lambda v: finite_difference_gradient(PHI, SIGNAL, config=EF, classic_until=v)),
-    ("parse p", lambda v: parse("y0 >= 0", p=v)),
-    ("RegionTable.conjunction p", lambda v: REGIONS.conjunction("box", v)),
-    ("RegionTable.complement p", lambda v: REGIONS.complement("box", v)),
-    ("builtin_model dt", lambda v: builtin_model("single_integrator_2d", v)),
-    ("builtin_model dt, differential drive", lambda v: builtin_model("differential_drive", v)),
-    ("k_continuation schedule", lambda v: k_continuation(PROBLEM, v)),
-    ("k_continuation schedule entry", lambda v: k_continuation(PROBLEM, [v])),
-    ("k_continuation second schedule entry", lambda v: k_continuation(PROBLEM, [0.5, v])),
+    ("parse p", "signal dimension p", lambda v: parse("y0 >= 0", p=v)),
+    ("RegionTable.conjunction p", "signal dimension p", lambda v: REGIONS.conjunction("box", v)),
+    ("RegionTable.complement p", "signal dimension p", lambda v: REGIONS.complement("box", v)),
+    ("builtin_model dt", "dt", lambda v: builtin_model("single_integrator_2d", v)),
+    ("builtin_model dt, differential drive", "dt",
+     lambda v: builtin_model("differential_drive", v)),
+    ("k_continuation schedule", "k_schedule", lambda v: k_continuation(PROBLEM, v)),
+    ("k_continuation schedule entry", "k_schedule", lambda v: k_continuation(PROBLEM, [v])),
+    ("k_continuation second schedule entry", "k_schedule",
+     lambda v: k_continuation(PROBLEM, [0.5, v])),
     # a spent budget stops a run of 1e308 trials after the first
-    ("run_bench trials", lambda v: run_bench(SCENARIO, v, 0.0)),
-    ("run_bench time_budget_s", lambda v: run_bench(SCENARIO, 2, v)),
+    ("run_bench trials", "trials", lambda v: run_bench(SCENARIO, v, 0.0)),
+    ("run_bench time_budget_s", "time_budget_s", lambda v: run_bench(SCENARIO, 2, v)),
     # constructors only: a synthesize() run with restarts = 1e308 never ends
-    ("LinearPredicate coefficient", lambda v: LinearPredicate((1.0, v), 0.5)),
-    ("LinearPredicate offset", lambda v: LinearPredicate((1.0,), v)),
-    ("Interval lo", lambda v: Interval(v, 3)),
-    ("CallablePredicate dim", lambda v: CallablePredicate(fn=lambda y: float(y[0]), dim=v)),
-    ("RegionTable bound", lambda v: RegionTable({"box": {0: (-1.0, v)}})),
-    ("RegionTable.inflated margin", lambda v: REGIONS.inflated(v)),
-    ("ScenarioConfig dt", lambda v: dataclasses.replace(SCENARIO, dt=v)),
-    ("ScenarioConfig obstacle_inflation",
+    ("LinearPredicate coefficient", "coefficient", lambda v: LinearPredicate((1.0, v), 0.5)),
+    ("LinearPredicate offset", "offset", lambda v: LinearPredicate((1.0,), v)),
+    ("Interval lo", "interval bound", lambda v: Interval(v, 3)),
+    ("CallablePredicate dim", "dim",
+     lambda v: CallablePredicate(fn=lambda y: float(y[0]), dim=v)),
+    # a bound is named by its region, its dimension or its side
+    ("RegionTable bound", "region 'box'( dimension 0| upper bound)?",
+     lambda v: RegionTable({"box": {0: (-1.0, v)}})),
+    ("RegionTable.inflated margin", "inflation margin", lambda v: REGIONS.inflated(v)),
+    ("ScenarioConfig dt", "dt", lambda v: dataclasses.replace(SCENARIO, dt=v)),
+    ("ScenarioConfig obstacle_inflation", "obstacle_inflation",
      lambda v: dataclasses.replace(SCENARIO, obstacle_inflation=v)),
-    ("SynthesisProblem k1", lambda v: dataclasses.replace(PROBLEM, k1=v)),
-    ("SynthesisProblem k2", lambda v: dataclasses.replace(PROBLEM, k2=v)),
-    ("SynthesisProblem control_weight", lambda v: dataclasses.replace(PROBLEM, control_weight=v)),
-    ("SynthesisProblem tolerance", lambda v: dataclasses.replace(PROBLEM, tolerance=v)),
+    ("SynthesisProblem T", "T", lambda v: dataclasses.replace(PROBLEM, T=v)),
+    ("SynthesisProblem k1", "k1", lambda v: dataclasses.replace(PROBLEM, k1=v)),
+    ("SynthesisProblem k2", "k2", lambda v: dataclasses.replace(PROBLEM, k2=v)),
+    ("SynthesisProblem control_weight", "control_weight",
+     lambda v: dataclasses.replace(PROBLEM, control_weight=v)),
+    ("SynthesisProblem restarts", "restarts", lambda v: dataclasses.replace(PROBLEM, restarts=v)),
+    ("SynthesisProblem seed", "seed", lambda v: dataclasses.replace(PROBLEM, seed=v)),
+    ("SynthesisProblem max_iters", "max_iters",
+     lambda v: dataclasses.replace(PROBLEM, max_iters=v)),
+    ("SynthesisProblem tolerance", "tolerance",
+     lambda v: dataclasses.replace(PROBLEM, tolerance=v)),
 ]
 
 
@@ -152,16 +176,22 @@ def finite(result):
     return True
 
 
+def assert_named(exc, key):
+    """exc is raised by a raise statement of the package, and its message
+    reads "key: why"."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    assert Path(frame.filename).resolve().is_relative_to(PACKAGE), exc
+    assert frame.line.startswith("raise"), exc
+    assert re.match(f"(?:{key}): ", str(exc)), exc
+
+
 @pytest.mark.parametrize("value", EXTREMES, ids=repr)
-@pytest.mark.parametrize("name,call", CALLS, ids=[name for name, _ in CALLS])
-def test_a_named_error_or_finite_values(name, call, value):
+@pytest.mark.parametrize("name,key,call", CALLS, ids=[name for name, *_ in CALLS])
+def test_a_named_error_or_finite_values(name, key, call, value):
     try:
         result = call(value)
     except ValueError as exc:
-        # the innermost frame is a raise statement of the package
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        assert Path(frame.filename).resolve().is_relative_to(PACKAGE), exc
-        assert frame.line.startswith("raise"), exc
+        assert_named(exc, key)
         return
     assert finite(result), result
 
@@ -200,50 +230,149 @@ SENS = rollout_with_sensitivities(PROBLEM.model, PROBLEM.x0, U)
 DIFFDRIVE = builtin_scenario("table2_diffdrive")
 PAIRS = ((-1.0, 1.0), (-1.0, 1.0))
 
-# (name, a good value, call of the value and a scratch directory)
+# (name, the key of its refusals, a good value, call of the value and a
+# scratch directory)
 ARRAY_CALLS = [
-    ("Signal", SIGNAL, lambda v, tmp: Signal(v)),
-    ("evaluate signal", SIGNAL, lambda v, tmp: evaluate(PHI, v)),
-    ("eval_with_gradient signal", SIGNAL, lambda v, tmp: eval_with_gradient(PHI, v, config=EF)),
-    ("finite_difference_gradient signal", SIGNAL,
+    ("Signal", "signal", SIGNAL, lambda v, tmp: Signal(v)),
+    ("evaluate signal", "signal", SIGNAL, lambda v, tmp: evaluate(PHI, v)),
+    ("eval_with_gradient signal", "signal", SIGNAL,
+     lambda v, tmp: eval_with_gradient(PHI, v, config=EF)),
+    ("finite_difference_gradient signal", "signal", SIGNAL,
      lambda v, tmp: finite_difference_gradient(PHI, v, config=EF)),
-    ("rollout x0", PROBLEM.x0, lambda v, tmp: rollout(PROBLEM.model, v, U)),
-    ("rollout u", U, lambda v, tmp: rollout(PROBLEM.model, PROBLEM.x0, v)),
-    ("rollout_with_sensitivities x0", PROBLEM.x0,
+    ("rollout x0", "x0", PROBLEM.x0, lambda v, tmp: rollout(PROBLEM.model, v, U)),
+    ("rollout u", "u", U, lambda v, tmp: rollout(PROBLEM.model, PROBLEM.x0, v)),
+    ("rollout_with_sensitivities x0", "x0", PROBLEM.x0,
      lambda v, tmp: rollout_with_sensitivities(PROBLEM.model, v, U)),
-    ("rollout_with_sensitivities u", U,
+    ("rollout_with_sensitivities u", "u", U,
      lambda v, tmp: rollout_with_sensitivities(PROBLEM.model, PROBLEM.x0, v)),
-    ("control_gradient dsignal", SENS.signal.values, lambda v, tmp: SENS.control_gradient(v)),
-    ("objective u", U, lambda v, tmp: objective(PROBLEM, v)),
-    ("objective u stack", [U, U], lambda v, tmp: objective(PROBLEM, v)),
-    ("save_signal_csv", SIGNAL, lambda v, tmp: save_signal_csv(v, tmp / "y.csv")),
-    ("save_controls_csv", U, lambda v, tmp: save_controls_csv(v, tmp / "u.csv")),
-    ("save_gradient_csv", SIGNAL,
+    ("control_gradient dsignal", "dsignal", SENS.signal.values,
+     lambda v, tmp: SENS.control_gradient(v)),
+    ("objective u", "u", U, lambda v, tmp: objective(PROBLEM, v)),
+    ("objective u stack", "u", [U, U], lambda v, tmp: objective(PROBLEM, v)),
+    ("save_signal_csv", "signal", SIGNAL, lambda v, tmp: save_signal_csv(v, tmp / "y.csv")),
+    ("save_controls_csv", "u", U, lambda v, tmp: save_controls_csv(v, tmp / "u.csv")),
+    ("save_gradient_csv", "d_y", SIGNAL,
      lambda v, tmp: save_gradient_csv(RobustnessGradient(0.0, v), tmp / "d_y.csv")),
-    ("smooth_min a", [1.0, -2.0], lambda v, tmp: smooth_min(v, 2.0)),
-    ("smooth_max a", [1.0, -2.0], lambda v, tmp: smooth_max(v, 2.0)),
-    ("lse_max a", [1.0, -2.0], lambda v, tmp: lse_max(v, 2.0)),
-    ("grad_smooth_min a", [1.0, -2.0], lambda v, tmp: grad_smooth_min(v, 2.0)),
-    ("grad_smooth_max a", [1.0, -2.0], lambda v, tmp: grad_smooth_max(v, 2.0)),
-    ("max_error_bound a", [1.0, -2.0], lambda v, tmp: max_error_bound(v, 1.0)),
-    ("scene_svg trajectory", SIGNAL, lambda v, tmp: scene_svg(REGIONS, [v])),
-    ("SynthesisProblem x0", PROBLEM.x0, lambda v, tmp: dataclasses.replace(PROBLEM, x0=v)),
-    ("SynthesisProblem control_bounds", PAIRS,
+    ("smooth_min a", "a", [1.0, -2.0], lambda v, tmp: smooth_min(v, 2.0)),
+    ("smooth_max a", "a", [1.0, -2.0], lambda v, tmp: smooth_max(v, 2.0)),
+    ("lse_max a", "a", [1.0, -2.0], lambda v, tmp: lse_max(v, 2.0)),
+    ("grad_smooth_min a", "a", [1.0, -2.0], lambda v, tmp: grad_smooth_min(v, 2.0)),
+    ("grad_smooth_max a", "a", [1.0, -2.0], lambda v, tmp: grad_smooth_max(v, 2.0)),
+    ("max_error_bound a", "a", [1.0, -2.0], lambda v, tmp: max_error_bound(v, 1.0)),
+    ("scene_svg trajectory", "trajectory", SIGNAL, lambda v, tmp: scene_svg(REGIONS, [v])),
+    ("SynthesisProblem x0", "x0", PROBLEM.x0,
+     lambda v, tmp: dataclasses.replace(PROBLEM, x0=v)),
+    ("SynthesisProblem control_bounds", "control_bounds", PAIRS,
      lambda v, tmp: dataclasses.replace(PROBLEM, control_bounds=v)),
-    ("ScenarioConfig x0", SCENARIO.x0, lambda v, tmp: dataclasses.replace(SCENARIO, x0=v)),
-    ("ScenarioConfig x0_box", PAIRS,
+    ("ScenarioConfig x0", "x0", SCENARIO.x0, lambda v, tmp: dataclasses.replace(SCENARIO, x0=v)),
+    ("ScenarioConfig x0_box", "x0_box", PAIRS,
      lambda v, tmp: dataclasses.replace(SCENARIO, x0=None, x0_box=v)),
-    ("ScenarioConfig theta0_range", (0.0, 1.0),
+    ("ScenarioConfig theta0_range", "theta0_range", (0.0, 1.0),
      lambda v, tmp: dataclasses.replace(DIFFDRIVE, theta0_range=v)),
-    ("ScenarioConfig control_bounds", PAIRS,
+    ("ScenarioConfig control_bounds", "control_bounds", PAIRS,
      lambda v, tmp: dataclasses.replace(SCENARIO, control_bounds=v)),
 ]
 
 
 @pytest.mark.parametrize("variant", [make for _, make in ARRAYS], ids=[key for key, _ in ARRAYS])
-@pytest.mark.parametrize("name,good,call", ARRAY_CALLS, ids=[name for name, *_ in ARRAY_CALLS])
-def test_an_array_is_a_named_error_or_finite_values(name, good, call, variant, tmp_path):
-    test_a_named_error_or_finite_values(name, lambda v: call(v, tmp_path), variant(good))
+@pytest.mark.parametrize("name,key,good,call", ARRAY_CALLS, ids=[name for name, *_ in ARRAY_CALLS])
+def test_an_array_is_a_named_error_or_finite_values(name, key, good, call, variant, tmp_path):
+    test_a_named_error_or_finite_values(name, key, lambda v: call(v, tmp_path), variant(good))
+
+
+# (id, a model's or a predicate's hook result, given its good one)
+RESULTS = [
+    ("complex", lambda good: np.asarray(good, dtype=float) + 1j),
+    ("bool", lambda good: np.asarray(good, dtype=float) > 0),
+    ("None", lambda good: None),
+    ("string", lambda good: "x"),
+    ("wrong shape", lambda good: np.zeros(np.shape(good) + (2,))),
+]
+# (id, a hook's result, given its good one; a number for a number)
+NON_FINITE = [
+    ("nan", lambda good: np.full(np.shape(good), math.nan)[()]),
+    ("inf", lambda good: np.full(np.shape(good), math.inf)[()]),
+]
+
+DISC = CallablePredicate(
+    fn=lambda y: 1.0 - float(y[:2] @ y[:2]), dim=4,
+    jacobian=lambda y: np.concatenate([-2.0 * y[:2], [0.0, 0.0]]),
+)
+
+
+def broken(hook, variant, fields):
+    """PROBLEM with hook's result, or the first of a Jacobian pair, passed
+    through variant: a hook of its model with fields replaced, or with
+    fields None, of a callable predicate the formula holds always."""
+    if fields is None:
+        good = getattr(DISC, hook)
+        pred = dataclasses.replace(DISC, **{hook: lambda y: variant(good(y))})
+        return dataclasses.replace(PROBLEM, phi=Pred(pred).always(0, 3))
+    model = dataclasses.replace(PROBLEM.model, **fields)
+    good = getattr(model, hook)
+    if hook.endswith("_jacobians"):
+        bad = lambda *args: (lambda fx, fu: (variant(fx), fu))(*good(*args))
+    else:
+        bad = lambda *args: variant(good(*args))
+    return dataclasses.replace(PROBLEM, model=dataclasses.replace(model, **{hook: bad}))
+
+
+DSIGNAL = np.ones_like(SENS.signal.values)
+RUNS = {
+    "rollout": lambda problem: rollout(problem.model, problem.x0, U),
+    "objective": lambda problem: objective(problem, U),
+    "control_gradient": lambda problem: rollout_with_sensitivities(
+        problem.model, problem.x0, U).control_gradient(DSIGNAL),
+    "evaluate": lambda problem: evaluate(problem.phi, SENS.signal),
+    "eval_with_gradient": lambda problem: eval_with_gradient(problem.phi, SENS.signal, config=EF),
+}
+STATE, CONTROL = "non-finite state at timestep {}", "non-finite control gradient at timestep 0"
+MARGIN = "predicate produced a non-finite margin"
+# (hook, the key of its refusals, the fields its model needs to call it
+# or None for the predicate's, {run that calls it: what a non-finite
+# result gives there, or None where it is handed on})
+HOOKS = [
+    ("step", "step", {"states": None}, {"rollout": STATE.format(1), "objective": STATE.format(1)}),
+    ("states", "states", {}, {"rollout": STATE.format(0), "objective": STATE.format(0)}),
+    ("output", "output", {}, dict.fromkeys(("rollout", "objective"),
+                                           "non-finite output at timestep 0")),
+    ("step_jacobians", "step_jacobians df/dx", {"adjoint": None},
+     dict.fromkeys(("control_gradient", "objective"), CONTROL)),
+    ("output_jacobians", "output_jacobians dg/dx", {"adjoint": None},
+     dict.fromkeys(("control_gradient", "objective"), CONTROL)),
+    ("adjoint", "adjoint", {}, dict.fromkeys(("control_gradient", "objective"), CONTROL)),
+    ("fn", "fn", None, {"evaluate": MARGIN, "eval_with_gradient": MARGIN,
+                        "objective": "non-finite predicate margin at timestep 0"}),
+    # eval_with_gradient hands the jacobian's values on as they are
+    ("jacobian", "jacobian", None, {"eval_with_gradient": None, "objective": CONTROL}),
+]
+# (hook, the key of its refusals, the fields, the run, a non-finite result's outcome)
+HOOK_CALLS = [
+    (hook, key, fields, run, outcome)
+    for hook, key, fields, runs in HOOKS for run, outcome in runs.items()
+]
+
+
+@pytest.mark.parametrize("variant", [make for _, make in RESULTS], ids=[key for key, _ in RESULTS])
+@pytest.mark.parametrize("hook,key,fields,run,outcome", HOOK_CALLS,
+                         ids=[f"{hook} via {run}" for hook, _, _, run, _ in HOOK_CALLS])
+def test_a_hook_result_that_is_no_array_of_numbers_is_a_named_error(
+        hook, key, fields, run, outcome, variant):
+    with pytest.raises(ValueError) as info:
+        RUNS[run](broken(hook, variant, fields))
+    assert_named(info.value, key)
+
+
+@pytest.mark.parametrize("variant", [make for _, make in NON_FINITE],
+                         ids=[key for key, _ in NON_FINITE])
+@pytest.mark.parametrize(
+    "hook,key,fields,run,outcome",
+    [case for case in HOOK_CALLS if case[-1] is not None],
+    ids=[f"{hook} via {run}" for hook, _, _, run, outcome in HOOK_CALLS if outcome is not None],
+)
+def test_a_non_finite_hook_result_is_still_divergence(hook, key, fields, run, outcome, variant):
+    with pytest.raises((RolloutDivergence, SemanticsError), match=f"^{outcome}$"):
+        RUNS[run](broken(hook, variant, fields))
 
 
 # the largest effort weight with controls far from zero: w * effort and

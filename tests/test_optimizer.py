@@ -159,6 +159,8 @@ KNOB_ERRORS = [
     ("T", 4.5, "T: needs a whole number, got 4.5"),
     ("T", 3, "T: formula looks 4 steps ahead but T is 3"),
     ("seed", 1.5, "seed: needs a whole number, got 1.5"),
+    # numpy's own "expected non-negative integer" used to come from the draw
+    ("seed", -1, "seed: must be nonnegative"),
     ("max_iters", 0, "max_iters: must be positive"),
     ("restarts", -1, "restarts: must be nonnegative"),
     ("k1", 0.0, "k1: must be positive"),
@@ -728,11 +730,11 @@ class TestPinnedCounts:
 class TestKContinuation:
     def test_schedule_validation(self):
         problem = reach_problem()
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValueError, match="^k_schedule: must be nonempty$"):
             k_continuation(problem, [])
         with pytest.raises(ValueError, match="positive"):
             k_continuation(problem, [0.0, 1.0])
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="^k_schedule: must be strictly increasing$"):
             k_continuation(problem, [1.0, 1.0])
         with pytest.raises(ValueError, match="^k_schedule: must be finite"):
             k_continuation(problem, [1.0, float("inf")])

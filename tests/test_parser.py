@@ -164,7 +164,7 @@ class TestErrors:
             parse("   # only a comment")
 
     def test_bad_p(self):
-        with pytest.raises(FormulaError, match="at least 1"):
+        with pytest.raises(FormulaError, match="^signal dimension p: must be positive$"):
             parse("y0 >= 0", p=0)
 
     @pytest.mark.parametrize("p", ["1", 2.0, np.array([2, 3]), True])

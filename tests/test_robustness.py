@@ -65,9 +65,10 @@ class TestSignal:
     def test_sample_time_must_be_a_sample(self):
         sig = Signal([[1.0], [2.0]])
         assert sig.sample(1.0) == 2.0
-        for t in (-1, 2):
-            with pytest.raises(SemanticsError, match=rf"^t must lie in 0\.\.1, got {t}$"):
-                sig.sample(t)
+        with pytest.raises(SemanticsError, match="^t: must be nonnegative$"):
+            sig.sample(-1)
+        with pytest.raises(SemanticsError, match="^t: must be at most 1, got 2$"):
+            sig.sample(2)
         for t in (0.5, True, "1", None):
             with pytest.raises(SemanticsError, match=rf"^t: needs a whole number, got {t!r}$"):
                 sig.sample(t)
@@ -348,7 +349,7 @@ class TestErrorBounds:
         assert_allclose(max_error_bound([1.0, 0.0], 1.0), 0.2689414213699951, rtol=1e-15)
 
     def test_min_bound_validation(self):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match="^m: must be positive$"):
             min_error_bound(0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             min_error_bound(3, 0.0)
@@ -367,13 +368,13 @@ class TestErrorBounds:
             min_error_bound(2, True)
 
     def test_max_bound_validation(self):
-        with pytest.raises(ValueError, match="at least two"):
+        with pytest.raises(ValueError, match="^a: needs at least two entries$"):
             max_error_bound([1.0], 1.0)
-        with pytest.raises(ValueError, match="descending"):
+        with pytest.raises(ValueError, match="^a: must be sorted in descending order$"):
             max_error_bound([0.0, 1.0], 1.0)
 
     def test_min_bound_refuses_a_sharpness_too_small_for_a_finite_bound(self):
-        with pytest.raises(ValueError, match="^k1 is too small for a finite bound over 3 "):
+        with pytest.raises(ValueError, match="^k1: too small for a finite bound over 3 "):
             min_error_bound(3, 5e-324)
         assert min_error_bound(1, 5e-324) == 0.0
 
@@ -466,9 +467,9 @@ class TestEvaluateExact:
 
     def test_signal_length_checked(self):
         phi = parse("G[0,5] y0 >= 0", p=1)
-        with pytest.raises(SemanticsError, match="signal too short"):
+        with pytest.raises(SemanticsError, match="^signal: too short: evaluation at t=0 needs "):
             evaluate(phi, Signal([1.0, 2.0, 3.0]))
-        with pytest.raises(SemanticsError, match="nonnegative"):
+        with pytest.raises(SemanticsError, match="^t: must be nonnegative$"):
             evaluate(phi, Signal(np.ones(6)), t=-1)
 
     def test_evaluation_time_is_not_a_bool_or_a_string(self):

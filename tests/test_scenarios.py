@@ -449,6 +449,9 @@ class TestBuildProblem:
             build_problem(config, seed=1.5)
         with pytest.raises(ScenarioError, match="^seed: needs a whole number, got True"):
             build_problem(config, seed=True)
+        # -1 used to reach the start's generator and fail inside numpy
+        with pytest.raises(ScenarioError, match="^seed: must be nonnegative$"):
+            build_problem(builtin_scenario("table2_diffdrive"), seed=-1)
         problem = build_problem(config, seed=7.0)
         assert problem.seed == 7 and type(problem.seed) is int
 
@@ -513,7 +516,7 @@ class TestBench:
             run_bench(builtin_scenario("two_target"), trials=True)
 
     def test_at_least_one_trial_required(self):
-        with pytest.raises(ScenarioError, match="at least 1"):
+        with pytest.raises(ScenarioError, match="^trials: must be positive$"):
             run_bench(builtin_scenario("two_target"), trials=0)
 
     def test_failed_trials_poison_only_the_means(self):
