@@ -252,7 +252,7 @@ class Interval:
         lo = _index("interval bound", self.lo, "whole timesteps", "nonnegative")
         hi = _index("interval bound", self.hi, "whole timesteps")
         if hi < lo:
-            raise FormulaError(f"interval is reversed: [{lo},{hi}]")
+            raise FormulaError(f"interval: needs lo <= hi, got [{lo},{hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -583,13 +583,12 @@ class RegionTable:
                     f"region {name!r}: malformed bounds: dimension {dim!r} needs an "
                     f"integer dimension and a (lower, upper) pair of numbers, got {bounds!r}"
                 ) from None
-            if d < 0:
-                raise FormulaError(f"region {name!r}: dimension must be nonnegative")
+            _signed(f"region {name!r} dimension", d, "nonnegative", FormulaError)
             lo = _real(f"region {name!r} lower bound", lo, FormulaError)
             hi = _real(f"region {name!r} upper bound", hi, FormulaError)
             if not lo < hi:
                 raise FormulaError(
-                    f"region {name!r} dimension {d}: need lower < upper, got [{lo}, {hi}]"
+                    f"region {name!r} dimension {d}: needs lower < upper, got [{lo}, {hi}]"
                 )
             checked[d] = (lo, hi)
         return dict(sorted(checked.items()))

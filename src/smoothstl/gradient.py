@@ -105,7 +105,8 @@ def eval_with_gradient(phi, signal, t=0, config=None, classic_until=False):
 
     Only the ef semantics is differentiable here; the value returned is
     bit-identical to evaluate() with the same arguments because both run
-    the same forward pass of the same plan.
+    the same forward pass of the same plan. A gradient that is not finite
+    raises SemanticsError, as a non-finite margin does.
     """
     if config is None or config.kind != "ef":
         raise SemanticsError("eval_with_gradient needs ef semantics")

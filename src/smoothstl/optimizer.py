@@ -129,8 +129,8 @@ class SynthesisProblem:
         object.__setattr__(self, "x0", tuple(x0.tolist()))
         if not is_nnf(self.phi):
             raise ValueError("phi: must be in negation normal form; apply to_nnf first")
-        for key, sign in (("T", None), ("restarts", "nonnegative"), ("seed", "nonnegative"),
-                          ("max_iters", "positive")):
+        for key, sign in (("T", "nonnegative"), ("restarts", "nonnegative"),
+                          ("seed", "nonnegative"), ("max_iters", "positive")):
             object.__setattr__(self, key, _whole(key, getattr(self, key), sign=sign))
         for key, sign in (("k1", "positive"), ("k2", "nonnegative"),
                           ("control_weight", "nonnegative"), ("tolerance", "positive")):

@@ -741,7 +741,8 @@ class _Plan:
         # and its offset is below half an ulp of the largest float (safe);
         # or, with coefficients and offsets of moderate size, the samples'
         # squares sum to a finite number, so none exceeds 1.4e154 (bounded).
-        norms, offsets = np.abs(self.coeffs).sum(axis=-1), np.abs(self.offsets)
+        with np.errstate(over="ignore"):  # an infinite norm is just not bounded
+            norms, offsets = np.abs(self.coeffs).sum(axis=-1), np.abs(self.offsets)
         one = (np.count_nonzero(self.coeffs, axis=-1) <= 1) & (norms <= 1)
         self.safe = not self.callables and one.all() and (offsets < 2.0**969).all()
         self.bounded = not self.callables and (norms <= 1e150).all() and (offsets <= 1e300).all()
@@ -871,12 +872,14 @@ class _Plan:
             weights=(adjoint[..., : self.n_leaf] * self.signs).reshape(-1),
             minlength=math.prod(lead) * rows * cols,
         ).reshape(lead + (rows, cols))
-        dY = G[..., : self.n_linear] @ self.coeffs
-        for col, pred, at in self.callables:
-            at, Gs = _flat_index(at, rows, lead), G.reshape(-1, cols)
-            dYs, Ys = dY.reshape(-1, dY.shape[-1]), Y.reshape(-1, Y.shape[-1])
-            for r in at[Gs[at, col] != 0.0]:
-                dYs[r] += Gs[r, col] * pred.gradient(Ys[r])
+        # only a plan neither safe nor bounded can overflow here; _evaluate checks
+        with _WARN if self.safe or self.bounded else np.errstate(over="ignore", invalid="ignore"):
+            dY = G[..., : self.n_linear] @ self.coeffs
+            for col, pred, at in self.callables:
+                at, Gs = _flat_index(at, rows, lead), G.reshape(-1, cols)
+                dYs, Ys = dY.reshape(-1, dY.shape[-1]), Y.reshape(-1, Y.shape[-1])
+                for r in at[Gs[at, col] != 0.0]:
+                    dYs[r] += Gs[r, col] * pred.gradient(Ys[r])
         return dY
 
 
@@ -925,7 +928,8 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
 
     Returns the value, or R values, and with gradient set the gradient in
     the samples, else None; each row of a stack is bit for bit its signal's
-    own. A stack counts R forwards; one of one runs unstacked (faster).
+    own. A stack counts R forwards; one of one runs unstacked (faster). A
+    signal's gradient must be finite; a stack's is returned as it is.
     """
     if not isinstance(config, SemanticsConfig):
         raise SemanticsError("config must be a SemanticsConfig")
@@ -947,7 +951,7 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
     p = values.shape[-1]
     if plan.dims != {p}:
         bad = min(plan.dims - {p})
-        raise SemanticsError(f"predicate expects {bad} signal dimensions, signal has {p}")
+        raise SemanticsError(f"signal: needs {bad} dimensions for a predicate, got {p}")
     Y = values[..., t : need + 1, :]
     if len(Y) == 1 and Y.ndim == 3:
         Y = Y[0]
@@ -957,8 +961,13 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
         _tick(plan.applications * n, plan.scalars * n, forwards=n)
     if not gradient:
         return vals[..., plan.root], None
+    dY = plan.backward(Y, weights)
+    # only a plan neither safe nor bounded can give one that is not finite,
+    # and a stack's caller reads it by row
+    if values.ndim == 2 and not (plan.safe or plan.bounded or np.isfinite(dY).all()):
+        raise SemanticsError("predicate produced a non-finite gradient")
     dsignal = np.zeros_like(values)
-    dsignal[..., t : t + Y.shape[-2], :] = plan.backward(Y, weights)
+    dsignal[..., t : t + Y.shape[-2], :] = dY
     return vals[..., plan.root], dsignal
 
 

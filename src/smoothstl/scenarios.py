@@ -29,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import builtin_model
-from .formula import FormulaError, RegionTable, _array, _convert, _number, _real, _whole, to_nnf
+from .formula import (
+    FormulaError, RegionTable, _array, _convert, _number, _real, _signed, _whole, to_nnf,
+)
 from .optimizer import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
@@ -86,8 +88,8 @@ class ScenarioConfig:
     @param control_weight: effort penalty w in the objective
     @param control_bounds: per-input (lo, hi) pairs or None for unbounded
     @param x0:             fixed initial state, or None to sample
-    @param x0_box:         per-position (lo, hi) sampling box when x0 is None
-    @param theta0_range:   heading sampling range, differential drive only
+    @param x0_box:         per-state (lo, hi) sampling box when x0 is None,
+                           one pair for each of the model's n states
     @param restarts:       random restarts per synthesize() call
     @param seed:           base RNG seed
     @param obstacle_inflation: margin added to every obs* region, to absorb
@@ -112,7 +114,6 @@ class ScenarioConfig:
     control_bounds: tuple | None = None
     x0: tuple | None = None
     x0_box: tuple | None = None
-    theta0_range: tuple | None = None
     restarts: int = DEFAULT_RESTARTS
     seed: int = 0
     obstacle_inflation: float = 0.0
@@ -128,6 +129,7 @@ class ScenarioConfig:
                 raise ScenarioError(f"regions: {exc}") from None
         for key, sign in (("obstacle_inflation", "nonnegative"), ("dt", "positive")):
             object.__setattr__(self, key, _real(key, getattr(self, key), ScenarioError, sign))
+        object.__setattr__(self, "T", _whole("T", self.T, ScenarioError, "positive"))
         try:
             model = builtin_model(self.model, self.dt)
         except ValueError as exc:
@@ -136,35 +138,19 @@ class ScenarioConfig:
         if (self.x0 is None) == (self.x0_box is None):
             raise ScenarioError("x0: exactly one of x0 and x0_box must be set")
         if self.x0_box is not None:
-            # the box covers position only; heading has its own range
-            want = 2 if self.model == "differential_drive" else model.n
-            box = _array("x0_box", self.x0_box, ScenarioError, (want, 2)).tolist()
+            box = _array("x0_box", self.x0_box, ScenarioError, (model.n, 2)).tolist()
             object.__setattr__(self, "x0_box", tuple(map(tuple, box)))
             if any(not lo <= hi for lo, hi in box):
                 raise ScenarioError("x0_box: every pair needs lo <= hi")
-        if self.theta0_range is not None:
-            if self.model != "differential_drive":
-                raise ScenarioError("theta0_range: only meaningful for differential_drive")
-            lo, hi = _array("theta0_range", self.theta0_range, ScenarioError, (2,)).tolist()
-            object.__setattr__(self, "theta0_range", (lo, hi))
-            if not lo <= hi:
-                raise ScenarioError("theta0_range: needs lo <= hi")
-        elif self.model == "differential_drive" and self.x0_box is not None:
-            raise ScenarioError("theta0_range: required when sampling differential_drive starts")
 
-        # a sampled start is drawn per seed; the low corner of its ranges stands in
-        start = self.x0
-        if start is None:
-            ranges = self.x0_box + ((self.theta0_range,) if self.theta0_range else ())
-            start = [lo for lo, _ in ranges]
+        # a sampled start is drawn per seed; the box's low corner stands in
+        start = self.x0 if self.x0 is not None else [lo for lo, _ in self.x0_box]
         try:
             problem = build_problem(self, x0=start)
         except (ParseError, FormulaError) as exc:
             raise ScenarioError(f"spec: {exc}") from None
         for key in _KNOBS + (("x0",) if self.x0 is not None else ()):
             object.__setattr__(self, key, getattr(problem, key))
-        if self.T < 1:
-            raise ScenarioError("T: horizon must be at least 1")
 
     def system_model(self):
         return builtin_model(self.model, self.dt)
@@ -377,8 +363,7 @@ def _table2_diffdrive():
         k1=1.0,
         k2=1.0,
         control_weight=0.01,
-        x0_box=((0.0, 1.0), (0.0, 1.0)),
-        theta0_range=(0.0, 2.0 * math.pi),
+        x0_box=((0.0, 1.0), (0.0, 1.0), (0.0, 2.0 * math.pi)),
         restarts=3,
     )
 
@@ -418,10 +403,7 @@ def sample_x0(config, rng=None):
         return np.array(config.x0, dtype=float)
     if rng is None:
         rng = _x0_rng(config.seed)
-    parts = [rng.uniform(lo, hi) for lo, hi in config.x0_box]
-    if config.theta0_range is not None:
-        parts.append(rng.uniform(*config.theta0_range))
-    return np.array(parts, dtype=float)
+    return np.array([rng.uniform(lo, hi) for lo, hi in config.x0_box], dtype=float)
 
 
 def build_problem(config, x0=None, seed=None, **overrides):
@@ -528,8 +510,7 @@ def run_bench(config, trials, time_budget_s=None):
     trials = _whole("trials", trials, ScenarioError, "positive")
     budget = math.inf if time_budget_s is None else time_budget_s
     budget = _convert("time_budget_s", budget, _number, "a number", ScenarioError)
-    if not budget >= 0:
-        raise ScenarioError(f"time_budget_s: must be nonnegative, got {budget}")
+    _signed("time_budget_s", budget, "nonnegative", ScenarioError)
     start = time.perf_counter()
     records = []
     for trial in range(trials):

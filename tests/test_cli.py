@@ -278,6 +278,15 @@ class TestSynth:
         with pytest.raises(ValueError, match=rf"^trajectory: must be finite, got {bad} at \[1, 1\]$"):
             scene_svg(regions, [[(0.0, 0.0), (1.0, bad)]])
 
+    def test_scene_svg_refuses_a_one_column_trajectory(self):
+        with pytest.raises(ValueError, match="^trajectory: needs at least two dimensions$"):
+            scene_svg(RegionTable({}), [[[0.0], [1.0]]])
+
+    def test_empty_scene_spans_the_unit_square(self):
+        # the unit square plus the margin on every side, fit to the viewport
+        root = ElementTree.fromstring(scene_svg(RegionTable({})))
+        assert root.get("viewBox") == "0 0 640.0 640.0"
+
     def test_custom_config_solves(self, capsys, tmp_path):
         config = tiny_scenario(tmp_path)
         out_dir = tmp_path / "run"
@@ -422,6 +431,17 @@ class TestBench:
         assert len(records) == 2
         assert all(list(record) == fields for record in records)
 
+    def test_seed_flag_sets_the_first_trial_seed(self, capsys, tmp_path):
+        config = tiny_scenario(tmp_path, max_iters=5)
+        code, out, _ = run(
+            capsys, "bench", "--config", config, "--trials", "2", "--seed", "7",
+            "--out", str(tmp_path / "bench"), "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["seed"] == 7
+        assert [r["seed"] for r in payload["records"]] == [7, 8]
+
     def test_nan_budget_exits_two(self, capsys, tmp_path):
         config = tiny_scenario(tmp_path, max_iters=5)
         code, _, err = run(
@@ -451,6 +471,27 @@ class TestScale:
         code, _, err = run(capsys, "scale")
         assert code == 2
         assert "nothing to sweep" in err
+        # an empty list is no sweep either
+        code, _, err = run(capsys, "scale", "--n", "")
+        assert code == 2
+        assert "nothing to sweep" in err
+
+    def test_sweep_list_must_be_integers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scale", "--n", "10,x"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "expected comma-separated integers, got '10,x'" in err
+
+    def test_scenario_is_the_sweep_base(self, capsys, tmp_path):
+        argv = ("--n", "10", "--restarts", "0", "--max-iters", "3", "--out", str(tmp_path))
+        code, out, _ = run(capsys, "scale", "--scenario", "charging", *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["records"][0]["op_count"] == 530.0
+        # a base without the service stations has no region for the sweep's spec
+        code, _, err = run(capsys, "scale", "--scenario", "two_target", *argv)
+        assert code == 2
+        assert err.startswith("error while sweeping: spec: ") and "'chg1_1'" in err
 
 
 class TestVersion:

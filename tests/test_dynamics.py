@@ -503,10 +503,12 @@ class TestDivergence:
         # next update cannot take its cosine
         model = differential_drive()
         u = np.array([[0.0, 1e308], [1.0, 0.0], [0.0, 0.0]])
-        for run in (rollout, rollout_with_sensitivities):
-            with pytest.raises(RolloutDivergence, match="state") as err:
-                run(model, [0.0, 0.0, 1e308], u)
-            assert err.value.timestep == 1
+        # with its vectorised states and step by step, where the step raises
+        for model in (model, dataclasses.replace(model, states=None)):
+            for run in (rollout, rollout_with_sensitivities):
+                with pytest.raises(RolloutDivergence, match="state") as err:
+                    run(model, [0.0, 0.0, 1e308], u)
+                assert err.value.timestep == 1
 
     def test_vectorised_overflow_is_state_divergence(self):
         # x1 = 1e308 is still finite and x2 = 2e308 overflows; the

@@ -147,6 +147,7 @@ CALLS = [
      lambda v: RegionTable({"box": {0: (-1.0, v)}})),
     ("RegionTable.inflated margin", "inflation margin", lambda v: REGIONS.inflated(v)),
     ("ScenarioConfig dt", "dt", lambda v: dataclasses.replace(SCENARIO, dt=v)),
+    ("ScenarioConfig T", "T", lambda v: dataclasses.replace(SCENARIO, T=v)),
     ("ScenarioConfig obstacle_inflation", "obstacle_inflation",
      lambda v: dataclasses.replace(SCENARIO, obstacle_inflation=v)),
     ("SynthesisProblem T", "T", lambda v: dataclasses.replace(PROBLEM, T=v)),
@@ -194,6 +195,28 @@ def test_a_named_error_or_finite_values(name, key, call, value):
         assert_named(exc, key)
         return
     assert finite(result), result
+
+
+# (the message of a refusal that no extreme value above reaches, its call)
+REFUSALS = [
+    ("interval: needs lo <= hi, got [3,1]", lambda: Interval(3, 1)),
+    ("signal: needs 2 dimensions for a predicate, got 4", lambda: evaluate(PHI, np.zeros((3, 4)))),
+    ("region 'box' dimension: must be nonnegative",
+     lambda: RegionTable({"box": {-1: (0.0, 1.0)}})),
+    ("region 'box' dimension 0: needs lower < upper, got [1.0, 1.0]",
+     lambda: RegionTable({"box": {0: (1.0, 1.0)}})),
+    ("T: must be positive", lambda: dataclasses.replace(SCENARIO, T=0)),
+    ("T: must be nonnegative", lambda: dataclasses.replace(PROBLEM, T=-1)),
+    ("time_budget_s: must be nonnegative", lambda: run_bench(SCENARIO, 1, -1.0)),
+]
+
+
+@pytest.mark.parametrize("message,call", REFUSALS, ids=[message for message, _ in REFUSALS])
+def test_a_refusal_names_its_key(message, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+    assert_named(info.value, re.escape(message.split(": ")[0]))
 
 
 def entry(good, value):
@@ -267,8 +290,8 @@ ARRAY_CALLS = [
     ("ScenarioConfig x0", "x0", SCENARIO.x0, lambda v, tmp: dataclasses.replace(SCENARIO, x0=v)),
     ("ScenarioConfig x0_box", "x0_box", PAIRS,
      lambda v, tmp: dataclasses.replace(SCENARIO, x0=None, x0_box=v)),
-    ("ScenarioConfig theta0_range", "theta0_range", (0.0, 1.0),
-     lambda v, tmp: dataclasses.replace(DIFFDRIVE, theta0_range=v)),
+    ("ScenarioConfig x0_box, differential drive", "x0_box", DIFFDRIVE.x0_box,
+     lambda v, tmp: dataclasses.replace(DIFFDRIVE, x0_box=v)),
     ("ScenarioConfig control_bounds", "control_bounds", PAIRS,
      lambda v, tmp: dataclasses.replace(SCENARIO, control_bounds=v)),
 ]
@@ -328,9 +351,10 @@ RUNS = {
 }
 STATE, CONTROL = "non-finite state at timestep {}", "non-finite control gradient at timestep 0"
 MARGIN = "predicate produced a non-finite margin"
+GRADIENT = "predicate produced a non-finite gradient"
 # (hook, the key of its refusals, the fields its model needs to call it
 # or None for the predicate's, {run that calls it: what a non-finite
-# result gives there, or None where it is handed on})
+# result gives there})
 HOOKS = [
     ("step", "step", {"states": None}, {"rollout": STATE.format(1), "objective": STATE.format(1)}),
     ("states", "states", {}, {"rollout": STATE.format(0), "objective": STATE.format(0)}),
@@ -343,8 +367,7 @@ HOOKS = [
     ("adjoint", "adjoint", {}, dict.fromkeys(("control_gradient", "objective"), CONTROL)),
     ("fn", "fn", None, {"evaluate": MARGIN, "eval_with_gradient": MARGIN,
                         "objective": "non-finite predicate margin at timestep 0"}),
-    # eval_with_gradient hands the jacobian's values on as they are
-    ("jacobian", "jacobian", None, {"eval_with_gradient": None, "objective": CONTROL}),
+    ("jacobian", "jacobian", None, {"eval_with_gradient": GRADIENT, "objective": CONTROL}),
 ]
 # (hook, the key of its refusals, the fields, the run, a non-finite result's outcome)
 HOOK_CALLS = [
@@ -365,11 +388,8 @@ def test_a_hook_result_that_is_no_array_of_numbers_is_a_named_error(
 
 @pytest.mark.parametrize("variant", [make for _, make in NON_FINITE],
                          ids=[key for key, _ in NON_FINITE])
-@pytest.mark.parametrize(
-    "hook,key,fields,run,outcome",
-    [case for case in HOOK_CALLS if case[-1] is not None],
-    ids=[f"{hook} via {run}" for hook, _, _, run, outcome in HOOK_CALLS if outcome is not None],
-)
+@pytest.mark.parametrize("hook,key,fields,run,outcome", HOOK_CALLS,
+                         ids=[f"{hook} via {run}" for hook, _, _, run, _ in HOOK_CALLS])
 def test_a_non_finite_hook_result_is_still_divergence(hook, key, fields, run, outcome, variant):
     with pytest.raises((RolloutDivergence, SemanticsError), match=f"^{outcome}$"):
         RUNS[run](broken(hook, variant, fields))
@@ -410,3 +430,31 @@ def test_an_effort_weight_whose_double_overflows_keeps_a_finite_gradient():
 def test_an_ascent_at_an_effort_weight_whose_double_overflows_keeps_its_restart():
     (record,) = synthesize(HEAVIEST).restart_records
     assert not record.failed and finite(record)
+
+
+# a soft-max weight above 1 times a coefficient near the largest float
+# overflows where the leaf adjoints are pushed to the samples
+STEEP = "F[0,1] F[0,1] 1.79e308*y0 >= 0"
+
+
+def test_a_gradient_that_overflows_is_refused_without_a_warning():
+    with pytest.raises(SemanticsError, match=f"^{GRADIENT}$"):
+        eval_with_gradient(parse(STEEP, p=1), [[0.0], [0.0], [5e-309]], 0,
+                           SemanticsConfig.ef(1.0, 2.0))
+    # the same signal as the output of a rollout
+    problem = SynthesisProblem(single_integrator_2d(), (0.0, 0.0), parse(STEEP, p=4), T=2,
+                               k1=1.0, k2=2.0)
+    u = np.array([[0.0, 0.0], [5e-309, 0.0], [0.0, 0.0]])
+    with pytest.raises(RolloutDivergence, match=f"^{CONTROL}$"):
+        objective(problem, u)
+    stacked = objective(problem, np.stack([np.zeros_like(u), u]))
+    assert finite(stacked[0])
+    assert str(stacked[1]) == CONTROL
+
+
+def test_a_plan_whose_coefficient_norm_overflows_compiles_quietly():
+    # an infinite norm only means the plan's margins are checked
+    phi = parse("1e308*y0 + 1e308*y1 >= 0", p=2)
+    assert evaluate(phi, [[0.0, 0.0]]) == 0.0
+    with pytest.raises(SemanticsError, match=f"^{MARGIN}$"):
+        evaluate(phi, [[1.0, 1.0]])

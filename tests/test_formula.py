@@ -103,6 +103,12 @@ class TestCallablePredicate:
         with pytest.raises(FormulaError, match="^dim: must be positive$"):
             CallablePredicate(fn=lambda y: float(y[0]), dim=0)
 
+    def test_functions_must_be_callable(self):
+        with pytest.raises(FormulaError, match="^fn: must be callable$"):
+            CallablePredicate(fn=1.0, dim=1)
+        with pytest.raises(FormulaError, match="^jacobian: must be callable when given$"):
+            CallablePredicate(fn=lambda y: float(y[0]), dim=1, jacobian=1.0)
+
 
 class TestInterval:
     def test_width_and_str(self):
@@ -122,6 +128,10 @@ class TestInterval:
 
 
 class TestConnectives:
+    def test_pred_wraps_a_predicate(self):
+        with pytest.raises(FormulaError, match="^Pred wraps a LinearPredicate or CallablePredicate$"):
+            Pred((1.0, 0.0))
+
     def test_operator_sugar(self):
         a, b, c, _ = atoms()
         assert isinstance(a & b, And)
@@ -275,6 +285,10 @@ class TestFormatFormula:
         phi = a.until(b, 0, 2)
         assert str(phi) == format_formula(phi)
 
+    def test_all_zero_coefficients_print_one_zero_term(self):
+        phi = Pred(LinearPredicate((0.0, 0.0), 1.0))
+        assert format_formula(phi) == "0.0*y0 >= 1.0"
+
     def test_callable_predicates_do_not_print(self):
         pred = CallablePredicate(fn=lambda y: float(y[0]), dim=1)
         with pytest.raises(FormulaError, match="no textual form"):
@@ -295,6 +309,12 @@ class TestRegionTable:
         assert "obs" in t and "lava" not in t
         assert len(t) == 3
         assert t["goal"] == {0: (2.5, 3.5), 1: (6.5, 7.5)}
+
+    def test_iteration_equality_and_repr(self):
+        t = self.table()
+        assert list(t) == ["obs", "goal", "ubox"]
+        assert t == self.table() and t != {"obs": t["obs"]}
+        assert repr(RegionTable({"b": {0: (0, 1)}})) == "RegionTable({'b': {0: (0.0, 1.0)}})"
 
     def test_membership_margin(self):
         t = self.table()

@@ -747,6 +747,17 @@ class TestKContinuation:
         with pytest.raises(ValueError, match="^k_schedule: needs a number, got '3'"):
             k_continuation(problem, [1, "3"])
 
+    def test_a_stage_that_diverges_from_its_warm_start_fails(self):
+        # at k = 0.01 the gradient at u = 0 is within the tolerance, so the
+        # first stage keeps u = 0; at k = 2 a soft-max weight above 1 times
+        # the coefficient overflows the gradient there
+        phi = parse("G[1,1] (1.79e308*y0 >= 0 or y1 >= 0)", p=4)
+        problem = SynthesisProblem(single_integrator_2d(), (5e-309, 0.0), phi, T=1, k1=1.0,
+                                   k2=1.0, restarts=0, max_iters=5, tolerance=1.7e308)
+        with pytest.raises(SynthesisFailure,
+                           match=r"^continuation stage k=2.0 diverged from its warm start$"):
+            k_continuation(problem, [0.01, 2.0])
+
     def test_singleton_schedule_is_plain_synthesis(self):
         problem = reach_problem(k1=5.0, k2=5.0, max_iters=60)
         a = k_continuation(problem, [5.0])

@@ -131,6 +131,10 @@ class TestRegions:
         with pytest.raises(ParseError, match="dimension"):
             parse("goal", regions=self.table(), p=1)
 
+    def test_a_plain_mapping_is_read_as_a_table(self):
+        regions = {"goal": {0: (2.0, 3.0), 1: (6.0, 7.0)}}
+        assert parse("goal", regions=regions, p=2) == parse("goal", regions=self.table(), p=2)
+
 
 class TestErrors:
     def test_position_reported(self):
@@ -150,6 +154,16 @@ class TestErrors:
     def test_reversed_window(self):
         with pytest.raises(ParseError, match="reversed window"):
             parse("G[3,1] y0 >= 0")
+
+    @pytest.mark.parametrize("text,message", [
+        ("y0 >= 0 and and y1 >= 0", "line 1, column 13: unexpected keyword 'and'"),
+        ("F[-1,2] y0 >= 0", "line 1, column 3: window bounds must be nonnegative"),
+        ("y0 + >= 0", "line 1, column 6: expected a term, got '>='"),
+    ])
+    def test_misplaced_tokens_are_named_where_they_stand(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     def test_fractional_window(self):
         with pytest.raises(ParseError):

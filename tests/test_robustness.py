@@ -43,6 +43,7 @@ class TestSignal:
         assert sig.T == 2
         assert len(sig) == 3
         assert_allclose(sig.sample(1), [3.0, 4.0])
+        assert repr(sig) == "Signal(T=2, p=2)"
 
     def test_one_dimensional_convenience(self):
         sig = Signal([1.0, 2.0, 3.0])
@@ -650,3 +651,14 @@ class TestSignalCsv:
         path.write_text("")
         with pytest.raises(SemanticsError, match="empty"):
             load_signal_csv(path)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("t,y0\n")
+        with pytest.raises(SemanticsError, match="header.csv: no rows$"):
+            load_signal_csv(path)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("t,y0\n0,1.0\n\n1,2.0\n\n")
+        assert load_signal_csv(path).values.tolist() == [[1.0], [2.0]]

@@ -88,8 +88,7 @@ class TestBuiltins:
     def test_sampling_task_has_no_fixed_start(self):
         config = builtin_scenario("table2_diffdrive")
         assert config.x0 is None
-        assert config.x0_box == ((0.0, 1.0), (0.0, 1.0))
-        assert config.theta0_range == (0.0, 2.0 * math.pi)
+        assert config.x0_box == ((0.0, 1.0), (0.0, 1.0), (0.0, 2.0 * math.pi))
 
 
 class TestFeasibilityCertificates:
@@ -203,7 +202,7 @@ class TestConfigValidation:
         ("spec", "F[0,5] lava", "spec"),
         ("spec", "F[0,9] goal", "T"),
         ("control_bounds", ((-1.0, 1.0),), "control_bounds"),
-        ("theta0_range", (0.0, 1.0), "theta0_range"),
+        ("regions", {"goal": {0: (2.0, 1.0)}}, "regions"),
         ("control_bounds", ((-1.0, math.inf), (-1.0, 1.0)), "control_bounds"),
         ("x0", (0.0, math.inf), "x0"),
         ("tolerance", math.inf, "tolerance"),
@@ -213,13 +212,12 @@ class TestConfigValidation:
             ScenarioConfig(**self.base_kwargs(**{field: value}))
 
     @pytest.mark.parametrize("field,value", [
-        ("x0_box", ((0.0, 1.0), (-math.inf, 1.0))),
-        ("theta0_range", (0.0, math.inf)),
+        ("x0_box", ((0.0, 1.0), (-math.inf, 1.0), (0.0, 6.28))),
+        ("x0_box", ((0.0, 1.0), (0.0, 1.0), (0.0, math.inf))),
     ])
     def test_nonfinite_sampling_ranges_name_the_key(self, field, value):
         kwargs = self.base_kwargs(
-            model="differential_drive", x0=None,
-            x0_box=((0.0, 1.0), (0.0, 1.0)), theta0_range=(0.0, 6.28),
+            model="differential_drive", x0=None, x0_box=((0.0, 1.0), (0.0, 1.0), (0.0, 6.28)),
         )
         with pytest.raises(ScenarioError, match=f"^{field}: must be finite"):
             ScenarioConfig(**dict(kwargs, **{field: value}))
@@ -277,18 +275,30 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match="exactly one"):
             ScenarioConfig(**self.base_kwargs(x0_box=((0.0, 1.0), (0.0, 1.0))))
 
+    def test_box_pairs_need_lo_at_most_hi(self):
+        kwargs = self.base_kwargs(x0=None)
+        with pytest.raises(ScenarioError, match="^x0_box: every pair needs lo <= hi$"):
+            ScenarioConfig(**kwargs, x0_box=((1.0, 0.0), (0.0, 1.0)))
+        # a pair of equal bounds fixes that coordinate
+        config = ScenarioConfig(**kwargs, x0_box=((0.5, 0.5), (0.0, 1.0)))
+        assert sample_x0(config)[0] == 0.5
+
     def test_heading_range_required_for_sampled_unicycle(self):
         kwargs = self.base_kwargs(
             model="differential_drive", x0=None,
             x0_box=((0.0, 1.0), (0.0, 1.0)),
         )
-        with pytest.raises(ScenarioError, match="theta0_range"):
+        with pytest.raises(ScenarioError, match=r"^x0_box: needs shape \(3, 2\), got \(2, 2\)$"):
             ScenarioConfig(**kwargs)
-        ScenarioConfig(**dict(kwargs, theta0_range=(0.0, 6.28)))
+        ScenarioConfig(**dict(kwargs, x0_box=((0.0, 1.0), (0.0, 1.0), (0.0, 6.28))))
 
     def test_x0_length_follows_the_model(self):
         with pytest.raises(ScenarioError, match="x0"):
             ScenarioConfig(**self.base_kwargs(x0=(0.0, 0.0, 0.0)))
+        # so does the box's: no pair for a heading the model does not have
+        box = ((0.0, 1.0), (0.0, 1.0), (0.0, 6.28))
+        with pytest.raises(ScenarioError, match=r"^x0_box: needs shape \(2, 2\), got \(3, 2\)$"):
+            ScenarioConfig(**self.base_kwargs(x0=None, x0_box=box))
 
     def test_obstacle_inflation_grows_only_obs(self):
         kwargs = self.base_kwargs(
@@ -333,7 +343,7 @@ class TestJsonRoundTrip:
             },
             spec="F[0,8] goal and G[0,8] not obs", dt=0.5, k1=3.0, k2=4.0,
             control_weight=0.02, control_bounds=((-1.0, 1.0), (-2.0, 2.0)),
-            x0_box=((0.0, 0.5), (0.0, 0.5)), theta0_range=(0.0, 1.0), restarts=1, seed=3,
+            x0_box=((0.0, 0.5), (0.0, 0.5), (0.0, 1.0)), restarts=1, seed=3,
             obstacle_inflation=0.1, max_iters=30, tolerance=1e-5, hard_clamp=True,
         )
         defaults = {
@@ -479,6 +489,14 @@ class TestDwellSteps:
         rows[:, :2] = [3.0, 3.0]          # always inside obs, ubox trivially
         assert dwell_steps(config, Signal(rows)) == 0
 
+    def test_no_attraction_region_means_no_dwell(self):
+        config = builtin_scenario("two_target")
+        regions = {name: config.regions[name] for name in ("obs", "ubox")}
+        config = dataclasses.replace(config, regions=regions, spec="G[0,10] not obs")
+        rows = np.zeros((11, 4))
+        rows[:, :2] = [3.0, 3.0]
+        assert dwell_steps(config, Signal(rows)) == 0
+
 
 class TestBench:
     def test_records_and_aggregate(self):
@@ -518,6 +536,24 @@ class TestBench:
     def test_at_least_one_trial_required(self):
         with pytest.raises(ScenarioError, match="^trials: must be positive$"):
             run_bench(builtin_scenario("two_target"), trials=0)
+
+    def test_a_diverging_trial_is_recorded_as_nan(self):
+        # every restart's first margin overflows, so every trial fails
+        config = ScenarioConfig(
+            name="far", model="single_integrator_2d", T=3,
+            regions={"far": {"0": [-1.7e308, 1.7e308]}}, spec="F[0,3] far",
+            x0=(1.7e308, 0.0), restarts=1, max_iters=3,
+        )
+        records, agg = run_bench(config, trials=2)
+        assert [r.failed for r in records] == [True, True]
+        assert all(math.isnan(r.wall_ms) and not r.satisfied for r in records)
+        assert (agg.trials, agg.completed, agg.success_rate) == (2, 0, 0.0)
+        assert math.isnan(agg.mean_rho) and math.isnan(agg.mean_wall_ms)
+
+    def test_no_records_to_save(self, tmp_path):
+        with pytest.raises(ScenarioError, match="^nothing to save: no bench records$"):
+            save_bench_csv([], tmp_path / "bench.csv")
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_failed_trials_poison_only_the_means(self):
         good = BenchRecord(0, 0, (0.0, 0.0), 0.25, 0.2, True, 10, 5.0)
