@@ -90,7 +90,7 @@ def _semantics(args):
 
 
 def _load_config(args):
-    if getattr(args, "scenario", None):
+    if args.scenario:
         return builtin_scenario(args.scenario)
     return load_scenario(args.config)
 
@@ -300,14 +300,8 @@ def _int_list(raw):
 def cmd_scale(args):
     if not args.n and not args.p:
         raise _CliError("parsing arguments", "nothing to sweep: pass --n and/or --p")
-    base = None
-    with _stage("loading the scenario"):
-        if getattr(args, "scenario", None) or getattr(args, "config", None):
-            base = _load_config(args)
     with _stage("sweeping"):
-        records = run_scaling(
-            args.n, args.p, base=base, restarts=args.restarts, max_iters=args.max_iters
-        )
+        records = run_scaling(args.n, args.p, restarts=args.restarts, max_iters=args.max_iters)
     with _stage("writing outputs"):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -344,8 +338,8 @@ def _add_spec_signal_args(p):
                         "instead of the window start")
 
 
-def _add_scenario_args(p, required=True):
-    group = p.add_mutually_exclusive_group(required=required)
+def _add_scenario_args(p):
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", choices=sorted(BUILTIN_SCENARIOS))
     group.add_argument("--config", help="scenario JSON file")
 
@@ -395,10 +389,9 @@ def build_parser():
     be.add_argument("--json", action="store_true")
     be.set_defaults(run=cmd_bench)
 
-    sc = sub.add_parser("scale", help="cost sweeps over horizon and station count")
+    sc = sub.add_parser("scale", help="cost sweeps of the charging task")
     sc.add_argument("--n", type=_int_list, default=(), help="horizons, e.g. 10,20,30")
     sc.add_argument("--p", type=_int_list, default=(), help="stations per cluster, e.g. 1,2,3")
-    _add_scenario_args(sc, required=False)
     sc.add_argument("--restarts", type=int, default=2)
     sc.add_argument("--max-iters", type=int, default=40)
     sc.add_argument("--out", default="smoothstl_out")

@@ -38,6 +38,7 @@ seed, bit-identical result.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -149,7 +150,7 @@ class SynthesisProblem:
         if ahead > self.T:
             raise ValueError(f"T: formula looks {ahead} steps ahead but T is {self.T}")
 
-    @property
+    @functools.cached_property
     def config(self):
         return SemanticsConfig.ef(self.k1, self.k2)
 
@@ -211,7 +212,7 @@ def objective(problem, u):
 class RestartRecord:
     """Outcome of one local ascent. wall_ms is its share of the rounds it
     took part in, each round's wall time split equally among its ascents.
-    stop_reason is "gradient" (the tolerance was met, so converged),
+    stop_reason is "gradient" (the tolerance was met),
     "no gain" (an accepted step raised J by at most _FTOL relative),
     "max_iters", "line search" (_MAX_BACKTRACKS step lengths rejected),
     "step" (an accepted step below 1e-14) or "diverged" (failed)."""
@@ -221,7 +222,6 @@ class RestartRecord:
     rho_smooth: float
     objective: float
     iterations: int
-    converged: bool
     stop_reason: str
     wall_ms: float
     failed: bool = False
@@ -408,10 +408,10 @@ def _initial_controls(problem):
     return [np.zeros(shape)] + [rng.uniform(lo, hi, size=shape) for _ in range(problem.restarts)]
 
 
-def _run_restarts(problem, starts, first=0):
+def _run_restarts(problem, starts):
     """Ascents from each start in lockstep, scored exactly and smoothly at
-    problem's sharpness; returns one (record, (u, y, trace)) per start,
-    numbered from first, with None for the payload of one that diverged."""
+    problem's sharpness; returns one (record, (u, y, trace)) per start, in
+    order, with None for the payload of one that diverged."""
     ascents = [_ascend(problem, u0) for u0 in starts]
     asks = [next(ascent) for ascent in ascents]
     done, wall_ms, live = {}, [0.0] * len(starts), list(range(len(starts)))
@@ -429,7 +429,7 @@ def _run_restarts(problem, starts, first=0):
     outcomes = []
     for i, ms in enumerate(wall_ms):
         if done[i] is None:
-            record = RestartRecord(first + i, *[-math.inf] * 3, 0, False, "diverged", ms, True)
+            record = RestartRecord(i, *[-math.inf] * 3, 0, "diverged", ms, True)
             outcomes.append((record, None))
             continue
         u, J, trace, stop = done[i]
@@ -437,8 +437,7 @@ def _run_restarts(problem, starts, first=0):
         rho_exact = evaluate(problem.phi, y, 0, EXACT, problem.classic_until)
         rho_smooth = evaluate(problem.phi, y, 0, problem.config, problem.classic_until)
         # every iteration that does not break accepts a step
-        record = RestartRecord(first + i, rho_exact, rho_smooth, J, len(trace) - 1,
-                               stop == "gradient", stop, ms)
+        record = RestartRecord(i, rho_exact, rho_smooth, J, len(trace) - 1, stop, ms)
         outcomes.append((record, (u, y, trace)))
     return outcomes
 
@@ -497,7 +496,7 @@ def k_continuation(problem, k_schedule):
     trace = list(first.objective_trace)
     for k in ks[1:]:
         u_init = stages[-1].u_star
-        ((record, payload),) = _run_restarts(replace(problem, k1=k, k2=k), [u_init], len(stages))
+        ((record, payload),) = _run_restarts(replace(problem, k1=k, k2=k), [u_init])
         if record.failed:
             raise SynthesisFailure(f"continuation stage k={k} diverged from its warm start")
         u, y, stage_trace = payload

@@ -12,9 +12,10 @@ builtins ship with the package:
                     random start in the unit square, no control bound
 
 Region coordinates are data, not contracts: every builtin can be saved to
-JSON, edited, and loaded back. run_bench and run_scaling drive repeated
-synthesize() calls for statistics; their CSV formats are documented on
-the writers.
+JSON, edited, and loaded back. run_bench repeats synthesize() on any
+scenario for statistics; run_scaling sweeps the charging task's horizon
+and station count for cost. Their CSV formats are documented on the
+writers.
 """
 
 from __future__ import annotations
@@ -334,16 +335,15 @@ def _tunnel():
     )
 
 
-def _charging():
-    counts = (4, 3, 3)
-    regions = dict(_CHARGING_FIXED_REGIONS)
-    regions.update(_station_grid(counts))
+def _charging(T=30, counts=(4, 3, 3)):
+    """The charging task: horizon T and counts[row] stations in each
+    service row; the builtin keeps the defaults, run_scaling varies them."""
     return ScenarioConfig(
         name="charging",
         model="single_integrator_2d",
-        T=30,
-        regions=RegionTable(regions),
-        spec=_charging_spec(30, counts),
+        T=T,
+        regions=RegionTable({**_CHARGING_FIXED_REGIONS, **_station_grid(counts)}),
+        spec=_charging_spec(T, counts),
         k1=10.0,
         k2=10.0,
         control_weight=0.005,
@@ -587,48 +587,25 @@ def _measure(sweep, value, config):
                          result.iterations, result.rho_exact)
 
 
-def run_scaling(n_values=(), p_values=(), base=None, restarts=2, max_iters=40):
-    """Cost sweeps over horizon length and station count.
+def run_scaling(n_values=(), p_values=(), restarts=2, max_iters=40):
+    """Cost sweeps of the charging task over horizon length and station
+    count.
 
     The N sweep keeps a single service station (first station, first
     cluster) and stretches the horizon; the P sweep fixes the horizon at
-    29 and regenerates the station grid with P stations per cluster. base
-    supplies geometry and knobs and defaults to the charging builtin;
-    restarts and max_iters are deliberately small because the sweep
-    measures cost per evaluation, not solution quality.
+    29 and places P stations in each cluster. Every other knob is the
+    charging builtin's, except restarts and max_iters, which are
+    deliberately small because the sweep measures cost per evaluation,
+    not solution quality.
     """
-    base = builtin_scenario("charging") if base is None else base
     records = []
-    for n in n_values:
-        n = _whole("n_values", n, ScenarioError)
-        cfg = dataclasses.replace(
-            base,
-            name=f"{base.name}_n{n}",
-            T=n,
-            spec=_charging_spec(n, (1,)),
-            restarts=restarts,
-            max_iters=max_iters,
-        )
-        records.append(_measure("N", n, cfg))
-    for p in p_values:
-        p = _whole("p_values", p, ScenarioError, "positive")
-        counts = (p, p, p)
-        kept = {
-            name: dict(base.regions[name])
-            for name in base.regions.names()
-            if not name.startswith("chg")
-        }
-        kept.update(_station_grid(counts))
-        cfg = dataclasses.replace(
-            base,
-            name=f"{base.name}_p{p}",
-            T=29,
-            regions=RegionTable(kept),
-            spec=_charging_spec(29, counts),
-            restarts=restarts,
-            max_iters=max_iters,
-        )
-        records.append(_measure("P", p, cfg))
+    for sweep, key, values in (("N", "n_values", n_values), ("P", "p_values", p_values)):
+        for value in values:
+            value = _whole(key, value, ScenarioError, "positive")
+            T, counts = (value, (1,)) if sweep == "N" else (29, (value,) * 3)
+            cfg = dataclasses.replace(_charging(T, counts), name=f"charging_{sweep.lower()}{value}",
+                                      restarts=restarts, max_iters=max_iters)
+            records.append(_measure(sweep, value, cfg))
     return records
 
 

@@ -483,15 +483,14 @@ class TestScale:
         _, err = capsys.readouterr()
         assert "expected comma-separated integers, got '10,x'" in err
 
-    def test_scenario_is_the_sweep_base(self, capsys, tmp_path):
-        argv = ("--n", "10", "--restarts", "0", "--max-iters", "3", "--out", str(tmp_path))
-        code, out, _ = run(capsys, "scale", "--scenario", "charging", *argv, "--json")
-        assert code == 0
-        assert json.loads(out)["records"][0]["op_count"] == 530.0
-        # a base without the service stations has no region for the sweep's spec
-        code, _, err = run(capsys, "scale", "--scenario", "two_target", *argv)
-        assert code == 2
-        assert err.startswith("error while sweeping: spec: ") and "'chg1_1'" in err
+    @pytest.mark.parametrize("flag", [("--scenario", "charging"), ("--config", "f.json")])
+    def test_the_sweep_takes_no_scenario(self, capsys, flag):
+        # the sweep always builds the charging task, so it takes no base
+        with pytest.raises(SystemExit) as exc:
+            main(["scale", "--n", "10", *flag])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 class TestVersion:

@@ -601,9 +601,15 @@ class TestScaling:
         increments = [b - a for a, b in zip(counts, counts[1:])]
         assert increments == sorted(increments, reverse=True)
 
-    @pytest.mark.parametrize("sweep,value", [("n_values", 12.5), ("p_values", 1.5)])
-    def test_sweep_points_must_be_whole(self, sweep, value):
-        with pytest.raises(ScenarioError, match=f"^{sweep}: needs a whole number, got {value}$"):
+    @pytest.mark.parametrize("sweep,value,why", [
+        ("n_values", 12.5, "needs a whole number, got 12.5"),
+        ("p_values", 1.5, "needs a whole number, got 1.5"),
+        # named for the sweep's own key, not for the T it would build
+        ("n_values", 0, "must be positive"),
+        ("n_values", -5, "must be positive"),
+    ])
+    def test_sweep_points_must_be_positive_whole_numbers(self, sweep, value, why):
+        with pytest.raises(ScenarioError, match=f"^{sweep}: {why}$"):
             run_scaling(**{sweep: (value,)}, restarts=0, max_iters=1)
 
     def test_short_horizons_are_rejected(self):
