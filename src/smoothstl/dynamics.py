@@ -389,7 +389,7 @@ def builtin_model(name, dt=1.0):
     """Look up a bundled model by name."""
     try:
         factory = _BUILTIN_MODELS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
         known = ", ".join(sorted(_BUILTIN_MODELS))
         raise ValueError(f"model: unknown model {name!r}; available: {known}") from None
     return factory(dt=dt)

@@ -88,6 +88,12 @@ def _convert(key, value, to, what, error=ValueError):
         raise error(f"{key}: needs {what}, got {value!r}") from None
 
 
+def _check_text(key, value, error=ValueError):
+    """error("key: needs a string, got value") unless value is a str."""
+    if not isinstance(value, str):
+        raise error(f"{key}: needs a string, got {value!r}")
+
+
 def _signed(key, x, sign, error):
     """x, or error("key: must be sign") unless sign is None, or x is above 0
     ("positive") or not below it ("nonnegative")."""
@@ -171,7 +177,8 @@ class LinearPredicate:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple(_real("coefficient", c, FormulaError) for c in self.coefficients)
+        coeffs = _convert("coefficients", self.coefficients, tuple, "a list", FormulaError)
+        coeffs = tuple(_real("coefficient", c, FormulaError) for c in coeffs)
         if not coeffs:
             raise FormulaError("predicate needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)

@@ -46,6 +46,7 @@ import numpy as np
 
 from .formula import _real
 from .robustness import (
+    SemanticsConfig,
     SemanticsError,
     _as_vector,
     _evaluate,
@@ -108,8 +109,8 @@ def eval_with_gradient(phi, signal, t=0, config=None, classic_until=False):
     the same forward pass of the same plan. A gradient that is not finite
     raises SemanticsError, as a non-finite margin does.
     """
-    if config is None or config.kind != "ef":
-        raise SemanticsError("eval_with_gradient needs ef semantics")
+    if not (isinstance(config, SemanticsConfig) and config.kind == "ef"):
+        raise SemanticsError(f"config: eval_with_gradient needs ef semantics, got {config!r}")
     value, dsignal = _evaluate(phi, as_signal(signal).values, t, config, classic_until, True)
     return RobustnessGradient(value=float(value), dsignal=dsignal)
 
@@ -121,8 +122,6 @@ def finite_difference_gradient(phi, signal, t=0, config=None, h=1e-5, classic_un
     analytic gradient is checked against.
     """
     signal = as_signal(signal)
-    if config is None:
-        raise SemanticsError("finite_difference_gradient needs a semantics config")
     h = _real("h", h, sign="positive")
     base = signal.values.copy()
     out = np.zeros_like(base)

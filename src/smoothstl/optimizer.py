@@ -14,22 +14,23 @@ the peak of the cubic through both ends of the probed step with their
 slopes, kept within 0.1 to 0.5 of the step; after a divergence, or when
 the cubic has no finite peak, the step halves (Nocedal and Wright, 3.5;
 More and Thuente 1994 for the safeguards). The ascent stops when the
-gradient's infinity norm drops below tolerance, when an accepted step
-raises J by at most _FTOL relative to max(|J|, 1), the stop of L-BFGS-B
-with factr = 1e7 (Byrd, Lu, Nocedal and Zhu 1995), when the step or the
-line search gives out, or when the iteration budget runs out; each ascent
-reports which. objective returns a finite J and gradient or a
-divergence, so the ascent checks neither again. Where the infinity
-norms of its vectors allow a product of them to overflow, the product
-gives inf or nan without a warning, as it would unchecked.
+gradient's infinity norm drops below _GTOL, when an accepted step raises
+J by at most _FTOL relative to max(|J|, 1), the stop of L-BFGS-B with
+factr = 1e7 (Byrd, Lu, Nocedal and Zhu 1995), when the line search gives
+out, or when the iteration budget runs out; each ascent reports which.
+objective returns a finite J and gradient or a divergence, so the ascent
+checks neither again. Where the infinity norms of its vectors allow a
+product of them to overflow, the product gives inf or nan without a
+warning, as it would unchecked.
 
 Restart 0 always starts from u = 0; the remaining restarts start from
 seeded uniform noise (over the control bounds when given, otherwise over
-[-1, 1] per entry). The restarts climb in lockstep: each round evaluates
-the next point every unfinished ascent asks for in one objective call on
-their stack, and each ascent gets the values it would get on its own. The
-reported result is the restart with the highest exact robustness, with
-ties broken by objective value and then by restart index.
+[-1, 1] per entry); iterates are never projected back into the bounds.
+The restarts climb in lockstep: each round evaluates the next point
+every unfinished ascent asks for in one objective call on their stack,
+and each ascent gets the values it would get on its own. The reported
+result is the restart with the highest exact robustness, with ties
+broken by objective value and then by restart index.
 
 Everything here is deterministic for a fixed seed: same problem, same
 seed, bit-identical result.
@@ -58,18 +59,17 @@ __all__ = [
     "objective",
     "synthesize",
     "k_continuation",
-    "DEFAULT_TOLERANCE",
     "DEFAULT_MAX_ITERS",
     "DEFAULT_RESTARTS",
 ]
 
-DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERS = 500
 DEFAULT_RESTARTS = 10
 
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 40
+_GTOL = 1e-6
 _FTOL = 2.2e-9  # 1e7 times the machine epsilon
 
 
@@ -90,21 +90,17 @@ class SynthesisProblem:
                            and k2 >= 0
     @param control_weight: effort penalty coefficient w >= 0
     @param control_bounds: optional per-dimension (lo, hi) pairs, length m,
-                           with lo < hi and a finite width hi - lo; used to
-                           sample restart initializations and, when
-                           hard_clamp is set, to project iterates
-    @param hard_clamp:     project iterates onto the bound box
+                           with lo < hi and a finite width hi - lo; used
+                           only to sample restart initializations
     @param restarts:       number of seeded random restarts (the u = 0
                            baseline always runs in addition, as restart 0)
     @param seed:           nonnegative RNG seed for the restart initializations
     @param max_iters:      iteration budget of each ascent, at least 1
-    @param tolerance:      positive bound on the gradient's infinity norm
-                           that stops an ascent
     @param classic_until:  classic until/release convention (see evaluate)
 
     Every knob is checked and normalised on construction; a bad value
-    raises ValueError("key: why"), such as "tolerance: must be positive".
-    A bool or a string is no number. The flags must be true or false:
+    raises ValueError("key: why"), such as "k1: must be positive".
+    A bool or a string is no number. The flag must be true or false:
     1, 0 and np.True_ pass and are kept as given, while a string or a
     numpy array is refused. Scenario files and build_problem overrides
     pass through these same checks.
@@ -118,11 +114,9 @@ class SynthesisProblem:
     k2: float
     control_weight: float = 0.0
     control_bounds: tuple | None = None
-    hard_clamp: bool = False
     restarts: int = DEFAULT_RESTARTS
     seed: int = 0
     max_iters: int = DEFAULT_MAX_ITERS
-    tolerance: float = DEFAULT_TOLERANCE
     classic_until: bool = False
 
     def __post_init__(self):
@@ -134,10 +128,9 @@ class SynthesisProblem:
                           ("seed", "nonnegative"), ("max_iters", "positive")):
             object.__setattr__(self, key, _whole(key, getattr(self, key), sign=sign))
         for key, sign in (("k1", "positive"), ("k2", "nonnegative"),
-                          ("control_weight", "nonnegative"), ("tolerance", "positive")):
+                          ("control_weight", "nonnegative")):
             object.__setattr__(self, key, _real(key, getattr(self, key), sign=sign))
-        for key in ("hard_clamp", "classic_until"):
-            _check_flag(key, getattr(self, key))
+        _check_flag("classic_until", self.classic_until)
         if self.control_bounds is not None:
             bounds = _array("control_bounds", self.control_bounds, shape=(self.model.m, 2))
             bounds = tuple(map(tuple, bounds.tolist()))
@@ -212,10 +205,10 @@ def objective(problem, u):
 class RestartRecord:
     """Outcome of one local ascent. wall_ms is its share of the rounds it
     took part in, each round's wall time split equally among its ascents.
-    stop_reason is "gradient" (the tolerance was met),
-    "no gain" (an accepted step raised J by at most _FTOL relative),
-    "max_iters", "line search" (_MAX_BACKTRACKS step lengths rejected),
-    "step" (an accepted step below 1e-14) or "diverged" (failed)."""
+    stop_reason is "gradient" (the gradient's infinity norm fell below
+    _GTOL), "no gain" (an accepted step raised J by at most _FTOL
+    relative), "max_iters", "line search" (_MAX_BACKTRACKS step lengths
+    rejected) or "diverged" (failed)."""
 
     index: int
     rho_exact: float
@@ -263,10 +256,6 @@ class SynthesisResult:
     restart_index: int
     restart_records: list
     stages: list = field(default_factory=list)
-
-
-def _clamp(u, bounds):
-    return u if bounds is None else np.clip(u, *bounds)
 
 
 def _quiet(bound):
@@ -336,17 +325,14 @@ def _backtrack_ratio(J, slope, Jc, slope_c):
     return min(max(t, 0.1), 0.5) if math.isfinite(t) else 0.5
 
 
-def _ascend(problem, u0):
-    """Maximize J from u0; returns (u, J, trace, stop_reason), where trace
+def _ascend(problem, u):
+    """Maximize J from u; returns (u, J, trace, stop_reason), where trace
     holds J at the start and after each accepted step.
 
     It yields each point to evaluate and is sent (J, g) or a divergence: at
     the start that marks the ascent failed (None), in the line search it
     rejects the step length.
     """
-    clamp = problem.hard_clamp and problem.control_bounds is not None
-    bounds = tuple(np.array(problem.control_bounds).T) if clamp else None
-    u = _clamp(np.asarray(u0, dtype=float), bounds)
     outcome = yield u
     if isinstance(outcome, RolloutDivergence):
         return None
@@ -355,7 +341,7 @@ def _ascend(problem, u0):
     trace = [J]
     memory = _Memory(n)
     for it in range(problem.max_iters):
-        if gnorm < problem.tolerance:
+        if gnorm < _GTOL:
             stop = "gradient"
             break
         g1 = g.ravel()
@@ -367,7 +353,7 @@ def _ascend(problem, u0):
                 memory.order.clear()
         alpha = 1.0 if it > 0 else 1.0 / max(1.0, gnorm)
         for _ in range(_MAX_BACKTRACKS):
-            cand = _clamp(u + alpha * d, bounds)
+            cand = u + alpha * d
             outcome = yield cand
             ratio = 0.5  # after a divergence, which has no gradient
             if not isinstance(outcome, RolloutDivergence):
@@ -390,10 +376,10 @@ def _ascend(problem, u0):
         if sy > 1e-10 * math.sqrt(ss) * math.sqrt(yy):
             memory.add(s, y, sy, yy)
         gained = Jc - J > _FTOL * max(abs(Jc), abs(J), 1.0)
-        stop = "step" if step < 1e-14 else None if gained else "no gain"
         u, J, g, gnorm = cand, Jc, gc, gcnorm
         trace.append(J)
-        if stop:
+        if not gained:
+            stop = "no gain"
             break
     else:
         stop = "max_iters"

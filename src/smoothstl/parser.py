@@ -43,6 +43,7 @@ from .formula import (
     Release,
     Until,
     _RESERVED_WORDS,
+    _check_text,
     _index,
     _join,
     _signal_dim,
@@ -280,7 +281,7 @@ class _Parser:
 def parse(text, regions=None, p=2):
     """Parse formula text into an AST.
 
-    @param text:    formula source, possibly spanning several lines
+    @param text:    formula source string, possibly spanning several lines
     @param regions: RegionTable resolving bare region names, or None
     @param p:       signal dimension, a whole number of at least 1 (else
                     FormulaError); out-of-range y-variables are rejected
@@ -291,6 +292,7 @@ def parse(text, regions=None, p=2):
     """
     if regions is not None and not isinstance(regions, RegionTable):
         regions = RegionTable(regions)
+    _check_text("text", text, FormulaError)
     parser = _Parser(_tokenize(text), regions, _index("signal dimension p", p, sign="positive"))
     phi = parser.parse_formula()
     tok = parser.peek()

@@ -932,7 +932,7 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
     signal's gradient must be finite; a stack's is returned as it is.
     """
     if not isinstance(config, SemanticsConfig):
-        raise SemanticsError("config must be a SemanticsConfig")
+        raise SemanticsError(f"config: needs a SemanticsConfig, got {config!r}")
     if type(t) is not int or t < 0:
         t = _whole("t", t, SemanticsError, "nonnegative")
     _check_flag("classic_until", classic_until, SemanticsError)

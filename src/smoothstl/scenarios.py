@@ -31,12 +31,12 @@ import numpy as np
 
 from .dynamics import builtin_model
 from .formula import (
-    FormulaError, RegionTable, _array, _convert, _number, _real, _signed, _whole, to_nnf,
+    FormulaError, RegionTable, _array, _check_text, _convert, _number, _real, _signed, _whole,
+    to_nnf,
 )
 from .optimizer import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
-    DEFAULT_TOLERANCE,
     SynthesisFailure,
     SynthesisProblem,
     synthesize,
@@ -87,7 +87,8 @@ class ScenarioConfig:
     @param dt:             model sampling period, positive
     @param k1, k2:         smooth semantics sharpness
     @param control_weight: effort penalty w in the objective
-    @param control_bounds: per-input (lo, hi) pairs or None for unbounded
+    @param control_bounds: per-input (lo, hi) pairs to draw restart starts
+                           from, or None for [-1, 1]; iterates may leave them
     @param x0:             fixed initial state, or None to sample
     @param x0_box:         per-state (lo, hi) sampling box when x0 is None,
                            one pair for each of the model's n states
@@ -119,10 +120,10 @@ class ScenarioConfig:
     seed: int = 0
     obstacle_inflation: float = 0.0
     max_iters: int = DEFAULT_MAX_ITERS
-    tolerance: float = DEFAULT_TOLERANCE
-    hard_clamp: bool = False
 
     def __post_init__(self):
+        for key in ("name", "model", "spec"):
+            _check_text(key, getattr(self, key), ScenarioError)
         if not isinstance(self.regions, RegionTable):
             try:
                 object.__setattr__(self, "regions", RegionTable(self.regions))
@@ -381,7 +382,7 @@ BUILTIN_SCENARIOS = tuple(_BUILTINS)
 def builtin_scenario(name):
     try:
         factory = _BUILTINS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
         known = ", ".join(BUILTIN_SCENARIOS)
         raise ScenarioError(f"unknown scenario {name!r}; builtins are {known}") from None
     return factory()
@@ -521,6 +522,8 @@ def run_bench(config, trials, time_budget_s=None):
 
 
 def aggregate_bench(records):
+    if not records:
+        raise ScenarioError("nothing to aggregate: no bench records")
     ok = [r for r in records if not r.failed]
     rho = np.array([r.rho_exact for r in ok])
     wall = np.array([r.wall_ms for r in ok])
@@ -600,7 +603,7 @@ def run_scaling(n_values=(), p_values=(), restarts=2, max_iters=40):
     """
     records = []
     for sweep, key, values in (("N", "n_values", n_values), ("P", "p_values", p_values)):
-        for value in values:
+        for value in _convert(key, values, tuple, "a list of whole numbers", ScenarioError):
             value = _whole(key, value, ScenarioError, "positive")
             T, counts = (value, (1,)) if sweep == "N" else (29, (value,) * 3)
             cfg = dataclasses.replace(_charging(T, counts), name=f"charging_{sweep.lower()}{value}",

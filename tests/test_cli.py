@@ -361,16 +361,34 @@ class TestSynth:
         assert code == 2
         assert f"{key}: must be finite" in err
 
-    def test_string_flag_in_config_exits_two(self, capsys, tmp_path):
-        # "false" is a non-empty string, so it would have turned clamping on
-        config = tmp_path / "quoted.json"
+    @pytest.mark.parametrize("key", ["hard_clamp", "tolerance"])
+    def test_retired_knob_in_config_exits_two(self, capsys, tmp_path, key):
+        # files saved before the knobs were retired carry both keys
+        config = tmp_path / "old.json"
         with open(tiny_scenario(tmp_path)) as fh:
-            config.write_text(json.dumps(dict(json.load(fh), hard_clamp="false")))
+            config.write_text(json.dumps(dict(json.load(fh), **{key: False})))
         code, _, err = run(
             capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run")
         )
         assert code == 2
-        assert "hard_clamp: needs true or false, got 'false'" in err
+        assert f"unknown key '{key}'" in err
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    @pytest.mark.parametrize("key,value", [
+        ("spec", 5), ("spec", None), ("spec", ["F[0,4] goal"]),
+        ("model", ["single_integrator_2d"]), ("model", {"single_integrator_2d": 1}),
+        ("name", 5),
+    ])
+    def test_text_field_that_is_not_a_string_exits_two(self, capsys, tmp_path, command,
+                                                       key, value):
+        config = tmp_path / "typed.json"
+        with open(tiny_scenario(tmp_path)) as fh:
+            config.write_text(json.dumps(dict(json.load(fh), **{key: value})))
+        code, _, err = run(
+            capsys, command, "--config", str(config), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert f"{key}: needs a string, got {value!r}" in err
 
     def test_quoted_x0_in_config_exits_two(self, capsys, tmp_path):
         # float() would run over the characters and start at (1.0, 2.0)

@@ -580,6 +580,8 @@ class TestValidation:
         assert builtin_model("differential_drive", dt=0.25).dt == 0.25
         with pytest.raises(ValueError, match="unknown model"):
             builtin_model("bicycle")
+        with pytest.raises(ValueError, match=r"^model: unknown model \['bicycle'\]; "):
+            builtin_model(["bicycle"])
 
 
     @pytest.mark.parametrize("dt", ["0.5", True, None, -1.0, 0.0, float("nan"), float("inf")])

@@ -55,6 +55,7 @@ from smoothstl import (
     rollout,
     rollout_with_sensitivities,
     run_bench,
+    run_scaling,
     save_controls_csv,
     save_gradient_csv,
     save_signal_csv,
@@ -64,6 +65,7 @@ from smoothstl import (
     smooth_min,
     synthesize,
 )
+from smoothstl.scenarios import aggregate_bench
 
 PACKAGE = Path(smoothstl.__file__).resolve().parent
 
@@ -159,8 +161,6 @@ CALLS = [
     ("SynthesisProblem seed", "seed", lambda v: dataclasses.replace(PROBLEM, seed=v)),
     ("SynthesisProblem max_iters", "max_iters",
      lambda v: dataclasses.replace(PROBLEM, max_iters=v)),
-    ("SynthesisProblem tolerance", "tolerance",
-     lambda v: dataclasses.replace(PROBLEM, tolerance=v)),
 ]
 
 
@@ -208,6 +208,14 @@ REFUSALS = [
     ("T: must be positive", lambda: dataclasses.replace(SCENARIO, T=0)),
     ("T: must be nonnegative", lambda: dataclasses.replace(PROBLEM, T=-1)),
     ("time_budget_s: must be nonnegative", lambda: run_bench(SCENARIO, 1, -1.0)),
+    ("text: needs a string, got 123", lambda: parse(123)),
+    ("text: needs a string, got b'y0 >= 0'", lambda: parse(b"y0 >= 0")),
+    ("config: eval_with_gradient needs ef semantics, got 'ef'",
+     lambda: eval_with_gradient(PHI, SIGNAL, config="ef")),
+    ("config: needs a SemanticsConfig, got None", lambda: finite_difference_gradient(PHI, SIGNAL)),
+    ("nothing to aggregate: no bench records", lambda: aggregate_bench([])),
+    ("coefficients: needs a list, got 3", lambda: LinearPredicate(3, 0.0)),
+    ("n_values: needs a list of whole numbers, got 5", lambda: run_scaling(n_values=5)),
 ]
 
 

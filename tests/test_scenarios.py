@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from numpy.testing import assert_allclose
 
 from smoothstl.dynamics import rollout
 from smoothstl.formula import is_nnf, horizon
-from smoothstl.optimizer import synthesize
+from smoothstl.optimizer import SynthesisProblem, synthesize
 from smoothstl.robustness import EXACT, Signal, evaluate
 from smoothstl.scenarios import (
     BUILTIN_SCENARIOS,
@@ -75,8 +76,9 @@ class TestBuiltins:
         assert set(BUILTIN_SCENARIOS) == {
             "two_target", "tunnel", "charging", "table2_diffdrive"
         }
-        with pytest.raises(ScenarioError, match="unknown scenario"):
-            builtin_scenario("maze")
+        for name in ("maze", 5, None, ["tunnel"], {"tunnel": 1}):
+            with pytest.raises(ScenarioError, match=f"^unknown scenario {re.escape(repr(name))}; "):
+                builtin_scenario(name)
 
     def test_service_task_windows(self):
         spec = builtin_scenario("charging").spec
@@ -205,7 +207,6 @@ class TestConfigValidation:
         ("regions", {"goal": {0: (2.0, 1.0)}}, "regions"),
         ("control_bounds", ((-1.0, math.inf), (-1.0, 1.0)), "control_bounds"),
         ("x0", (0.0, math.inf), "x0"),
-        ("tolerance", math.inf, "tolerance"),
     ])
     def test_errors_name_the_key(self, field, value, key):
         with pytest.raises(ScenarioError, match=f"^{key}:"):
@@ -254,10 +255,14 @@ class TestConfigValidation:
             ScenarioConfig(**self.base_kwargs(dt=dt))
 
     @pytest.mark.parametrize("field,value,message", [
-        ("tolerance", 0.0, "tolerance: must be positive"),
-        ("tolerance", -1.0, "tolerance: must be positive"),
-        ("hard_clamp", "false", "hard_clamp: needs true or false, got 'false'"),
         ("k1", "3", "k1: needs a number, got '3'"),
+        ("spec", 5, "spec: needs a string, got 5"),
+        ("spec", None, "spec: needs a string, got None"),
+        ("spec", ["F[0,5] goal"], "spec: needs a string, got ['F[0,5] goal']"),
+        ("model", ["single_integrator_2d"], "model: needs a string, got ['single_integrator_2d']"),
+        ("model", {"name": "single_integrator_2d"},
+         "model: needs a string, got {'name': 'single_integrator_2d'}"),
+        ("name", 5, "name: needs a string, got 5"),
     ])
     def test_values_that_mean_something_else_are_rejected(self, field, value, message):
         with pytest.raises(ScenarioError) as info:
@@ -344,7 +349,7 @@ class TestJsonRoundTrip:
             spec="F[0,8] goal and G[0,8] not obs", dt=0.5, k1=3.0, k2=4.0,
             control_weight=0.02, control_bounds=((-1.0, 1.0), (-2.0, 2.0)),
             x0_box=((0.0, 0.5), (0.0, 0.5), (0.0, 1.0)), restarts=1, seed=3,
-            obstacle_inflation=0.1, max_iters=30, tolerance=1e-5, hard_clamp=True,
+            obstacle_inflation=0.1, max_iters=30,
         )
         defaults = {
             f.name: f.default for f in dataclasses.fields(ScenarioConfig)
@@ -440,6 +445,16 @@ class TestBuildProblem:
         assert problem.x0 == config.x0
         assert problem.k1 == config.k1
         assert problem.control_bounds == config.control_bounds
+
+    @pytest.mark.parametrize("key,value", [("hard_clamp", True), ("tolerance", 1e-6)])
+    def test_retired_knobs_are_unknown(self, key, value):
+        # saved files carried both keys before they were retired
+        data = scenario_to_json_dict(builtin_scenario("two_target"))
+        with pytest.raises(ScenarioError, match=f"^unknown key '{key}'$"):
+            scenario_from_json_dict({**data, key: value})
+        with pytest.raises(ScenarioError, match=f"^unknown override '{key}'$"):
+            build_problem(builtin_scenario("two_target"), **{key: value})
+        assert key not in {f.name for f in dataclasses.fields(SynthesisProblem)}
 
     def test_overrides_and_unknowns(self):
         config = builtin_scenario("two_target")
