@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .formula import RegionTable, format_formula, to_nnf
+from .formula import RegionTable, format_formula
 from .gradient import eval_with_gradient, save_gradient_csv
 from .dynamics import save_controls_csv
 from .optimizer import synthesize
@@ -78,7 +78,7 @@ def _load_regions(raw):
     if raw is None:
         return None
     data = json.loads(Path(raw).read_text())
-    return RegionTable.from_json_dict(data)
+    return RegionTable(data)
 
 
 def _semantics(args):
@@ -122,8 +122,6 @@ def cmd_eval(args):
         phi = parse(text, regions, p=signal.p)
     with _stage("evaluating"):
         config = _semantics(args)
-        if config.kind != "exact":
-            phi = to_nnf(phi)
         value = float(
             evaluate(phi, signal, t=args.t, config=config, classic_until=args.classic_until)
         )
@@ -149,7 +147,7 @@ def cmd_grad(args):
         signal = load_signal_csv(args.signal)
         regions = _load_regions(args.regions)
     with _stage("parsing the spec"):
-        phi = to_nnf(parse(text, regions, p=signal.p))
+        phi = parse(text, regions, p=signal.p)
     with _stage("differentiating"):
         config = SemanticsConfig.ef(args.k1, args.k2)
         result = eval_with_gradient(

@@ -474,6 +474,13 @@ def horizon(phi):
     return ahead
 
 
+def _dims(phi):
+    """The set of signal widths phi's predicates read."""
+    if isinstance(phi, Pred):
+        return {phi.predicate.dim}
+    return set().union(*map(_dims, _operands(phi)))
+
+
 # Printing. Precedence levels, loosest first: or < and < until/release <
 # unary (not, always, eventually) < atoms. The emitted text reparses to a
 # structurally identical tree.
@@ -562,7 +569,7 @@ class RegionTable:
         regions = {} if regions is None else regions
         if not isinstance(regions, Mapping):
             raise FormulaError(
-                f"regions must map region names to bounds, got {type(regions).__name__}"
+                f"regions: must map region names to bounds, got {type(regions).__name__}"
             )
         self._table = {name: self._check_region(name, faces) for name, faces in regions.items()}
 
@@ -667,7 +674,3 @@ class RegionTable:
             name: {str(d): [lo, hi] for d, (lo, hi) in self._table[name].items()}
             for name in self._table
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(data)

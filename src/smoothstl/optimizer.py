@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import RolloutDivergence, _backward, _simulate, rollout
-from .formula import _array, _check_flag, _convert, _real, _whole, horizon, is_nnf
+from .formula import _array, _check_flag, _convert, _dims, _real, _whole, horizon
 from .robustness import EXACT, SemanticsConfig, _evaluate, _NonFiniteMargin, evaluate
 
 __all__ = [
@@ -83,7 +83,7 @@ class SynthesisProblem:
 
     @param model:          SystemModel to drive
     @param x0:             initial state, model.n finite numbers
-    @param phi:            formula in negation normal form
+    @param phi:            formula over the model's p outputs (see evaluate)
     @param T:              trajectory length minus one (controls are (T+1, m));
                            phi may look at most T steps ahead
     @param k1, k2:         finite sharpness of the smooth semantics, k1 > 0
@@ -122,8 +122,6 @@ class SynthesisProblem:
     def __post_init__(self):
         x0 = _array("x0", self.x0, shape=(self.model.n,))
         object.__setattr__(self, "x0", tuple(x0.tolist()))
-        if not is_nnf(self.phi):
-            raise ValueError("phi: must be in negation normal form; apply to_nnf first")
         for key, sign in (("T", "nonnegative"), ("restarts", "nonnegative"),
                           ("seed", "nonnegative"), ("max_iters", "positive")):
             object.__setattr__(self, key, _whole(key, getattr(self, key), sign=sign))
@@ -142,6 +140,10 @@ class SynthesisProblem:
         ahead = horizon(self.phi)
         if ahead > self.T:
             raise ValueError(f"T: formula looks {ahead} steps ahead but T is {self.T}")
+        wrong = _dims(self.phi) - {self.model.p}
+        if wrong:
+            raise ValueError(f"phi: a predicate reads {min(wrong)} dimensions, "
+                             f"but the model outputs {self.model.p}")
 
     @functools.cached_property
     def config(self):

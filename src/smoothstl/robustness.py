@@ -58,11 +58,11 @@ of the until in effect, an outer soft min of inner soft maxes. Plans live
 in a small identity-keyed cache, so a formula evaluated repeatedly is
 compiled once.
 
-The smooth semantics require negation normal form (use to_nnf first):
-negation is folded into the atoms so that only soft minima and maxima
-remain, keeping every step differentiable and one-sided. Exact evaluation
-of other formulas runs on their negation normal form, which has the same
-exact value.
+Every semantics runs on the formula's negation normal form, which the
+plan builds when the formula is not in it: negation is folded into the
+atoms so that only soft minima and maxima remain, keeping every smooth
+step differentiable and one-sided. So any formula gets its normal form's
+values and gradients, bit for bit.
 
 Sharpness conventions: k1 > 0 tightens the soft minimum (gap at most
 log(m)/k1 for m arguments), k2 >= 0 tightens the soft maximum, with
@@ -675,8 +675,7 @@ class _Plan:
 
     def __init__(self, phi, classic_until):
         self.phi = phi  # keeps id(phi) from being reused while cached
-        self.nnf = is_nnf(phi)
-        root = phi if self.nnf else to_nnf(phi)
+        root = phi if is_nnf(phi) else to_nnf(phi)
         self.horizon = horizon(root)
 
         order, seen = [], set()
@@ -944,10 +943,6 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
             f"t={need} but the signal ends at t={last}"
         )
     smooth = config.kind != "exact"
-    if smooth and not plan.nnf:
-        raise SemanticsError(
-            "smooth semantics requires negation normal form; apply to_nnf first"
-        )
     p = values.shape[-1]
     if plan.dims != {p}:
         bad = min(plan.dims - {p})
@@ -974,7 +969,7 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
 def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):
     """Robustness of phi over the signal, evaluated at time t.
 
-    @param phi:           formula; smooth kinds additionally require NNF
+    @param phi:           formula; every kind evaluates its negation normal form
     @param signal:        Signal, or anything Signal() accepts
     @param t:             evaluation timestep (default 0)
     @param config:        SemanticsConfig choosing exact / ef / lse

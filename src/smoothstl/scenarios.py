@@ -127,8 +127,8 @@ class ScenarioConfig:
         if not isinstance(self.regions, RegionTable):
             try:
                 object.__setattr__(self, "regions", RegionTable(self.regions))
-            except FormulaError as exc:
-                raise ScenarioError(f"regions: {exc}") from None
+            except FormulaError as exc:  # its messages name the key or the region
+                raise ScenarioError(str(exc)) from None
         for key, sign in (("obstacle_inflation", "nonnegative"), ("dt", "positive")):
             object.__setattr__(self, key, _real(key, getattr(self, key), ScenarioError, sign))
         object.__setattr__(self, "T", _whole("T", self.T, ScenarioError, "positive"))
@@ -144,6 +144,8 @@ class ScenarioConfig:
             object.__setattr__(self, "x0_box", tuple(map(tuple, box)))
             if any(not lo <= hi for lo, hi in box):
                 raise ScenarioError("x0_box: every pair needs lo <= hi")
+            if any(math.isinf(hi - lo) for lo, hi in box):
+                raise ScenarioError("x0_box: every pair needs a finite width hi - lo")
 
         # a sampled start is drawn per seed; the box's low corner stands in
         start = self.x0 if self.x0 is not None else [lo for lo, _ in self.x0_box]
@@ -165,7 +167,8 @@ class ScenarioConfig:
         return self.regions.inflated(self.obstacle_inflation, grow)
 
     def formula(self):
-        """The spec parsed against the (inflated) regions, in NNF."""
+        """The spec parsed against the (inflated) regions, in NNF: evaluation
+        takes any formula, but this spares each plan compile a to_nnf."""
         return to_nnf(parse(self.spec, self.effective_regions(), p=self.system_model().p))
 
 
@@ -287,8 +290,8 @@ def _charging_spec(n, counts):
         dwell = _CHARGING_DWELLS[row]
         hi = min(hi, n - dwell)
         if hi < lo:
-            raise ScenarioError(
-                f"T: horizon {n} is too short for service window {row + 1}; "
+            raise ScenarioError(  # only run_scaling's horizons reach this; it adds its key
+                f"horizon {n} is too short for service window {row + 1}; "
                 f"need at least {lo + dwell}"
             )
         names = " or ".join(f"chg{row + 1}_{j + 1}" for j in range(count))
@@ -606,7 +609,11 @@ def run_scaling(n_values=(), p_values=(), restarts=2, max_iters=40):
         for value in _convert(key, values, tuple, "a list of whole numbers", ScenarioError):
             value = _whole(key, value, ScenarioError, "positive")
             T, counts = (value, (1,)) if sweep == "N" else (29, (value,) * 3)
-            cfg = dataclasses.replace(_charging(T, counts), name=f"charging_{sweep.lower()}{value}",
+            try:
+                cfg = _charging(T, counts)
+            except ScenarioError as exc:  # a horizon too short for the windows
+                raise ScenarioError(f"{key}: {exc}") from None
+            cfg = dataclasses.replace(cfg, name=f"charging_{sweep.lower()}{value}",
                                       restarts=restarts, max_iters=max_iters)
             records.append(_measure(sweep, value, cfg))
     return records

@@ -1,9 +1,10 @@
 """Shared random generators for the test suite.
 
 The formula generator only produces negation normal form (negation is
-applied directly to predicates), so its output is valid for both the exact
-and the smooth evaluators. Horizons are kept within an explicit budget so
-matching signals stay short.
+applied directly to predicates), so its output is what the library
+evaluates and what the smooth oracle takes; wrap it in ~ for a formula
+outside it. Horizons are kept within an explicit budget so matching
+signals stay short.
 """
 
 import os

@@ -115,10 +115,11 @@ def lse_ops(k):
 def naive_soft(phi, y, min_op, max_op, t=0, classic_until=False):
     """Smooth robustness by direct recursion over a min/max operator pair.
 
-    Expects negation normal form, like the library. Until and release
-    transcribe the exact clauses of naive_exact with min_op and max_op in
-    place of min and max, so release is the De Morgan dual of whichever
-    until is in effect (outer min of inner maxes) in both conventions.
+    Expects negation normal form, on which the library runs every formula.
+    Until and release transcribe the exact clauses of naive_exact with
+    min_op and max_op in place of min and max, so release is the De Morgan
+    dual of whichever until is in effect (outer min of inner maxes) in
+    both conventions.
     """
 
     def rec(f, u):

@@ -159,6 +159,21 @@ class TestEval:
         )
         assert code == 1
 
+    def test_formula_outside_nnf_gets_its_nnf_value(self, capsys, mono_csv):
+        outs = []
+        for spec in ("not (G[0,2] y0 >= 0)", "F[0,2] not (y0 >= 0)"):
+            code, out, _ = run(
+                capsys, "eval", "--spec", spec, "--signal", mono_csv, "--semantics", "ef",
+            )
+            assert code == 1
+            outs.append(out)
+        assert outs[0] == outs[1]
+        # --json echoes the spec as parsed, not its normal form
+        _, out, _ = run(capsys, "eval", "--spec", "not (G[0,2] y0 >= 0)", "--signal", mono_csv,
+                        "--semantics", "ef", "--json")
+        assert json.loads(out)["spec"] == "not G[0,2] 1.0*y0 >= 0.0"
+        assert json.loads(out)["value"] == float(outs[0])
+
     def test_missing_signal_exits_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "eval", "--spec", "y0 >= 0",
@@ -176,7 +191,7 @@ class TestEval:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error while reading inputs: regions must map region names")
+        assert err.startswith("error while reading inputs: regions: must map region names")
 
     def test_regions_file_with_quoted_bounds_exits_two(self, capsys, tmp_path, mono_csv):
         regions = tmp_path / "regions.json"
@@ -360,6 +375,34 @@ class TestSynth:
         )
         assert code == 2
         assert f"{key}: must be finite" in err
+
+    def test_infinite_width_start_box_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "wide.json"
+        with open(tiny_scenario(tmp_path)) as fh:
+            data = dict(json.load(fh), model="differential_drive")
+        del data["x0"]
+        data["x0_box"] = [[-1e308, 1e308], [0.0, 1.0], [0.0, 6.28]]
+        config.write_text(json.dumps(data))
+        code, _, err = run(
+            capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert err == ("error while loading the scenario: "
+                       "x0_box: every pair needs a finite width hi - lo\n")
+
+    @pytest.mark.parametrize("regions,message", [
+        ([1, 2], "regions: must map region names to bounds, got list"),
+        ({"goal": {"x": [1, 2]}}, "region 'goal': malformed bounds: dimension 'x' needs"),
+    ])
+    def test_malformed_regions_in_config_exit_two(self, capsys, tmp_path, regions, message):
+        config = tmp_path / "regions.json"
+        with open(tiny_scenario(tmp_path)) as fh:
+            config.write_text(json.dumps(dict(json.load(fh), regions=regions)))
+        code, _, err = run(
+            capsys, "synth", "--config", str(config), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert err.startswith(f"error while loading the scenario: {message}")
 
     @pytest.mark.parametrize("key", ["hard_clamp", "tolerance"])
     def test_retired_knob_in_config_exits_two(self, capsys, tmp_path, key):

@@ -376,18 +376,18 @@ class TestRegionTable:
         t = self.table()
         data = t.to_json_dict()
         assert data["obs"] == {"0": [2.0, 4.0], "1": [2.0, 4.0]}
-        assert RegionTable.from_json_dict(data) == t
+        assert RegionTable(data) == t
 
     def test_malformed_json(self):
         with pytest.raises(FormulaError, match="malformed bounds"):
-            RegionTable.from_json_dict({"obs": {"0": 3.5}})
+            RegionTable({"obs": {"0": 3.5}})
         # a region that is not an object, a pair that is too short, a bound
         # that is not a number: each error names the region
         for faces in (5, [1, 2], {"0": [1]}, {"0": ["a", 2]}, {"0": ["1", "2"]}, {"0": [True, 2]}):
             with pytest.raises(FormulaError, match="region 'obs': malformed bounds"):
-                RegionTable.from_json_dict({"obs": faces})
-        with pytest.raises(FormulaError, match="regions must map region names"):
-            RegionTable.from_json_dict([1, 2])
+                RegionTable({"obs": faces})
+        with pytest.raises(FormulaError, match="^regions: must map region names to bounds, got list$"):
+            RegionTable([1, 2])
 
     # the constructor checks the same shapes, so each error names the region
 

@@ -18,6 +18,7 @@ from smoothstl.formula import (
     LinearPredicate,
     Not,
     Pred,
+    to_nnf,
 )
 from smoothstl.gradient import (
     RobustnessGradient,
@@ -174,10 +175,13 @@ class TestEvalWithGradient:
         with pytest.raises(SemanticsError, match="config"):
             finite_difference_gradient(phi, sig)
 
-    def test_requires_nnf(self):
+    def test_formula_outside_nnf_gets_its_nnf_gradient(self):
         phi = Not(parse("G[0,1] y0 >= 0", p=1))
-        with pytest.raises(SemanticsError, match="negation normal form"):
-            eval_with_gradient(phi, Signal([1.0, 1.0]), config=EF)
+        sig = Signal([1.0, 0.5])
+        got, want = (eval_with_gradient(f, sig, config=EF) for f in (phi, to_nnf(phi)))
+        assert got.value == want.value
+        assert np.array_equal(got.dsignal, want.dsignal)
+        assert (got.dsignal != 0).all()
 
 
 class TestCallablePredicates:

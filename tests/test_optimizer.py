@@ -191,11 +191,22 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=r"^x0: needs shape \(2,\), got \(1,\)$"):
             reach_problem(x0=(0.0,))
 
-    def test_requires_nnf(self):
-        bad = Not(parse("F[0,4] y0 >= 2", p=4))
-        with pytest.raises(ValueError, match="negation normal form"):
-            reach_problem(phi=bad)
-        reach_problem(phi=to_nnf(bad))
+    def test_formula_outside_nnf_gets_its_nnf_objective(self):
+        bad = Not(parse("F[0,4] y0 >= 2 and G[0,2] y1 >= 1", p=4))
+        u = np.random.default_rng(3).normal(size=(5, 2))
+        (J, dJ), (J_nnf, dJ_nnf) = (objective(reach_problem(phi=f), u) for f in (bad, to_nnf(bad)))
+        assert J == J_nnf
+        assert np.array_equal(dJ, dJ_nnf)
+
+    @pytest.mark.parametrize("phi,width", [
+        (parse("F[0,3] y2 >= 1", p=3), 3),
+        (conj(parse("F[0,3] y0 >= 1", p=4), parse("y4 >= 0", p=5)), 5),
+        (Not(Pred(CallablePredicate(lambda y: float(y[0]), dim=2))).eventually(0, 3), 2),
+    ])
+    def test_predicates_must_read_the_model_outputs(self, phi, width):
+        message = f"phi: a predicate reads {width} dimensions, but the model outputs 4"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reach_problem(phi=phi)
 
     def test_horizon_must_fit(self):
         with pytest.raises(ValueError, match="looks 9 steps ahead"):

@@ -14,8 +14,10 @@ from numpy.testing import assert_allclose
 
 from conftest import rand_formula, rand_signal
 from oracle import ef_ops, lse_ops, naive_exact, naive_soft
-from smoothstl.formula import LinearPredicate, Not, Pred, conj, to_nnf
+from smoothstl.dynamics import single_integrator_2d
+from smoothstl.formula import LinearPredicate, Not, Pred, conj, horizon, to_nnf
 from smoothstl.gradient import eval_with_gradient, finite_difference_gradient, grad_smooth_max
+from smoothstl.optimizer import SynthesisProblem, objective
 from smoothstl.parser import parse
 from smoothstl.robustness import (
     EXACT,
@@ -492,11 +494,36 @@ class TestEvaluateSmooth:
         value = evaluate(phi, Signal([0.0, 0.0]), config=SemanticsConfig.ef(1, 1))
         assert_allclose(value, -math.log(2.0), rtol=1e-15)
 
-    def test_requires_nnf(self):
-        phi = Not(parse("G[0,1] y0 >= 0", p=1))
-        with pytest.raises(SemanticsError, match="negation normal form"):
-            evaluate(phi, Signal([1.0, 1.0]), config=SemanticsConfig.ef(2, 2))
-        evaluate(to_nnf(phi), Signal([1.0, 1.0]), config=SemanticsConfig.ef(2, 2))
+    def test_formula_outside_nnf_gets_its_nnf_value(self):
+        phi = Not(parse("G[0,1] y0 >= 0 and (y0 >= 1) U[0,1] (-y0 >= -2)", p=1))
+        sig = Signal([1.0, 0.5, 3.0])
+        for config in (EXACT, SemanticsConfig.ef(2, 2), SemanticsConfig.lse(2)):
+            for classic in (False, True):
+                got, want = (evaluate(f, sig, config=config, classic_until=classic)
+                             for f in (phi, to_nnf(phi)))
+                assert got == want
+
+    def test_negated_random_formulas_match_their_nnf(self):
+        rng = np.random.default_rng(28)
+        model = single_integrator_2d()
+        for _ in range(60):
+            phi = ~rand_formula(rng, 4, 3, 5)
+            nnf = to_nnf(phi)
+            sig = rand_signal(rng, phi, 4)
+            for config in (EXACT, SemanticsConfig.ef(2, 0.5), SemanticsConfig.lse(3)):
+                assert evaluate(phi, sig, config=config) == evaluate(nnf, sig, config=config)
+            got, want = (eval_with_gradient(f, sig, config=SemanticsConfig.ef(2, 0.5))
+                         for f in (phi, nnf))
+            assert got.value == want.value
+            assert np.array_equal(got.dsignal, want.dsignal)
+            T = horizon(phi)
+            u = rng.normal(size=(T + 1, model.m))
+            (J, dJ), (J_nnf, dJ_nnf) = (
+                objective(SynthesisProblem(model, (0.5, -0.5), f, T=T, k1=2, k2=0.5), u)
+                for f in (phi, nnf)
+            )
+            assert J == J_nnf
+            assert np.array_equal(dJ, dJ_nnf)
 
     def test_matches_soft_oracle_ef(self):
         rng = np.random.default_rng(50)

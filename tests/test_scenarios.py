@@ -204,9 +204,10 @@ class TestConfigValidation:
         ("spec", "F[0,5] lava", "spec"),
         ("spec", "F[0,9] goal", "T"),
         ("control_bounds", ((-1.0, 1.0),), "control_bounds"),
-        ("regions", {"goal": {0: (2.0, 1.0)}}, "regions"),
+        ("regions", {"goal": {0: (2.0, 1.0)}}, "region 'goal' dimension 0"),
         ("control_bounds", ((-1.0, math.inf), (-1.0, 1.0)), "control_bounds"),
         ("x0", (0.0, math.inf), "x0"),
+        ("regions", [1, 2], "regions"),
     ])
     def test_errors_name_the_key(self, field, value, key):
         with pytest.raises(ScenarioError, match=f"^{key}:"):
@@ -222,6 +223,15 @@ class TestConfigValidation:
         )
         with pytest.raises(ScenarioError, match=f"^{field}: must be finite"):
             ScenarioConfig(**dict(kwargs, **{field: value}))
+
+    def test_sampling_range_needs_a_finite_width(self):
+        # numpy's uniform draw cannot span more than the float range
+        kwargs = self.base_kwargs(
+            model="differential_drive", x0=None,
+            x0_box=((-1e308, 1e308), (0.0, 1.0), (0.0, 6.28)),
+        )
+        with pytest.raises(ScenarioError, match="^x0_box: every pair needs a finite width hi - lo$"):
+            ScenarioConfig(**kwargs)
 
     @pytest.mark.parametrize("field,value", [
         ("T", "abc"),
@@ -622,6 +632,7 @@ class TestScaling:
         # named for the sweep's own key, not for the T it would build
         ("n_values", 0, "must be positive"),
         ("n_values", -5, "must be positive"),
+        ("n_values", 2, "horizon 2 is too short for service window 1; need at least 4"),
     ])
     def test_sweep_points_must_be_positive_whole_numbers(self, sweep, value, why):
         with pytest.raises(ScenarioError, match=f"^{sweep}: {why}$"):
