@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -401,9 +402,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except _CliError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader closed stdout; the interpreter flushes it again at
+        # exit, which writing into devnull keeps from raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error while writing outputs: {exc}", file=sys.stderr)
         return 2
 
 

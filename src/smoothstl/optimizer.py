@@ -48,7 +48,7 @@ import numpy as np
 
 from .dynamics import RolloutDivergence, _backward, _simulate, rollout
 from .formula import _array, _check_flag, _convert, _dims, _real, _whole, horizon
-from .robustness import EXACT, SemanticsConfig, _evaluate, _NonFiniteMargin, evaluate
+from .robustness import _REDUCERS, EXACT, SemanticsConfig, _NonFiniteMargin, _plan, evaluate
 
 __all__ = [
     "SynthesisFailure",
@@ -104,6 +104,15 @@ class SynthesisProblem:
     1, 0 and np.True_ pass and are kept as given, while a string or a
     numpy array is refused. Scenario files and build_problem overrides
     pass through these same checks.
+
+    objective reads what it needs of a problem once, on its first call,
+    and keeps it on the problem: the ef semantics (config), the start
+    state as a read-only array, phi's evaluation plan under the problem's
+    until convention and the plan's reducers at k1 and k2. These checks
+    guarantee what evaluate would check on every call: evaluation at
+    t = 0, a horizon of at most T and predicates as wide as the model's
+    outputs. A problem is frozen, and one made by dataclasses.replace
+    reads its own.
     """
 
     model: object
@@ -149,6 +158,20 @@ class SynthesisProblem:
     def config(self):
         return SemanticsConfig.ef(self.k1, self.k2)
 
+    @functools.cached_property
+    def _x0_array(self):
+        x0 = np.array(self.x0)
+        x0.setflags(write=False)
+        return x0
+
+    @functools.cached_property
+    def _phi_plan(self):
+        return _plan(self.phi, self.classic_until)
+
+    @functools.cached_property
+    def _reducers(self):
+        return _REDUCERS["ef"](self.config)
+
 
 def objective(problem, u):
     """J(u) and dJ/du for one control sequence of shape (T+1, m).
@@ -166,13 +189,13 @@ def objective(problem, u):
         u = _array("u", u)
     stack = u.ndim == 3
     U = _array("u", u, shape=(None,) * stack + (problem.T + 1, problem.model.m))
-    # problem.x0 was read when the problem was made
-    X, U, Y, outcomes = _simulate(problem.model, np.array(problem.x0), U, stack)
+    X, U, Y, outcomes = _simulate(problem.model, problem._x0_array, U, stack)
+    plan, reducers = problem._phi_plan, problem._reducers
     live = [r for r, error in enumerate(outcomes) if error is None]
     while live:
         rows = live if len(live) < len(outcomes) else slice(None)  # no copy if all live
         try:
-            rho, dY = _evaluate(problem.phi, Y[rows], 0, problem.config, problem.classic_until, True)
+            rho, dY = plan.apply(Y[rows], 0, reducers, True, True)
             break
         except _NonFiniteMargin as bad:  # those rows drop out, the rest run again
             for r, t in zip(live, bad.first):

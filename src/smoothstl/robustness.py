@@ -16,8 +16,11 @@ Each formula is compiled once, per until convention, into an evaluation
 plan. The plan lists the formula's nodes (by object identity) in
 topological order, each with the sorted times its parents read, relative
 to the evaluation time. Predicates are the leaves, computed for all
-affine atoms at once as one matrix product. Every and/or/always/eventually
-node is a min or max per time over a flat gather of its children's slots.
+affine atoms at once as one matrix product over the plan's window: the
+samples from the earliest one a leaf reads through the horizon, so that
+F[140,150] goal over 151 samples computes margins, leaf adjoints and the
+signal gradient on 11 rows. Every and/or/always/eventually node is a
+min or max per time over a flat gather of its children's slots.
 An until or release is three steps:
 
   held    one scan of the held operand: a (W, n) gather whose column c
@@ -123,7 +126,8 @@ class SemanticsError(ValueError):
 
 class _NonFiniteMargin(SemanticsError):
     """A predicate margin a formula reads is not finite (an affine one beyond
-    the float range, say); first holds each window's first such row or None."""
+    the float range, say); first holds, per signal of a stack, the first such
+    sample counted from the evaluation time, or None."""
 
     def __init__(self, first):
         super().__init__("predicate produced a non-finite margin")
@@ -671,6 +675,10 @@ class _Plan:
     semantics runs the same groups, in order. The root's reduction is the
     only one at the greatest depth, so it runs last and its result keeps
     the last slot. A run on a stack of R windows fills vals (R, size).
+
+    A run's window Y is the samples t + first .. t + horizon of a signal
+    evaluated at t (see the module notes); rows, leaves and the callables'
+    rows count from its first sample.
     """
 
     def __init__(self, phi, classic_until):
@@ -726,7 +734,8 @@ class _Plan:
             size += times[id(node)].size
         self.n_leaf = size
         spans = [(times[id(node)], p, sign) for node, (p, sign) in zip(leaves, atoms)]
-        self.rows = np.concatenate([ts for ts, _, _ in spans])
+        self.first = int(min(ts[0] for ts, _, _ in spans))
+        self.rows = np.concatenate([ts for ts, _, _ in spans]) - self.first
         self.cols = np.concatenate([np.full(ts.size, column[id(p)]) for ts, p, _ in spans])
         self.signs = np.concatenate([np.full(ts.size, sign) for ts, _, sign in spans])
         self.leaves = self.rows * self.n_preds + self.cols
@@ -837,12 +846,36 @@ class _Plan:
             if checked:
                 finite = np.isfinite(vals[..., : self.n_leaf]).reshape(-1, self.n_leaf)
                 if not finite.all():
-                    raise _NonFiniteMargin([None if f.all() else int(self.rows[~f].min()) for f in finite])
+                    bad = [None if f.all() else self.first + int(self.rows[~f].min()) for f in finite]
+                    raise _NonFiniteMargin(bad)
             for op, idx, starts, seg, out, stop in self.groups:
                 fn, k = reducers[op]
                 vals[..., out:stop], w = fn(_take(vals, idx), starts, seg, k, keep)
                 weights.append(w)
         return vals, weights
+
+    def apply(self, values, t, reducers, smooth, gradient):
+        """The root value at time t of the samples (T+1, p) of a signal, or
+        of each signal of a stack (R, T+1, p), and with gradient set the
+        gradient in the samples, else None: _evaluate after its checks,
+        which a caller that skips them must guarantee."""
+        Y = values[..., t + self.first : t + self.horizon + 1, :]
+        if len(Y) == 1 and Y.ndim == 3:
+            Y = Y[0]
+        vals, weights = self.run(Y, reducers, gradient, smooth)
+        if smooth:
+            n = vals.size // self.size
+            _tick(self.applications * n, self.scalars * n, forwards=n)
+        if not gradient:
+            return vals[..., self.root], None
+        dY = self.backward(Y, weights)
+        # only a plan neither safe nor bounded can give one that is not finite,
+        # and a stack's caller reads it by row
+        if values.ndim == 2 and not (self.safe or self.bounded or np.isfinite(dY).all()):
+            raise SemanticsError("predicate produced a non-finite gradient")
+        dsignal = np.zeros_like(values)
+        dsignal[..., t + self.first : t + self.horizon + 1, :] = dY
+        return vals[..., self.root], dsignal
 
     def backward(self, Y, weights):
         """Gradient of the root value in the window Y, or in each window of
@@ -942,28 +975,11 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
             f"signal: too short: evaluation at t={t} needs samples through "
             f"t={need} but the signal ends at t={last}"
         )
-    smooth = config.kind != "exact"
     p = values.shape[-1]
     if plan.dims != {p}:
         bad = min(plan.dims - {p})
         raise SemanticsError(f"signal: needs {bad} dimensions for a predicate, got {p}")
-    Y = values[..., t : need + 1, :]
-    if len(Y) == 1 and Y.ndim == 3:
-        Y = Y[0]
-    vals, weights = plan.run(Y, _REDUCERS[config.kind](config), gradient, smooth)
-    if smooth:
-        n = vals.size // plan.size
-        _tick(plan.applications * n, plan.scalars * n, forwards=n)
-    if not gradient:
-        return vals[..., plan.root], None
-    dY = plan.backward(Y, weights)
-    # only a plan neither safe nor bounded can give one that is not finite,
-    # and a stack's caller reads it by row
-    if values.ndim == 2 and not (plan.safe or plan.bounded or np.isfinite(dY).all()):
-        raise SemanticsError("predicate produced a non-finite gradient")
-    dsignal = np.zeros_like(values)
-    dsignal[..., t : t + Y.shape[-2], :] = dY
-    return vals[..., plan.root], dsignal
+    return plan.apply(values, t, _REDUCERS[config.kind](config), config.kind != "exact", gradient)
 
 
 def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):

@@ -248,6 +248,26 @@ class TestGrad:
         np.testing.assert_allclose(stored, np.array(payload["gradient"]), rtol=1e-15)
         np.testing.assert_allclose(stored.sum(), 1.0, rtol=1e-12)
 
+    def test_reader_that_closes_the_pipe_early_exits_two(self, tmp_path):
+        # the JSON runs to about 170 kB, past what the pipe and the reader's
+        # buffer hold, so the writer meets the closed pipe
+        sig = tmp_path / "big.csv"
+        save_signal_csv(Signal(np.random.default_rng(5).normal(size=(5000, 2))), sig)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "smoothstl", "grad", "--spec", "not (G[0,2] y0 >= 0)",
+             "--signal", str(sig), "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 2
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == "error while writing outputs: [Errno 32] Broken pipe\n"
+
     def test_exit_tracks_the_smooth_sign(self, capsys, tmp_path):
         sig = tmp_path / "neg.csv"
         save_signal_csv(Signal(np.array([[-2.0]])), sig)

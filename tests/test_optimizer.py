@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothstl.dynamics import RolloutDivergence, SystemModel, rollout, single_integrator_2d
+from smoothstl.dynamics import (
+    RolloutDivergence,
+    SystemModel,
+    _backward,
+    _simulate,
+    rollout,
+    single_integrator_2d,
+)
 from smoothstl.formula import CallablePredicate, Not, Pred, RegionTable, conj, to_nnf
 from smoothstl.optimizer import (
     _LBFGS_MEMORY,
@@ -36,6 +43,7 @@ from smoothstl.parser import parse
 from smoothstl.robustness import (
     EXACT,
     SemanticsConfig,
+    _evaluate,
     count_operator_evals,
     evaluate,
 )
@@ -425,6 +433,82 @@ class TestObjective:
         first, second = objective(problem, U)
         assert first[0] == objective(problem, U[0])[0]
         assert str(second) == "non-finite predicate margin at timestep 2"
+
+    def test_late_window_divergence_names_the_sample(self):
+        # the formula reads samples 2..4 only, so its plan's rows count from
+        # 2; a margin undefined where the control output y2 exceeds 0.5 is a
+        # divergence at the sample's own index, and before the window is
+        # never read
+        partial = CallablePredicate(
+            fn=lambda y: 1.0 - float(y[2]) if y[2] < 0.5 else math.inf, dim=4,
+            jacobian=lambda y: np.array([0.0, 0.0, -1.0, 0.0]),
+        )
+        problem = reach_problem(phi=Pred(partial).eventually(2, 4))
+        assert problem._phi_plan.first == 2
+        U = np.zeros((3, 5, 2))
+        U[1, 3, 0] = 1.0
+        U[2, 1, 0] = 1.0
+        first, second, third = objective(problem, U)
+        assert str(second) == "non-finite predicate margin at timestep 3"
+        with pytest.raises(RolloutDivergence, match="^non-finite predicate margin at timestep 3$"):
+            objective(problem, U[1])
+        for row, got in ((0, first), (2, third)):
+            J, dJ = objective(problem, U[row])
+            assert got[0] == J and got[1].tobytes() == dJ.tobytes()
+
+
+def compose(problem, U):
+    """objective's (J, dJ) per row of a finite stack U, composed by hand from
+    the rollout, the checked evaluation and the backward pass."""
+    X, U, Y, _ = _simulate(problem.model, np.array(problem.x0), U, True)
+    config = SemanticsConfig.ef(problem.k1, problem.k2)
+    rho, dY = _evaluate(problem.phi, Y, 0, config, problem.classic_until, True)
+    du, _ = _backward(problem.model, X, U, dY)
+    w = problem.control_weight
+    J = rho - w * (U * U).reshape(len(U), -1).sum(axis=-1)
+    return [(float(j), d) for j, d in zip(J, du - 2.0 * (w * U))]
+
+
+class TestReadOnce:
+    """objective keeps what it reads of a problem on the problem; one made
+    from it by dataclasses.replace must read its own."""
+
+    def base(self):
+        phi = parse("(y2 >= -0.5) U[1,3] (y0 >= 1)", p=4)
+        return reach_problem(phi=phi, control_weight=0.1, k1=2.0, k2=3.0)
+
+    @pytest.mark.parametrize("change", [
+        dict(k1=5.0),
+        dict(k2=0.5),
+        dict(phi=parse("F[0,4] (y0 >= 2.5 and y1 >= 3.5)", p=4)),
+        dict(classic_until=True),
+        dict(x0=(0.5, -0.25)),
+    ], ids=["k1", "k2", "phi", "classic_until", "x0"])
+    def test_replaced_problem_reads_its_own(self, change):
+        U = np.random.default_rng(93).uniform(-1, 1, (3, 5, 2))
+        problem = self.base()
+        before = objective(problem, U)
+        for got, want in zip(before, compose(problem, U), strict=True):
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        other = replace(problem, **change)
+        after = objective(other, U)
+        for got, want in zip(after, compose(other, U), strict=True):
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        assert [J for J, _ in after] != [J for J, _ in before]
+        # and the first problem still reads its own
+        for got, want in zip(objective(problem, U), before, strict=True):
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+    def test_continuation_stage_matches_a_fresh_problem(self):
+        problem = self.base()
+        objective(problem, np.zeros((5, 2)))  # fill the caches at k1 = 2, k2 = 3
+        result = k_continuation(problem, [1.0, 4.0])
+        stage = result.stages[1]
+        fresh = reach_problem(phi=problem.phi, control_weight=0.1, k1=4.0, k2=4.0)
+        ((record, (u, y, trace)),) = _run_restarts(fresh, [stage.u_init])
+        assert u.tobytes() == stage.u_star.tobytes()
+        assert (record.rho_exact, record.iterations) == (stage.rho_exact, stage.iterations)
+        assert result.rho_smooth == record.rho_smooth
 
 
 def two_loop(g, pairs):

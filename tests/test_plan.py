@@ -275,6 +275,80 @@ def test_callable_margin_must_be_finite():
     assert evaluate(phi, Signal([1.0, 2.0, 0.0])) == 1.0
     with pytest.raises(SemanticsError, match="non-finite margin"):
         evaluate(phi, Signal([1.0, 2.0, 0.0]), t=1)
+    # a window that starts late never reads the samples before it
+    late = Pred(partial).always(2, 3)
+    assert evaluate(late, Signal([0.0, 0.0, 1.0, 2.0])) == 1.0
+    with pytest.raises(SemanticsError, match="non-finite margin"):
+        evaluate(late, Signal([0.0, 0.0, 1.0, 0.0]))
+
+
+def window_cases():
+    """(formula, its plan's first row, signal) cases whose every read starts
+    late, so that the plan runs on a window from first > 0: the late goal
+    window of synth_long_horizon over a box, an until and a release with
+    lo > 0, and a callable predicate; 2-D signals with two samples to spare
+    past the horizon of the latest evaluation time."""
+    box = "y0 >= 18 and -y0 >= -20 and y1 >= 8 and -y1 >= -10"
+    formulas = [
+        (parse(f"F[140,150] ({box})", p=2), 140),
+        (parse("(y0 - y1 >= 0.5) U[2,5] (y1 >= -2)", p=2), 2),
+        (parse("(y0 >= 1) R[3,6] (-y1 >= -0.5)", p=2), 3),
+        (conj(Pred(disc(2.0)).eventually(4, 7), parse("G[5,6] y0 >= -1", p=2)), 4),
+    ]
+    rng = np.random.default_rng(16)
+    for phi, first in formulas:
+        scale = 20.0 if first == 140 else 3.0
+        values = rng.uniform(-scale, scale, size=(3 + horizon(phi) + 3, 2))
+        yield phi, first, Signal(values)
+
+
+@pytest.mark.parametrize("t", [0, 3])
+def test_windows_match_the_oracle_and_finite_differences(t):
+    # the plan reads only its window; values and gradients still match the
+    # oracle and central differences, in both until conventions (the classic
+    # one holds an until's left operand from t itself, so reads from row 0)
+    config = SemanticsConfig.ef(2.0, 3.0)
+    for phi, first, sig in window_cases():
+        assert robustness._plan(phi, False).first == first
+        check_values(phi, t, sig, 20.0, 2.0, 3.0)
+        for classic in (False, True):
+            got = eval_with_gradient(phi, sig, t, config, classic)
+            assert got.value == evaluate(phi, sig, t, config, classic)
+            want = finite_difference_gradient(phi, sig, t, config, h=1e-6, classic_until=classic)
+            assert_allclose(got.dsignal, want, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("t", [0, 3])
+def test_samples_outside_the_window_play_no_part(t):
+    # dsignal is exactly 0 outside t + first .. t + horizon, and samples
+    # before the window (here overwritten with other values) change no bit
+    config = SemanticsConfig.ef(2.0, 3.0)
+    for phi, first, sig in window_cases():
+        got = eval_with_gradient(phi, sig, t, config)
+        outside = np.ones(len(sig), dtype=bool)
+        outside[t + first : t + horizon(phi) + 1] = False
+        assert (got.dsignal[outside] == 0.0).all()
+        before = sig.values.copy()
+        before[: t + first] = -before[: t + first] + 0.25
+        moved = eval_with_gradient(phi, Signal(before), t, config)
+        assert moved.value == got.value and moved.dsignal.tobytes() == got.dsignal.tobytes()
+        for semantics in (EXACT, config, SemanticsConfig.lse(2.0)):
+            assert evaluate(phi, Signal(before), t, semantics) == evaluate(phi, sig, t, semantics)
+
+
+def test_window_stack_equals_its_rows_bit_for_bit():
+    config = SemanticsConfig.ef(2.0, 3.0)
+    rng = np.random.default_rng(17)
+    for phi, _, sig in window_cases():
+        stack = sig.values + rng.normal(0.0, 0.5, size=(3,) + sig.values.shape)
+        for t in (0, 3):
+            for semantics, gradient in ((EXACT, False), (config, True)):
+                values, dsignal = robustness._evaluate(phi, stack, t, semantics, False, gradient)
+                for r, row in enumerate(stack):
+                    want, want_d = robustness._evaluate(phi, row, t, semantics, False, gradient)
+                    assert values[r] == want
+                    if gradient:
+                        assert dsignal[r].tobytes() == want_d.tobytes()
 
 
 MONITOR_SPEC = (
