@@ -91,9 +91,23 @@ def _semantics(args):
 
 
 def _load_config(args):
-    if args.scenario:
-        return builtin_scenario(args.scenario)
-    return load_scenario(args.config)
+    config = builtin_scenario(args.scenario) if args.scenario else load_scenario(args.config)
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
+
+
+def _read_inputs(args):
+    with _stage("reading inputs"):
+        text = _read_spec_arg(args.spec)
+        signal = load_signal_csv(args.signal)
+        regions = _load_regions(args.regions)
+    with _stage("parsing the spec"):
+        return signal, parse(text, regions, p=signal.p)
+
+
+def _out_dir(args):
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _emit(args, payload, human_lines):
@@ -115,12 +129,7 @@ def _write_report(out_dir, payload):
 
 
 def cmd_eval(args):
-    with _stage("reading inputs"):
-        text = _read_spec_arg(args.spec)
-        signal = load_signal_csv(args.signal)
-        regions = _load_regions(args.regions)
-    with _stage("parsing the spec"):
-        phi = parse(text, regions, p=signal.p)
+    signal, phi = _read_inputs(args)
     with _stage("evaluating"):
         config = _semantics(args)
         value = float(
@@ -143,12 +152,7 @@ def cmd_eval(args):
 
 
 def cmd_grad(args):
-    with _stage("reading inputs"):
-        text = _read_spec_arg(args.spec)
-        signal = load_signal_csv(args.signal)
-        regions = _load_regions(args.regions)
-    with _stage("parsing the spec"):
-        phi = parse(text, regions, p=signal.p)
+    signal, phi = _read_inputs(args)
     with _stage("differentiating"):
         config = SemanticsConfig.ef(args.k1, args.k2)
         result = eval_with_gradient(
@@ -185,8 +189,6 @@ def cmd_grad(args):
 def cmd_synth(args):
     with _stage("loading the scenario"):
         config = _load_config(args)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         overrides = {
             key: getattr(args, key)
             for key in ("k1", "k2", "restarts", "max_iters")
@@ -196,8 +198,7 @@ def cmd_synth(args):
     with _stage("synthesizing"):
         result = synthesize(problem)
     with _stage("writing outputs"):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args)
         traj_path = out / "trajectory.csv"
         save_signal_csv(result.y_star, traj_path)
         ctrl_path = out / "controls.csv"
@@ -256,13 +257,10 @@ def cmd_synth(args):
 def cmd_bench(args):
     with _stage("loading the scenario"):
         config = _load_config(args)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
     with _stage("benchmarking"):
         records, agg = run_bench(config, args.trials, args.budget_s)
     with _stage("writing outputs"):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args)
         csv_path = out / "bench.csv"
         save_bench_csv(records, csv_path)
         payload = {
@@ -302,8 +300,7 @@ def cmd_scale(args):
     with _stage("sweeping"):
         records = run_scaling(args.n, args.p, restarts=args.restarts, max_iters=args.max_iters)
     with _stage("writing outputs"):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args)
         csv_path = out / "scaling.csv"
         save_scaling_csv(records, csv_path)
         payload = {

@@ -48,7 +48,7 @@ import numpy as np
 
 from .dynamics import RolloutDivergence, _backward, _simulate, rollout
 from .formula import _array, _check_flag, _convert, _dims, _real, _whole, horizon
-from .robustness import _REDUCERS, EXACT, SemanticsConfig, _NonFiniteMargin, _plan, evaluate
+from .robustness import EXACT, SemanticsConfig, _plan, evaluate
 
 __all__ = [
     "SynthesisFailure",
@@ -107,8 +107,8 @@ class SynthesisProblem:
 
     objective reads what it needs of a problem once, on its first call,
     and keeps it on the problem: the ef semantics (config), the start
-    state as a read-only array, phi's evaluation plan under the problem's
-    until convention and the plan's reducers at k1 and k2. These checks
+    state as a read-only array and phi's evaluation plan under the
+    problem's until convention. These checks
     guarantee what evaluate would check on every call: evaluation at
     t = 0, a horizon of at most T and predicates as wide as the model's
     outputs. A problem is frozen, and one made by dataclasses.replace
@@ -168,10 +168,6 @@ class SynthesisProblem:
     def _phi_plan(self):
         return _plan(self.phi, self.classic_until)
 
-    @functools.cached_property
-    def _reducers(self):
-        return _REDUCERS["ef"](self.config)
-
 
 def objective(problem, u):
     """J(u) and dJ/du for one control sequence of shape (T+1, m).
@@ -179,31 +175,27 @@ def objective(problem, u):
     A stack of R sequences (R, T+1, m) gives, in one pass, a list of R
     outcomes, each the row's (J, dJ) or RolloutDivergence, bit for bit
     what the row gives on its own. J and dJ are always finite. A row that
-    diverges in the rollout skips the robustness evaluation. A predicate
-    margin or control gradient that is not finite is a divergence at its
-    first timestep, and a J or dJ that overflows in the effort term one at
-    the row of u where the running sum of squares, or else the running
-    penalty or dJ, first does.
+    diverges in the rollout skips the robustness evaluation, and the rows
+    that remain go through phi's plan in one call. A predicate margin or
+    control gradient that is not finite is a divergence at its first
+    timestep, and a J or dJ that overflows in the effort term one at the
+    row of u where the running sum of squares, or else the running penalty
+    or dJ, first does. Where a row has more than one, the margin's comes
+    first, then the control gradient's, then the effort term's.
     """
     if not isinstance(u, np.ndarray):  # so that its number of axes is known
         u = _array("u", u)
     stack = u.ndim == 3
     U = _array("u", u, shape=(None,) * stack + (problem.T + 1, problem.model.m))
     X, U, Y, outcomes = _simulate(problem.model, problem._x0_array, U, stack)
-    plan, reducers = problem._phi_plan, problem._reducers
     live = [r for r, error in enumerate(outcomes) if error is None]
-    while live:
-        rows = live if len(live) < len(outcomes) else slice(None)  # no copy if all live
-        try:
-            rho, dY = plan.apply(Y[rows], 0, reducers, True, True)
-            break
-        except _NonFiniteMargin as bad:  # those rows drop out, the rest run again
-            for r, t in zip(live, bad.first):
-                outcomes[r] = None if t is None else RolloutDivergence(t, "predicate margin")
-            live = [r for r in live if outcomes[r] is None]
     if live:
+        rows = live if len(live) < len(outcomes) else slice(None)  # no copy if all live
+        rho, dY, first_bad = problem._phi_plan.apply(Y[rows], 0, problem.config, True)
         U = U[rows]
         du, errors = _backward(problem.model, X[rows], U, dY)
+        errors = [error if t is None else RolloutDivergence(t, "predicate margin")
+                  for error, t in zip(errors, first_bad)]
         w = problem.control_weight
         with np.errstate(over="ignore", invalid="ignore"):
             squares = U * U

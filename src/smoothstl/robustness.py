@@ -67,6 +67,11 @@ atoms so that only soft minima and maxima remain, keeping every smooth
 step differentiable and one-sided. So any formula gets its normal form's
 values and gradients, bit for bit.
 
+A margin that is not finite is, like a rollout's divergence, an outcome per
+signal: a run reports each signal's first such sample, or None, and runs the
+signal on margins of 0, whose results no caller reads. evaluate raises
+SemanticsError for it; synthesis makes it that restart's divergence.
+
 Sharpness conventions: k1 > 0 tightens the soft minimum (gap at most
 log(m)/k1 for m arguments), k2 >= 0 tightens the soft maximum, with
 k2 = 0 degenerating to the arithmetic mean. The lse baseline uses a
@@ -122,16 +127,6 @@ __all__ = [
 
 class SemanticsError(ValueError):
     """Raised when a formula/signal/configuration combination is invalid."""
-
-
-class _NonFiniteMargin(SemanticsError):
-    """A predicate margin a formula reads is not finite (an affine one beyond
-    the float range, say); first holds, per signal of a stack, the first such
-    sample counted from the evaluation time, or None."""
-
-    def __init__(self, first):
-        super().__init__("predicate produced a non-finite margin")
-        self.first = first
 
 
 class Signal:
@@ -204,10 +199,6 @@ class SemanticsConfig:
                 raise SemanticsError(f"{self.kind} semantics takes no sharpness parameters")
 
     @classmethod
-    def exact(cls):
-        return cls("exact")
-
-    @classmethod
     def ef(cls, k1, k2):
         return cls("ef", k1=k1, k2=k2)
 
@@ -215,8 +206,20 @@ class SemanticsConfig:
     def lse(cls, k):
         return cls("lse", k=k)
 
+    @property
+    def _reducers(self):
+        """The (reducer, sharpness) of each op a plan runs, read anew each time."""
+        if self.kind == "exact":
+            return ((_exact_max, None), (_exact_min, None),
+                    (_scan_exact_max, None), (_scan_exact_min, None))
+        if self.kind == "ef":
+            return ((_soft_max, self.k2), (_soft_min, self.k1),
+                    (_scan_soft_max, self.k2), (_scan_soft_min, self.k1))
+        k = self.k
+        return (_lse_max, k), (_soft_min, k), (_scan_lse_max, k), (_scan_soft_min, k)
 
-EXACT = SemanticsConfig.exact()
+
+EXACT = SemanticsConfig("exact")
 
 
 _counter_var: ContextVar = ContextVar("smoothstl_op_counter", default=None)
@@ -826,13 +829,15 @@ class _Plan:
             S[..., rows, col] = vals.reshape(at.shape[:-1])
         return S
 
-    def run(self, Y, reducers, keep, smooth):
-        """Fill vals (a row per window of a stack Y); with keep, also weights.
-        A margin that is not finite raises before any reducer runs. One
+    def run(self, Y, start, reducers, keep, smooth):
+        """Fill vals (a row per window of a stack Y); with keep, also weights;
+        and per window its first sample (start at its first row) whose margin
+        is not finite, or None, the window then running on margins of 0. One
         errstate a run turns off the warnings of what may overflow: the
         margins of a checked run, and the smooth reducers, which cap every
         shifted difference that does."""
         vals = np.empty(Y.shape[:-2] + (self.size,))
+        bad = [None] * (vals.size // self.size)
         # np.vdot, unlike an errstate, costs about one reduction (and does
         # not report an overflow of its own)
         checked = not (self.safe or self.bounded and math.isfinite(np.vdot(Y, Y)))
@@ -844,45 +849,54 @@ class _Plan:
         with quiet:
             vals[..., : self.n_leaf] = _take(_flatten(self.margins(Y)), self.leaves) * self.signs
             if checked:
-                finite = np.isfinite(vals[..., : self.n_leaf]).reshape(-1, self.n_leaf)
+                finite = np.isfinite(vals[..., : self.n_leaf])
                 if not finite.all():
-                    bad = [None if f.all() else self.first + int(self.rows[~f].min()) for f in finite]
-                    raise _NonFiniteMargin(bad)
+                    windows = finite.reshape(-1, self.n_leaf)
+                    bad = [None if f.all() else start + int(self.rows[~f].min()) for f in windows]
+                    vals[..., : self.n_leaf][~finite] = 0.0
             for op, idx, starts, seg, out, stop in self.groups:
                 fn, k = reducers[op]
                 vals[..., out:stop], w = fn(_take(vals, idx), starts, seg, k, keep)
                 weights.append(w)
-        return vals, weights
+        return vals, weights, bad
 
-    def apply(self, values, t, reducers, smooth, gradient):
+    def apply(self, values, t, config, gradient):
         """The root value at time t of the samples (T+1, p) of a signal, or
-        of each signal of a stack (R, T+1, p), and with gradient set the
-        gradient in the samples, else None: _evaluate after its checks,
-        which a caller that skips them must guarantee."""
+        of each signal of a stack (R, T+1, p), with gradient set the gradient
+        in the samples, else None, and per signal of a stack the first sample
+        whose margin is not finite, or None (a signal raises SemanticsError):
+        _evaluate after its checks, which a caller that skips them must
+        guarantee. A bad row counts no forward, and its results mean nothing."""
         Y = values[..., t + self.first : t + self.horizon + 1, :]
         if len(Y) == 1 and Y.ndim == 3:
             Y = Y[0]
-        vals, weights = self.run(Y, reducers, gradient, smooth)
+        smooth = config.kind != "exact"
+        vals, weights, bad = self.run(Y, t + self.first, config._reducers, gradient, smooth)
+        n = bad.count(None)
+        if values.ndim == 2 and not n:
+            raise SemanticsError("predicate produced a non-finite margin")
         if smooth:
-            n = vals.size // self.size
             _tick(self.applications * n, self.scalars * n, forwards=n)
         if not gradient:
-            return vals[..., self.root], None
-        dY = self.backward(Y, weights)
+            return vals[..., self.root], None, bad
+        dY = self.backward(Y, weights, bad)
         # only a plan neither safe nor bounded can give one that is not finite,
         # and a stack's caller reads it by row
         if values.ndim == 2 and not (self.safe or self.bounded or np.isfinite(dY).all()):
             raise SemanticsError("predicate produced a non-finite gradient")
         dsignal = np.zeros_like(values)
         dsignal[..., t + self.first : t + self.horizon + 1, :] = dY
-        return vals[..., self.root], dsignal
+        return vals[..., self.root], dsignal, bad
 
-    def backward(self, Y, weights):
+    def backward(self, Y, weights, bad):
         """Gradient of the root value in the window Y, or in each window of
-        a stack, from the weights a smooth run with keep returned."""
+        a stack, from the weights a smooth run with keep returned; 0 in a
+        window run reports bad, so no callable's jacobian runs on it."""
         lead, rows, cols = Y.shape[:-2], Y.shape[-2], self.n_preds
         adjoint = np.zeros(lead + (self.size,))
         adjoint[..., self.root] = 1.0
+        if bad.count(None) < len(bad):
+            adjoint.reshape(-1, self.size)[:, self.root] = [row is None for row in bad]
         flat = adjoint.reshape(-1)  # np.add.at is about 3x slower on a 2-D index
         key, scatter = self.scatter
         if key != Y.shape[:-1]:
@@ -939,21 +953,6 @@ def _plan(phi, classic_until):
     return plan
 
 
-# the (reducer, sharpness) of each semantics, indexed by op: _MAX, _MIN,
-# _SCAN_MAX, _SCAN_MIN
-_REDUCERS = {
-    "exact": lambda c: (
-        (_exact_max, None), (_exact_min, None), (_scan_exact_max, None), (_scan_exact_min, None)
-    ),
-    "ef": lambda c: (
-        (_soft_max, c.k2), (_soft_min, c.k1), (_scan_soft_max, c.k2), (_scan_soft_min, c.k1)
-    ),
-    "lse": lambda c: (
-        (_lse_max, c.k), (_soft_min, c.k), (_scan_lse_max, c.k), (_scan_soft_min, c.k)
-    ),
-}
-
-
 def _evaluate(phi, values, t, config, classic_until, gradient=False):
     """Validate the arguments and run phi's plan at time t on the samples
     (T+1, p) of a signal, or on each signal of a finite stack (R, T+1, p).
@@ -961,6 +960,7 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
     Returns the value, or R values, and with gradient set the gradient in
     the samples, else None; each row of a stack is bit for bit its signal's
     own. A stack counts R forwards; one of one runs unstacked (faster). A
+    margin that is not finite, in any row, raises SemanticsError. A
     signal's gradient must be finite; a stack's is returned as it is.
     """
     if not isinstance(config, SemanticsConfig):
@@ -979,7 +979,10 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
     if plan.dims != {p}:
         bad = min(plan.dims - {p})
         raise SemanticsError(f"signal: needs {bad} dimensions for a predicate, got {p}")
-    return plan.apply(values, t, _REDUCERS[config.kind](config), config.kind != "exact", gradient)
+    value, dsignal, first_bad = plan.apply(values, t, config, gradient)
+    if first_bad.count(None) < len(first_bad):  # a signal's raises in apply
+        raise SemanticsError("predicate produced a non-finite margin")
+    return value, dsignal
 
 
 def evaluate(phi, signal, t=0, config=EXACT, classic_until=False):

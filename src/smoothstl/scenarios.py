@@ -42,7 +42,7 @@ from .optimizer import (
     synthesize,
 )
 from .parser import ParseError, parse
-from .robustness import EXACT, count_operator_evals, evaluate
+from .robustness import SemanticsError, as_signal, count_operator_evals
 
 __all__ = [
     "ScenarioError",
@@ -439,20 +439,20 @@ def build_problem(config, x0=None, seed=None, **overrides):
 def dwell_steps(config, signal):
     """Timesteps spent inside any attraction region (not obs*, not boxes
     over control dimensions). The conservativeness metric: low sharpness
-    should park trajectories inside targets for longer."""
-    model = config.system_model()
-    attract = []
+    should park trajectories inside targets for longer. Inside is strictly
+    within every face, where the region's exact robustness is positive."""
+    Y, p = as_signal(signal).values, config.system_model().p
+    if Y.shape[1] != p:
+        raise SemanticsError(f"signal: needs {p} dimensions for a predicate, got {Y.shape[1]}")
+    inside = np.zeros(len(Y), dtype=bool)
     for name, faces in config.regions.items():
         if name.startswith("obs") or any(d >= 2 for d in faces):
             continue
-        attract.append(config.regions.conjunction(name, model.p))
-    if not attract:
-        return 0
-    count = 0
-    for t in range(len(signal)):
-        if any(evaluate(phi, signal, t, EXACT) > 0 for phi in attract):
-            count += 1
-    return count
+        box = np.ones(len(Y), dtype=bool)
+        for d, (lo, hi) in faces.items():
+            box &= (lo < Y[:, d]) & (Y[:, d] < hi)
+        inside |= box
+    return int(np.count_nonzero(inside))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,12 @@ untils and releases with windows up to 300 run them on the prefix scan of
 their held history. Three more tests pin the operator counts, the
 dense/scan/flat layout split and the reducer calls per forward pass on
 the builtin scenarios and a long monitoring formula, and one checks that
-charging's dense blocks move its values only by rounding.
+charging's dense blocks move its values only by rounding. Two check that a
+margin that is not finite is an outcome of its own row of a stack, named by
+its sample, which changes no bit of the other rows.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +353,70 @@ def test_window_stack_equals_its_rows_bit_for_bit():
                     assert values[r] == want
                     if gradient:
                         assert dsignal[r].tobytes() == want_d.tobytes()
+
+
+def bad_margin_case(seen):
+    """A formula whose plan starts at sample 2, evaluated at t = 1, and a
+    4-row stack: rows 0 and 2 are fine, row 1's callable margin is nan at
+    sample 4 and inf at sample 6, and row 3's affine margin 2 y0 + 1
+    overflows at sample 5. The callable's jacobian adds each sample it
+    runs on to seen."""
+
+    def margin(y):
+        return 1.0 - y[0] if y[1] == 0.0 else (np.nan if y[1] > 0.0 else np.inf)
+
+    def jacobian(y):
+        seen.append(y.copy())
+        return np.array([-1.0, 0.0])
+
+    partial = CallablePredicate(fn=margin, dim=2, jacobian=jacobian)
+    phi = conj(Pred(partial).eventually(2, 5), parse("G[3,4] 2*y0 >= -1", p=2))
+    stack = np.zeros((4, 8, 2))
+    stack[..., 0] = np.random.default_rng(18).uniform(-0.5, 0.5, size=(4, 8))
+    stack[1, 4, 1], stack[1, 6, 1] = 1.0, -1.0
+    stack[3, 5, 0] = 1e308
+    return phi, stack
+
+
+RUNS = ((EXACT, False), (SemanticsConfig.ef(2.0, 3.0), False), (SemanticsConfig.ef(2.0, 3.0), True))
+
+
+def test_a_bad_row_is_reported_by_its_absolute_sample():
+    phi, stack = bad_margin_case([])
+    plan = robustness._plan(phi, False)
+    assert plan.first == 2
+    for config, gradient in RUNS:
+        with count_operator_evals() as counter:
+            *_, first_bad = plan.apply(stack, 1, config, gradient)
+        assert first_bad == [None, 4, None, 5]
+        assert counter.forwards == (2 if config.kind == "ef" else 0)
+        # evaluation refuses the stack, and each bad signal on its own
+        with pytest.raises(SemanticsError, match="^predicate produced a non-finite margin$"):
+            robustness._evaluate(phi, stack, 1, config, False, gradient)
+        for r in (1, 3):
+            with pytest.raises(SemanticsError, match="non-finite margin"):
+                plan.apply(stack[r], 1, config, gradient)
+        robustness._evaluate(phi, stack[::2], 1, config, False, gradient)
+
+
+def test_a_bad_row_leaves_the_others_bit_for_bit():
+    # a nan and an inf margin in the middle row warn of nothing and change
+    # no bit of the rows around it; no jacobian runs on the middle row
+    seen = []
+    phi, stack = bad_margin_case(seen)
+    stack = stack[:3]
+    plan = robustness._plan(phi, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for config, gradient in RUNS:
+            values, dsignal, first_bad = plan.apply(stack, 1, config, gradient)
+            assert first_bad == [None, 4, None]
+            for r in (0, 2):
+                want, want_d = robustness._evaluate(phi, stack[r], 1, config, False, gradient)
+                assert values[r] == want
+                if gradient:
+                    assert dsignal[r].tobytes() == want_d.tobytes()
+    assert seen and all(y[1] == 0.0 for y in seen)
 
 
 MONITOR_SPEC = (

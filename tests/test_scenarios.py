@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 from smoothstl.dynamics import rollout
 from smoothstl.formula import is_nnf, horizon
 from smoothstl.optimizer import SynthesisProblem, synthesize
-from smoothstl.robustness import EXACT, Signal, evaluate
+from smoothstl.robustness import EXACT, SemanticsError, Signal, evaluate
 from smoothstl.scenarios import (
     BUILTIN_SCENARIOS,
     BenchRecord,
@@ -513,6 +513,12 @@ class TestDwellSteps:
         rows = np.zeros((11, 4))
         rows[:, :2] = [3.0, 3.0]          # always inside obs, ubox trivially
         assert dwell_steps(config, Signal(rows)) == 0
+
+    def test_signal_must_match_the_model_outputs(self):
+        config = builtin_scenario("two_target")
+        for p in (1, 3):
+            with pytest.raises(SemanticsError, match=f"^signal: needs 4 dimensions .* got {p}$"):
+                dwell_steps(config, Signal(np.zeros((11, p))))
 
     def test_no_attraction_region_means_no_dwell(self):
         config = builtin_scenario("two_target")
