@@ -194,7 +194,7 @@ def cmd_synth(args):
             for key in ("k1", "k2", "restarts", "max_iters")
             if getattr(args, key) is not None
         }
-        problem = build_problem(config, seed=config.seed, **overrides)
+        problem = build_problem(config, **overrides)
     with _stage("synthesizing"):
         result = synthesize(problem)
     with _stage("writing outputs"):

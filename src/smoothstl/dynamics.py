@@ -111,15 +111,6 @@ def _stacked(value, lead, shape, what):
     return _numbers(what, value, shape=(math.prod(lead), *shape)).reshape(*lead, *shape)
 
 
-def _hook(name, fn, shape, *args):
-    """fn(*args), a model's hook, read by _numbers as an array of the given
-    shape."""
-    # past the first non-finite value the values are never read
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = fn(*args)
-    return _numbers(name, value, shape=shape)
-
-
 def _first_non_finite(V):
     """(r, t) for each row r of V (R, K, k) that is not finite, t its first such
     step; an all-finite V, the common case, costs one whole-array test."""
@@ -160,19 +151,23 @@ def _simulate(model, x0, U, stack=False):
     """
     U = U if stack else U[None]
     (R, N, _), p = U.shape, model.p
-    if model.states is not None:
-        X = _hook("states", model.states, (R, N, model.n), x0[None].repeat(R, 0), U[:, :-1])
-    else:
-        X = np.stack([_step_loop(model.step, x0, row[:-1]) for row in U])
-    if np.isfinite(X).all():  # so every divergence is the output's
-        kept = None
-        flat = model.output(X.reshape(R * N, -1), U.reshape(R * N, -1))
-        Y = _stacked(flat, (R, N), (p,), "output")
-    else:
-        # the states up to each row's first non-finite one
-        kept = np.logical_and.accumulate(np.isfinite(X).all(axis=-1), axis=-1)
-        Y = np.full((R, N, p), np.nan)
-        Y[kept] = _stacked(model.output(X[kept], U[kept]), (int(kept.sum()),), (p,), "output")
+    # past a row's first non-finite value its values are never read, so the
+    # model's functions run without numpy's overflow and invalid warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.states is not None:
+            X = model.states(x0[None].repeat(R, 0), U[:, :-1])
+            X = _numbers("states", X, shape=(R, N, model.n))
+        else:
+            X = np.stack([_step_loop(model.step, x0, row[:-1]) for row in U])
+        if np.isfinite(X).all():  # so every divergence is the output's
+            kept = None
+            flat = model.output(X.reshape(R * N, -1), U.reshape(R * N, -1))
+            Y = _stacked(flat, (R, N), (p,), "output")
+        else:
+            # the states up to each row's first non-finite one
+            kept = np.logical_and.accumulate(np.isfinite(X).all(axis=-1), axis=-1)
+            Y = np.full((R, N, p), np.nan)
+            Y[kept] = _stacked(model.output(X[kept], U[kept]), (int(kept.sum()),), (p,), "output")
     errors = [None] * R
     for r, t in _first_non_finite(Y):
         errors[r] = RolloutDivergence(t, "output" if kept is None or kept[r, t] else "state")
@@ -197,14 +192,12 @@ def _jacobians(model, X, U):
 def _sweep(dY, fx, fu, gx, gu):
     """du of R rollouts by the costate recursion over their Jacobians."""
     T = dY.shape[-2] - 1
-    # past the first non-finite costate the values only mark divergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = (dY[..., None, :] @ gx)[..., 0, :]
-        du = (dY[..., None, :] @ gu)[..., 0, :]
-        # lam[:, t] for t >= 1 becomes the costate; lam[:, 0] is never needed
-        for t in range(T - 1, 0, -1):
-            lam[:, t] += (lam[:, t + 1, None, :] @ fx[:, t])[:, 0]
-        du[:, :T] += (lam[:, 1:, None, :] @ fu)[..., 0, :]
+    lam = (dY[..., None, :] @ gx)[..., 0, :]
+    du = (dY[..., None, :] @ gu)[..., 0, :]
+    # lam[:, t] for t >= 1 becomes the costate; lam[:, 0] is never needed
+    for t in range(T - 1, 0, -1):
+        lam[:, t] += (lam[:, t + 1, None, :] @ fx[:, t])[:, 0]
+    du[:, :T] += (lam[:, 1:, None, :] @ fu)[..., 0, :]
     return du
 
 
@@ -213,10 +206,12 @@ def _backward(model, X, U, dY):
     the model's adjoint, or else the costate sweep over its Jacobians, and
     each row's divergence or None: its first non-finite control gradient,
     which a non-finite costate always reaches (inf times 0 is NaN)."""
-    if model.adjoint is not None:
-        du = _hook("adjoint", model.adjoint, U.shape, X, U, dY)
-    else:
-        du = _sweep(dY, *_jacobians(model, X, U))
+    # past the first non-finite costate the values only mark divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.adjoint is not None:
+            du = _numbers("adjoint", model.adjoint(X, U, dY), shape=U.shape)
+        else:
+            du = _sweep(dY, *_jacobians(model, X, U))
     errors = [None] * len(du)
     for r, t in _first_non_finite(du):
         errors[r] = RolloutDivergence(t, "control gradient")

@@ -474,13 +474,6 @@ def horizon(phi):
     return ahead
 
 
-def _dims(phi):
-    """The set of signal widths phi's predicates read."""
-    if isinstance(phi, Pred):
-        return {phi.predicate.dim}
-    return set().union(*map(_dims, _operands(phi)))
-
-
 # Printing. Precedence levels, loosest first: or < and < until/release <
 # unary (not, always, eventually) < atoms. The emitted text reparses to a
 # structurally identical tree.

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import RolloutDivergence, _backward, _simulate, rollout
-from .formula import _array, _check_flag, _convert, _dims, _real, _whole, horizon
+from .formula import _array, _check_flag, _convert, _real, _whole, horizon
 from .robustness import EXACT, SemanticsConfig, _plan, evaluate
 
 __all__ = [
@@ -105,14 +105,16 @@ class SynthesisProblem:
     numpy array is refused. Scenario files and build_problem overrides
     pass through these same checks.
 
-    objective reads what it needs of a problem once, on its first call,
-    and keeps it on the problem: the ef semantics (config), the start
-    state as a read-only array and phi's evaluation plan under the
-    problem's until convention. These checks
-    guarantee what evaluate would check on every call: evaluation at
-    t = 0, a horizon of at most T and predicates as wide as the model's
-    outputs. A problem is frozen, and one made by dataclasses.replace
-    reads its own.
+    Construction checks phi's horizon against T before any compile, then
+    compiles phi's plan under the problem's until convention, or finds it
+    in the plan cache, keyed by the formula object, and reads phi's
+    predicate widths from it. So the checks guarantee what evaluate would
+    check on every call: evaluation at t = 0, a horizon of at most T and
+    predicates as wide as the model's outputs. objective reads what it
+    needs of a problem once, on its first call, and keeps it on the
+    problem: the ef semantics (config), the start state as a read-only
+    array and the plan. A problem is frozen, and one made by
+    dataclasses.replace reads its own.
     """
 
     model: object
@@ -146,10 +148,11 @@ class SynthesisProblem:
                 raise ValueError("control_bounds: every pair needs lo < hi")
             if any(math.isinf(hi - lo) for lo, hi in bounds):
                 raise ValueError("control_bounds: every pair needs a finite width hi - lo")
+        # checked before the compile, whose cost grows with the horizon
         ahead = horizon(self.phi)
         if ahead > self.T:
             raise ValueError(f"T: formula looks {ahead} steps ahead but T is {self.T}")
-        wrong = _dims(self.phi) - {self.model.p}
+        wrong = _plan(self.phi, self.classic_until).dims - {self.model.p}
         if wrong:
             raise ValueError(f"phi: a predicate reads {min(wrong)} dimensions, "
                              f"but the model outputs {self.model.p}")

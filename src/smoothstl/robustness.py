@@ -17,10 +17,10 @@ plan. The plan lists the formula's nodes (by object identity) in
 topological order, each with the sorted times its parents read, relative
 to the evaluation time. Predicates are the leaves, computed for all
 affine atoms at once as one matrix product over the plan's window: the
-samples from the earliest one a leaf reads through the horizon, so that
-F[140,150] goal over 151 samples computes margins, leaf adjoints and the
-signal gradient on 11 rows. Every and/or/always/eventually node is a
-min or max per time over a flat gather of its children's slots.
+samples from the earliest to the latest one a leaf reads (the horizon),
+so that F[140,150] goal over 151 samples computes margins, leaf
+adjoints and the signal gradient on 11 rows. Every and/or/always/eventually
+node is a min or max per time over a flat gather of its children's slots.
 An until or release is three steps:
 
   held    one scan of the held operand: a (W, n) gather whose column c
@@ -102,7 +102,6 @@ from .formula import (
     _check_flag,
     _real,
     _whole,
-    horizon,
     is_nnf,
     to_nnf,
 )
@@ -687,7 +686,6 @@ class _Plan:
     def __init__(self, phi, classic_until):
         self.phi = phi  # keeps id(phi) from being reused while cached
         root = phi if is_nnf(phi) else to_nnf(phi)
-        self.horizon = horizon(root)
 
         order, seen = [], set()
 
@@ -738,6 +736,7 @@ class _Plan:
         self.n_leaf = size
         spans = [(times[id(node)], p, sign) for node, (p, sign) in zip(leaves, atoms)]
         self.first = int(min(ts[0] for ts, _, _ in spans))
+        self.horizon = int(max(ts[-1] for ts, _, _ in spans))
         self.rows = np.concatenate([ts for ts, _, _ in spans]) - self.first
         self.cols = np.concatenate([np.full(ts.size, column[id(p)]) for ts, p, _ in spans])
         self.signs = np.concatenate([np.full(ts.size, sign) for ts, _, sign in spans])

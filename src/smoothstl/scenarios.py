@@ -12,10 +12,12 @@ builtins ship with the package:
                     random start in the unit square, no control bound
 
 Region coordinates are data, not contracts: every builtin can be saved to
-JSON, edited, and loaded back. run_bench repeats synthesize() on any
-scenario for statistics; run_scaling sweeps the charging task's horizon
-and station count for cost. Their CSV formats are documented on the
-writers.
+JSON, edited, and loaded back. A config builds its model, parses its
+spec and compiles the formula's plan once, when it is constructed, and
+every problem build_problem makes from it shares that model and formula,
+and so the plan. run_bench repeats synthesize() on any scenario for
+statistics; run_scaling sweeps the charging task's horizon and station
+count for cost. Their CSV formats are documented on the writers.
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ class ScenarioConfig:
     declared regions, and exactly one of x0 and x0_box must be given. The
     synthesis knobs go to SynthesisProblem, whose checks they pass and
     whose normalised values they keep; its errors come back as
-    ScenarioErrors with the same "key: why" message.
+    ScenarioErrors with the same "key: why" message. The model and the
+    formula built to validate are kept off the fields, so equality, JSON
+    and dataclasses.replace (which constructs anew) do not see them.
     """
 
     name: str
@@ -136,6 +140,7 @@ class ScenarioConfig:
             model = builtin_model(self.model, self.dt)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
+        object.__setattr__(self, "_model", model)
 
         if (self.x0 is None) == (self.x0_box is None):
             raise ScenarioError("x0: exactly one of x0 and x0_box must be set")
@@ -147,17 +152,20 @@ class ScenarioConfig:
             if any(math.isinf(hi - lo) for lo, hi in box):
                 raise ScenarioError("x0_box: every pair needs a finite width hi - lo")
 
-        # a sampled start is drawn per seed; the box's low corner stands in
-        start = self.x0 if self.x0 is not None else [lo for lo, _ in self.x0_box]
         try:
-            problem = build_problem(self, x0=start)
+            phi = to_nnf(parse(self.spec, self.effective_regions(), p=model.p))
         except (ParseError, FormulaError) as exc:
             raise ScenarioError(f"spec: {exc}") from None
+        object.__setattr__(self, "_phi", phi)
+        # a sampled start is drawn per seed; the box's low corner stands in
+        start = self.x0 if self.x0 is not None else [lo for lo, _ in self.x0_box]
+        problem = build_problem(self, x0=start)
         for key in _KNOBS + (("x0",) if self.x0 is not None else ()):
             object.__setattr__(self, key, getattr(problem, key))
 
     def system_model(self):
-        return builtin_model(self.model, self.dt)
+        """The model this config built when it was constructed."""
+        return self._model
 
     def effective_regions(self):
         """Regions with every obs* box grown by the inflation margin."""
@@ -167,9 +175,10 @@ class ScenarioConfig:
         return self.regions.inflated(self.obstacle_inflation, grow)
 
     def formula(self):
-        """The spec parsed against the (inflated) regions, in NNF: evaluation
-        takes any formula, but this spares each plan compile a to_nnf."""
-        return to_nnf(parse(self.spec, self.effective_regions(), p=self.system_model().p))
+        """The spec parsed against the (inflated) regions, in NNF, as this
+        config parsed it when it was constructed: one object, so every
+        problem built from the config shares it and its compiled plan."""
+        return self._phi
 
 
 # the knobs a scenario hands over to SynthesisProblem, which checks them

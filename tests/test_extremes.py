@@ -403,6 +403,37 @@ def test_a_non_finite_hook_result_is_still_divergence(hook, key, fields, run, ou
         RUNS[run](broken(hook, variant, fields))
 
 
+# (hook, the model's fields that make it overflow on controls of 1e10,
+# the run that calls it, the divergence it gives)
+LOUD_OUTPUT = {"output": lambda X, U: np.concatenate([X * 1e300, U], -1)}
+OVERFLOWS = [
+    ("output", LOUD_OUTPUT, "rollout", "non-finite output at timestep 1"),
+    ("output", LOUD_OUTPUT, "objective", "non-finite output at timestep 1"),
+    ("step", {"states": None, "step": lambda x, u: x + 1e300 * u}, "rollout",
+     "non-finite state at timestep 1"),
+    ("step_jacobians", {"adjoint": None, "step_jacobians": lambda X, U: (
+        np.eye(2), U[:, :1, None] * 1e300 * np.eye(2))}, "control_gradient", CONTROL),
+    ("output_jacobians", {"adjoint": None, "output_jacobians": lambda X, U: (
+        np.eye(4, 2), U[:, :1, None] * 1e300 * np.eye(4, 2, -2))}, "control_gradient", CONTROL),
+]
+
+
+@pytest.mark.parametrize("fields,run,outcome", [case[1:] for case in OVERFLOWS],
+                         ids=[f"{hook} via {run}" for hook, _, run, _ in OVERFLOWS])
+def test_a_hook_that_overflows_is_divergence_without_a_warning(fields, run, outcome):
+    model = dataclasses.replace(PROBLEM.model, **fields)
+    problem = dataclasses.replace(PROBLEM, model=model)
+    u = np.array([[1e10, 0.0]] * (PROBLEM.T + 1))
+    calls = {
+        "rollout": lambda: rollout(model, PROBLEM.x0, u),
+        "objective": lambda: objective(problem, u),
+        "control_gradient": lambda: rollout_with_sensitivities(
+            model, PROBLEM.x0, u).control_gradient(DSIGNAL),
+    }
+    with pytest.raises(RolloutDivergence, match=f"^{outcome}$"):
+        calls[run]()
+
+
 # the largest effort weight with controls far from zero: w * effort and
 # 2 w u overflow while the effort itself stays finite
 HEAVY = build_problem(builtin_scenario("two_target"), control_weight=1e300, restarts=1, max_iters=5)

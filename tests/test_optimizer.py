@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smoothstl import robustness
 from smoothstl.dynamics import (
     RolloutDivergence,
     SystemModel,
@@ -219,6 +220,16 @@ class TestProblemValidation:
     def test_horizon_must_fit(self):
         with pytest.raises(ValueError, match="looks 9 steps ahead"):
             reach_problem(phi=parse("F[0,9] y0 >= 2", p=4))
+
+    def test_a_horizon_too_long_is_refused_before_any_compile(self, monkeypatch):
+        # a compile grows as the product of nested windows, so a
+        # mistyped bound is refused without one
+        def compile_plan(*args):
+            raise AssertionError("compiled")
+
+        monkeypatch.setattr(robustness, "_Plan", compile_plan)
+        with pytest.raises(ValueError, match="^T: formula looks 200000 steps ahead but T is 4$"):
+            reach_problem(phi=parse("G[0,100000] F[0,100000] y0 >= 2", p=4))
 
     def test_control_bounds_checked(self):
         with pytest.raises(ValueError, match=r"^control_bounds: needs shape \(2, 2\), got \(1, 2\)$"):

@@ -127,6 +127,8 @@ def shared_cases():
 
 def check_values(phi, t, sig, s, k1, k2):
     for classic in (False, True):
+        # the latest sample a leaf reads is the formula's horizon
+        assert robustness._plan(phi, classic).horizon == horizon(phi)
         exact = evaluate(phi, sig, t, EXACT, classic)
         assert close(exact, naive_exact(phi, sig.values, t, classic), s)
         negated = evaluate(Not(phi), sig, t, EXACT, classic)
@@ -450,6 +452,8 @@ def test_operator_counts_are_pinned():
         "monitor": (30476, 10828),
     }
     for name, phi, sig, config in cases:
+        for classic in (False, True):
+            assert robustness._plan(phi, classic).horizon == horizon(phi), name
         with count_operator_evals() as c:
             evaluate(phi, sig, 0, EXACT)
         assert (c.scalars, c.applications, c.forwards) == (0, 0, 0), name

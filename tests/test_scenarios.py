@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smoothstl import robustness
 from smoothstl.dynamics import rollout
-from smoothstl.formula import is_nnf, horizon
+from smoothstl.formula import is_nnf, horizon, to_nnf
 from smoothstl.optimizer import SynthesisProblem, synthesize
+from smoothstl.parser import parse
 from smoothstl.robustness import EXACT, SemanticsError, Signal, evaluate
 from smoothstl.scenarios import (
     BUILTIN_SCENARIOS,
@@ -490,6 +492,17 @@ class TestBuildProblem:
         problem = build_problem(config, seed=7.0)
         assert problem.seed == 7 and type(problem.seed) is int
 
+    def test_problems_share_the_config_formula_and_model(self):
+        # parsed and built once, when the config is constructed
+        config = builtin_scenario("table2_diffdrive")
+        a, b = build_problem(config, seed=1), build_problem(config, seed=2, k1=3.0)
+        assert a.phi is b.phi is config.formula() is config.formula()
+        assert a.model is b.model is config.system_model()
+        # a replaced config is constructed anew, so an edited spec is parsed
+        edited = dataclasses.replace(config, spec="F[0,11] goal")
+        assert edited.formula() is not config.formula()
+        assert horizon(edited.formula()) == 11 and edited == dataclasses.replace(edited)
+
     def test_sampled_x0_follows_the_seed(self):
         config = builtin_scenario("table2_diffdrive")
         a = build_problem(config, seed=5)
@@ -551,6 +564,28 @@ class TestBench:
         direct = synthesize(build_problem(config, seed=config.seed + 1))
         assert records[1].rho_exact == direct.rho_exact
         assert records[1].x0 == build_problem(config, seed=config.seed + 1).x0
+
+    def test_trials_share_one_plan(self, monkeypatch):
+        # the plan compiled when the config was constructed serves every
+        # trial; trials given a freshly parsed formula each compile their own
+        # and record the same numbers
+        config = quick(builtin_scenario("table2_diffdrive"), max_iters=10)
+        compiled = []
+
+        class Counting(robustness._Plan):
+            def __init__(self, *args):
+                compiled.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(robustness, "_Plan", Counting)
+        shared, _ = run_bench(config, 4)
+        assert compiled == []
+        monkeypatch.setattr(ScenarioConfig, "formula", lambda self: to_nnf(
+            parse(self.spec, self.effective_regions(), p=self.system_model().p)))
+        fresh, _ = run_bench(config, 4)
+        assert len(compiled) == 4
+        assert [dataclasses.replace(r, wall_ms=0.0) for r in shared] == [
+            dataclasses.replace(r, wall_ms=0.0) for r in fresh]
 
     def test_budget_still_runs_one_wave(self):
         config = quick(builtin_scenario("two_target"), max_iters=10)
