@@ -468,10 +468,17 @@ def horizon(phi):
     A signal must provide samples at t .. t+horizon(phi) for evaluation
     at time t to be defined.
     """
-    ahead = max((horizon(c) for c in _operands(phi)), default=0)
-    if isinstance(phi, (Always, Eventually, Until, Release)):
-        return phi.interval.hi + ahead
-    return ahead
+    ahead = {}  # by node identity, so a subformula shared by parents is walked once
+
+    def walk(node):
+        if id(node) not in ahead:
+            reach = max((walk(c) for c in _operands(node)), default=0)
+            if isinstance(node, (Always, Eventually, Until, Release)):
+                reach += node.interval.hi
+            ahead[id(node)] = reach
+        return ahead[id(node)]
+
+    return walk(phi)
 
 
 # Printing. Precedence levels, loosest first: or < and < until/release <

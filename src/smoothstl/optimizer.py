@@ -106,15 +106,15 @@ class SynthesisProblem:
     pass through these same checks.
 
     Construction checks phi's horizon against T before any compile, then
-    compiles phi's plan under the problem's until convention, or finds it
-    in the plan cache, keyed by the formula object, and reads phi's
-    predicate widths from it. So the checks guarantee what evaluate would
-    check on every call: evaluation at t = 0, a horizon of at most T and
-    predicates as wide as the model's outputs. objective reads what it
-    needs of a problem once, on its first call, and keeps it on the
-    problem: the ef semantics (config), the start state as a read-only
-    array and the plan. A problem is frozen, and one made by
-    dataclasses.replace reads its own.
+    compiles phi's plan under the problem's until convention, or finds the
+    one the formula object keeps while it lives (the plan is dropped with
+    the formula), and reads phi's predicate widths from it. So the checks
+    guarantee what evaluate would check on every call: evaluation at
+    t = 0, a horizon of at most T and predicates as wide as the model's
+    outputs. objective reads what it needs of a problem once, on its
+    first call, and keeps it on the problem: the ef semantics (config),
+    the start state as a read-only array and the plan. A problem is
+    frozen, and one made by dataclasses.replace reads its own.
     """
 
     model: object

@@ -57,9 +57,10 @@ about 1e-15 of the inputs' scale. A node reached at a time is reduced once
 at that time, and a scan counts one application per prefix, which is what
 the operator counts measure.
 Every semantics runs the same gathers: a release is smoothed as the dual
-of the until in effect, an outer soft min of inner soft maxes. Plans live
-in a small identity-keyed cache, so a formula evaluated repeatedly is
-compiled once.
+of the until in effect, an outer soft min of inner soft maxes. A plan is
+kept, keyed by its formula object, for as long as that formula lives, and
+is dropped with it, so a formula evaluated repeatedly is compiled once. A
+signal too short for the formula is refused before any compile.
 
 Every semantics runs on the formula's negation normal form, which the
 plan builds when the formula is not in it: negation is folded into the
@@ -82,6 +83,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -102,6 +104,7 @@ from .formula import (
     _check_flag,
     _real,
     _whole,
+    horizon,
     is_nnf,
     to_nnf,
 )
@@ -175,9 +178,10 @@ def as_signal(signal):
 class SemanticsConfig:
     """Which semantics to evaluate, and at what sharpness.
 
-    kind is one of "exact", "ef", "lse". Build instances through the
-    classmethods; they validate the finite sharpness parameters each kind
-    needs.
+    kind is one of "exact", "ef", "lse". Every construction checks that the
+    kind takes exactly the finite sharpness parameters it needs: exact takes
+    none (SemanticsConfig("exact"), or EXACT), and the classmethods ef and
+    lse spell the other two.
     """
 
     kind: str
@@ -684,7 +688,6 @@ class _Plan:
     """
 
     def __init__(self, phi, classic_until):
-        self.phi = phi  # keeps id(phi) from being reused while cached
         root = phi if is_nnf(phi) else to_nnf(phi)
 
         order, seen = [], set()
@@ -935,20 +938,17 @@ def _flat_index(idx, width, lead):
     return (idx.reshape(-1) + width * np.arange(math.prod(lead))[:, None]).reshape(-1)
 
 
-_PLAN_SLOTS = 32
 _plans = {}
 
 
 def _plan(phi, classic_until):
-    """The cached plan of phi, compiling it on first use (least recently
-    used plans are dropped beyond _PLAN_SLOTS)."""
+    """phi's plan, compiled on first use and kept while phi lives: the entry
+    leaves when phi does, before its id can be reused."""
     key = (id(phi), bool(classic_until))
-    plan = _plans.pop(key, None)
+    plan = _plans.get(key)
     if plan is None:
-        plan = _Plan(phi, bool(classic_until))
-        if len(_plans) >= _PLAN_SLOTS:
-            del _plans[next(iter(_plans))]
-    _plans[key] = plan
+        plan = _plans[key] = _Plan(phi, bool(classic_until))
+        weakref.finalize(phi, _plans.pop, key, None)
     return plan
 
 
@@ -967,13 +967,16 @@ def _evaluate(phi, values, t, config, classic_until, gradient=False):
     if type(t) is not int or t < 0:
         t = _whole("t", t, SemanticsError, "nonnegative")
     _check_flag("classic_until", classic_until, SemanticsError)
-    plan = _plan(phi, classic_until)
-    need, last = t + plan.horizon, values.shape[-2] - 1
+    # the length is checked before a compile, whose cost grows with the horizon
+    plan = _plans.get((id(phi), bool(classic_until)))
+    need, last = t + (horizon(phi) if plan is None else plan.horizon), values.shape[-2] - 1
     if need > last:
         raise SemanticsError(
             f"signal: too short: evaluation at t={t} needs samples through "
             f"t={need} but the signal ends at t={last}"
         )
+    if plan is None:
+        plan = _plan(phi, classic_until)
     p = values.shape[-1]
     if plan.dims != {p}:
         bad = min(plan.dims - {p})

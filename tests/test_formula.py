@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import node_kinds, rand_formula, rand_signal
 from oracle import naive_exact
+from smoothstl import formula
 from smoothstl.formula import (
     Always,
     And,
@@ -237,6 +238,18 @@ class TestHorizon:
         for _ in range(100):
             phi = rand_formula(rng, 2, 3, 9)
             assert horizon(to_nnf(~phi)) == horizon(phi)
+
+    def test_a_shared_subformula_is_walked_once(self, monkeypatch):
+        # evaluate reads the horizon before it compiles a formula, and a
+        # formula whose parents share children can have exponentially many
+        # paths
+        phi = atoms()[0].always(0, 1)
+        for _ in range(12):
+            phi = And((phi, phi)).eventually(0, 1)
+        walked, operands = [], formula._operands
+        monkeypatch.setattr(formula, "_operands", lambda node: walked.append(node) or operands(node))
+        assert horizon(phi) == 13
+        assert len(walked) == 26
 
 
 class TestNodeCount:

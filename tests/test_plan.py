@@ -14,10 +14,15 @@ dense/scan/flat layout split and the reducer calls per forward pass on
 the builtin scenarios and a long monitoring formula, and one checks that
 charging's dense blocks move its values only by rounding. Two check that a
 margin that is not finite is an outcome of its own row of a stack, named by
-its sample, which changes no bit of the other rows.
+its sample, which changes no bit of the other rows. The last four pin a
+plan's lifetime: a signal too short is refused before a compile, a plan
+leaves with its formula, every live formula keeps its plan however many
+are in use, and a formula that takes a dropped one's id gets its own plan.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from smoothstl.formula import (
     And,
     CallablePredicate,
     Eventually,
+    Interval,
     LinearPredicate,
     Not,
     Or,
@@ -524,3 +530,66 @@ def test_reducer_calls_are_pinned(monkeypatch):
             calls.clear()
             run()
             assert len(calls) == pinned[name], name
+
+
+def test_a_signal_too_short_is_refused_before_any_compile(monkeypatch):
+    # a compile grows as the product of nested windows, so a signal too short
+    # for the formula is refused without one, as is one too short for a plan
+    # already compiled
+    cached = parse("F[0,6] y0 >= 0", p=1)
+    evaluate(cached, Signal(np.zeros((7, 1))))
+
+    def compile_plan(*args):
+        raise AssertionError("compiled")
+
+    monkeypatch.setattr(robustness, "_Plan", compile_plan)
+    phi = parse("G[0,2000] F[0,2000] y0 >= 0", p=1)
+    for formula, need in ((phi, 4000), (cached, 6)):
+        message = (f"^signal: too short: evaluation at t=0 needs samples through t={need} "
+                   "but the signal ends at t=4$")
+        with pytest.raises(SemanticsError, match=message):
+            evaluate(formula, Signal(np.zeros((5, 1))))
+        with pytest.raises(SemanticsError, match=message):
+            eval_with_gradient(formula, Signal(np.zeros((5, 1))), 0, SemanticsConfig.ef(5.0, 5.0))
+
+
+@pytest.mark.parametrize("classic", [False, True])
+def test_a_plan_leaves_with_its_formula(classic):
+    # a plan holds predicates, not nodes, so only its caller keeps the formula
+    # alive, and its entry goes with it
+    pred = CallablePredicate(fn=lambda y: float(y[0]), dim=1)
+    phi = Until(Interval(1, 3), Pred(pred), Pred(LinearPredicate((1.0,), 0.5)))
+    evaluate(phi, Signal(np.ones((4, 1))), classic_until=classic)
+    key, alive = (id(phi), classic), weakref.ref(phi)
+    assert key in robustness._plans
+    del phi
+    gc.collect()
+    assert alive() is None
+    assert key not in robustness._plans
+
+
+def test_formulas_in_rotation_compile_once_each(monkeypatch):
+    # every live formula keeps its plan, however many are in use
+    compiled = []
+
+    class Counting(robustness._Plan):
+        def __init__(self, *args):
+            compiled.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(robustness, "_Plan", Counting)
+    phis = [parse(f"G[0,3] F[0,{k % 5}] y0 >= {k / 10}", p=1) for k in range(40)]
+    y = np.random.default_rng(97).normal(size=(8, 1))
+    for _ in range(3):
+        for phi in phis:
+            assert evaluate(phi, y) == naive_exact(phi, y)
+    assert len(compiled) == 40
+
+
+def test_a_reused_id_finds_no_plan_of_a_dropped_formula():
+    # each formula is dropped as soon as it is evaluated, so the next one may
+    # take its id; it must get its own plan, not the dropped one's
+    y = np.random.default_rng(98).normal(size=(4, 1))
+    for i in range(200):
+        spec = ("F[0,3] y0 >= 0", "G[0,3] y0 >= 0")[i % 2]
+        assert evaluate(parse(spec, p=1), y) == naive_exact(parse(spec, p=1), y), spec
